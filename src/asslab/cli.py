@@ -20,8 +20,6 @@ def load_config_file(path: str) -> ExperimentConfig:
         raise InputError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return ExperimentConfig.from_dict(raw)
 
 

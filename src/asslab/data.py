@@ -14,15 +14,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DictConfig
 from .errors import ConfigError, InputError
 
 DATA_DIM = 2
+WEAK_SCALE = 0.05  # weak jitter sigma as a fraction of each feature's std
+STRONG_MULT = 4.0  # strong jitter sigma as a multiple of the weak one
 
 GENERATOR_KINDS = ("gaussian-blobs", "two-moons", "concentric-rings")
 
 
 @dataclass
-class GeneratorSpec:
+class GeneratorSpec(DictConfig):
     kind: str = "two-moons"
     size: int = 2000
     n_classes: int = 2
@@ -41,23 +44,6 @@ class GeneratorSpec:
             raise ConfigError(f"size {self.size} below 10 per class minimum")
         if self.noise < 0:
             raise ConfigError("noise must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "n_classes": self.n_classes,
-            "noise": self.noise,
-            "blob_radius": self.blob_radius,
-            "ring_spacing": self.ring_spacing,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown generator spec keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -240,23 +226,9 @@ class Augmenter:
     drop_prob: float = 0.2
 
     @classmethod
-    def for_data(
-        cls,
-        x: np.ndarray,
-        weak_scale: float = 0.05,
-        strong_mult: float = 4.0,
-        scale_low: float = 0.7,
-        scale_high: float = 1.3,
-        drop_prob: float = 0.2,
-    ) -> "Augmenter":
-        sigma_w = weak_scale * x.std(axis=0)
-        return cls(
-            sigma_w=sigma_w,
-            sigma_s=strong_mult * sigma_w,
-            scale_low=scale_low,
-            scale_high=scale_high,
-            drop_prob=drop_prob,
-        )
+    def for_data(cls, x: np.ndarray) -> "Augmenter":
+        sigma_w = WEAK_SCALE * x.std(axis=0)
+        return cls(sigma_w=sigma_w, sigma_s=STRONG_MULT * sigma_w)
 
     def weak(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

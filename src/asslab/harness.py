@@ -37,6 +37,7 @@ from .analysis import (
     write_spearman_series,
     write_ti_profile,
 )
+from .config import DictConfig
 from .data import (
     Augmenter,
     Dataset,
@@ -80,7 +81,7 @@ def derive_seed(seed: int, stream: int, *extra: int) -> int:
 
 
 @dataclass
-class TrackerParams:
+class TrackerParams(DictConfig):
     alpha: float = 0.8
     c_u: float = 0.5
     c_i: float = 2.0
@@ -90,26 +91,9 @@ class TrackerParams:
         # TrackerStore revalidates; constructing one surfaces errors early.
         TrackerStore([], self.alpha, self.c_u, self.c_i, self.variance_mean)
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "c_u": self.c_u,
-            "c_i": self.c_i,
-            "variance_mean": self.variance_mean,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrackerParams":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown tracker config keys: {sorted(unknown)}")
-        params = cls(**d)
-        params.validate()
-        return params
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(DictConfig):
     dataset: GeneratorSpec = field(default_factory=GeneratorSpec)
     n_init: int = 20
     acquire_k: int = 20
@@ -140,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be nonnegative")
         if not self.strategies:
             raise ConfigError("strategies must be nonempty")
         if len(set(self.strategies)) != len(self.strategies):
@@ -160,39 +146,6 @@ class ExperimentConfig:
                 f"final round would leave {last_unlabeled} unlabeled samples, "
                 f"below the unlabeled batch size {mu_b}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "n_init": self.n_init,
-            "acquire_k": self.acquire_k,
-            "rounds": self.rounds,
-            "n_test": self.n_test,
-            "ssl": self.ssl.to_dict(),
-            "tracker": self.tracker.to_dict(),
-            "strategies": list(self.strategies),
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-            "stratify_init": self.stratify_init,
-            "export_datasets": self.export_datasets,
-            "log_events": self.log_events,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "dataset" in d:
-            d["dataset"] = GeneratorSpec.from_dict(d["dataset"])
-        if "ssl" in d:
-            d["ssl"] = SslConfig.from_dict(d["ssl"])
-        if "tracker" in d:
-            d["tracker"] = TrackerParams.from_dict(d["tracker"])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -415,7 +368,7 @@ def _write_seed_analysis(
     write_pseudo_ratio(os.path.join(analysis_dir, f"pseudo_ratio_seed{seed}.csv"), rows)
 
 
-def _write_pairwise(analysis_dir: str, acc_table: dict[str, dict], kind: str) -> None:
+def _write_pairwise(analysis_dir: str, acc_table: dict[str, dict]) -> None:
     """Win-count matrix over the settings every strategy completed."""
     if not acc_table:
         return
@@ -485,7 +438,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     acc_table = {s: acc for s, acc in acc_table.items() if acc}
     if acc_table:
         os.makedirs(analysis_dir, exist_ok=True)
-        _write_pairwise(analysis_dir, acc_table, cfg.dataset.kind)
+        _write_pairwise(analysis_dir, acc_table)
 
     manifest = {
         "config": cfg.to_dict(),
@@ -574,4 +527,4 @@ def analyze_dir(in_dir: str) -> None:
             acc_table.setdefault(strategy, {})[f"{cfg.dataset.kind}-seed{seed}"] = acc
         if acc_table:
             os.makedirs(analysis_dir, exist_ok=True)
-            _write_pairwise(analysis_dir, acc_table, cfg.dataset.kind)
+            _write_pairwise(analysis_dir, acc_table)

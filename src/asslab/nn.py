@@ -222,16 +222,6 @@ def backward(
     return grads
 
 
-def batch_loss(
-    params: ModelParams,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> float:
-    loss, _, _ = loss_and_grads(params, inputs, targets, weights)
-    return loss
-
-
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     """One plain gradient step: params' = params - lr * grads."""
     if len(grads.weights) != params.n_layers:
@@ -277,10 +267,6 @@ def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(params, x).probs, axis=1)
 
 
-def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(predict_batch(params, x) == np.asarray(y)))
-
-
 def finite_diff_grads(
     params: ModelParams,
     inputs: np.ndarray,
@@ -295,7 +281,7 @@ def finite_diff_grads(
     """
 
     def loss_with(p: ModelParams) -> float:
-        return batch_loss(p, inputs, targets, weights)
+        return loss_and_grads(p, inputs, targets, weights)[0]
 
     gw, gb = [], []
     for li in range(params.n_layers):

@@ -16,15 +16,16 @@ import numpy as np
 
 from . import nn
 from .analysis import SnapshotSeries
+from .config import DictConfig
 from .data import Augmenter, Dataset, SamplePools
 from .errors import ConfigError, TrainingError
-from .tracker import PredictionEvent, TrackerStore, uncertainty_batch
+from .tracker import TrackerStore, uncertainty_batch
 
 INIT_MODES = ("rand_init", "con_init")
 
 
 @dataclass
-class SslConfig:
+class SslConfig(DictConfig):
     steps_per_round: int = 2000
     batch_size: int = 16  # labeled examples per step
     mu: int = 4  # unlabeled batch = mu * batch_size
@@ -57,31 +58,6 @@ class SslConfig:
             raise ConfigError("snapshot_interval must be at least 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "steps_per_round": self.steps_per_round,
-            "batch_size": self.batch_size,
-            "mu": self.mu,
-            "tau": self.tau,
-            "lambda_u": self.lambda_u,
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "init_mode": self.init_mode,
-            "snapshot_interval": self.snapshot_interval,
-            "hidden_dims": list(self.hidden_dims),
-            "weak_augment_labeled": self.weak_augment_labeled,
-            "carry_tracker": self.carry_tracker,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SslConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown ssl config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -142,11 +118,6 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     t = np.zeros((len(labels), k))
     t[np.arange(len(labels)), labels] = 1.0
     return t
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def evaluate_accuracy(params: nn.ModelParams, dataset: Dataset, ids: np.ndarray) -> float:
@@ -215,8 +186,7 @@ def train_round(
     masked_count = 0
     n_events = 0
     snap_steps, snap_labels, snap_u, snap_mp = [], [], [], []
-    use_momentum = cfg.momentum > 0.0
-    optimizer = nn.SgdOptimizer(cfg.lr, cfg.momentum) if use_momentum else None
+    optimizer = nn.SgdOptimizer(cfg.lr, cfg.momentum)
 
     for step in range(1, cfg.steps_per_round + 1):
         batch_lab = rng.choice(labeled_ids, size=cfg.batch_size, replace=True)
@@ -234,18 +204,10 @@ def train_round(
         )
         probs_weak = nn.forward_batch(params, x_unl_weak).probs
         pl, mask = pseudo_label_batch(probs_weak, cfg.tau)
-        targets = one_hot(pl, k)
-        if cfg.lambda_u > 0.0:
-            unsup_loss, unsup_grads, probs_strong = nn.loss_and_grads(
-                params, x_unl_strong, targets, weights=mask
-            )
-            grads = sup_grads.add_scaled(unsup_grads, cfg.lambda_u)
-        else:
-            strong_res = nn.forward_batch(params, x_unl_strong)
-            probs_strong = strong_res.probs
-            logp = _log_softmax(strong_res.logits)
-            unsup_loss = float(np.sum(mask * -(targets * logp).sum(axis=1)) / mu_b)
-            grads = sup_grads
+        unsup_loss, unsup_grads, probs_strong = nn.loss_and_grads(
+            params, x_unl_strong, one_hot(pl, k), weights=mask
+        )
+        grads = sup_grads.add_scaled(unsup_grads, cfg.lambda_u)
 
         total = sup_loss + cfg.lambda_u * unsup_loss
         if not np.isfinite(total):
@@ -262,9 +224,7 @@ def train_round(
         masked_count += int(mask.sum())
         sup_losses[step - 1] = sup_loss
         unsup_losses[step - 1] = unsup_loss
-        params = optimizer.step(params, grads) if use_momentum else nn.sgd_step(
-            params, grads, cfg.lr
-        )
+        params = optimizer.step(params, grads)
 
         if step % cfg.snapshot_interval == 0:
             labels, u_vals, mp = _pool_snapshot(

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from asslab.cli import main
 
 
@@ -61,6 +63,18 @@ class TestRunCommand:
         config = write_config(tmp_path / "cfg.json", typo_key=1)
         assert main(["run", "--config", str(config)]) == 2
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"rounds": "5"}', "rounds must be an integer"),
+        ("[1]", "config must be an object"),
+    ])
+    def test_mistyped_config_exits_2_without_traceback(self, tmp_path, capsys, text, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_infeasible_budget_rejected_before_work(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json", rounds=100)

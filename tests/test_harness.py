@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +150,69 @@ class TestExperimentConfig:
             small_cfg(strategies=["random", "random"]).validate()
         with pytest.raises(ConfigError):
             small_cfg(strategies=["oracle"]).validate()
+
+    @pytest.mark.parametrize("override", [
+        {"rounds": "5"},
+        {"rounds": 5.0},
+        {"acquire_k": True},
+        {"seeds": [1.5]},
+        {"seeds": [-1]},
+        {"seeds": 3},
+        {"strategies": "random"},
+        {"strategies": ["random", 1]},
+        {"out_dir": 3},
+        {"stratify_init": 1},
+        {"dataset": {"size": "2000"}},
+        {"dataset": {"noise": math.nan}},
+        {"dataset": []},
+        {"ssl": {"hidden_dims": 64}},
+        {"ssl": {"hidden_dims": [64, True]}},
+        {"ssl": {"lr": math.nan}},
+        {"ssl": {"lr": True}},
+        {"ssl": {"steps_per_round": 2.5}},
+        {"ssl": {"weak_augment_labeled": "yes"}},
+        {"ssl": {"init_mode": None}},
+        {"tracker": {"c_u": math.inf}},
+        {"tracker": "post"},
+    ])
+    def test_typed_fields(self, override):
+        d = ExperimentConfig().to_dict()
+        for key, value in override.items():
+            if isinstance(value, dict) and isinstance(d[key], dict):
+                d[key].update(value)
+            else:
+                d[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+
+    def test_int_in_float_field_kept_as_given(self):
+        cfg = ExperimentConfig.from_dict({"ssl": {"lr": 1, "tau": 0.5}})
+        assert cfg.ssl.to_dict()["lr"] == 1 and type(cfg.ssl.lr) is int
+
+    def test_readme_defaults_block(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as f:
+            text = f.read()
+        after = text.split("The full field set with defaults", 1)[1]
+        block = re.search(r"```json\n(.*?)```", after, re.S).group(1)
+        assert ExperimentConfig.from_dict(json.loads(block)) == ExperimentConfig()
+
+    def test_default_serialization_pinned(self):
+        # Manifests embed this dict, and analyze_dir reads old run
+        # directories back through from_dict.
+        assert json.dumps(ExperimentConfig().to_dict(), sort_keys=True) == (
+            '{"acquire_k": 20, "dataset": {"blob_radius": 5.0, "kind": "two-moons", '
+            '"n_classes": 2, "noise": 0.25, "ring_spacing": 2.0, "size": 2000}, '
+            '"export_datasets": true, "log_events": false, "n_init": 20, "n_test": 500, '
+            '"out_dir": "runs/default", "rounds": 5, "seeds": [0, 1, 2, 3, 4], '
+            '"ssl": {"batch_size": 16, "carry_tracker": false, "hidden_dims": [64, 64], '
+            '"init_mode": "rand_init", "lambda_u": 1.0, "lr": 0.03, "momentum": 0.0, '
+            '"mu": 4, "snapshot_interval": 200, "steps_per_round": 2000, "tau": 0.95, '
+            '"weak_augment_labeled": true}, '
+            '"strategies": ["random", "entropy", "margin", "snapshot-el2n", "coreset", '
+            '"ucb-product", "ucb-product-div"], "stratify_init": true, '
+            '"tracker": {"alpha": 0.8, "c_i": 2.0, "c_u": 0.5, "variance_mean": "post"}}'
+        )
 
     def test_tracker_params_round_trip(self):
         params = TrackerParams(alpha=0.5, c_u=1.0, c_i=0.0, variance_mean="pre")
@@ -401,7 +466,8 @@ class TestEmit:
             for name in names:
                 if name == "manifest.json":
                     continue
-                text = open(os.path.join(base, name)).read()
+                with open(os.path.join(base, name)) as f:
+                    text = f.read()
                 assert "seconds" not in text.splitlines()[0]
                 assert not any(cell.startswith(year) and "-" in cell
                                for cell in text.splitlines()[0].split(","))
