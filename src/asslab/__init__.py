@@ -23,7 +23,6 @@ from .analysis import (
     pairwise_matrix,
     pseudo_labeled_ratio,
     spearman,
-    temporal_instability,
     temporal_instability_batch,
     ti_uncertainty_profile,
 )
@@ -41,17 +40,7 @@ from .harness import (
     run_experiment,
 )
 from .ssl import SslConfig, train_round
-from .tracker import (
-    EmaState,
-    PredictionEvent,
-    TrackerSnapshot,
-    TrackerStore,
-    ema_update,
-    final_score,
-    inconsistency,
-    ucb,
-    uncertainty,
-)
+from .tracker import TrackerSnapshot, TrackerStore
 
 __version__ = "0.1.0"
 
@@ -62,13 +51,11 @@ __all__ = [
     "Augmenter",
     "ConfigError",
     "Dataset",
-    "EmaState",
     "ExperimentConfig",
     "ExperimentResult",
     "GeneratorSpec",
     "InputError",
     "InternalError",
-    "PredictionEvent",
     "RoundReport",
     "SamplePools",
     "SnapshotSeries",
@@ -87,12 +74,9 @@ __all__ = [
     "data",
     "derive_rng",
     "derive_seed",
-    "ema_update",
     "emit",
-    "final_score",
     "generate",
     "harness",
-    "inconsistency",
     "nn",
     "pairwise_matrix",
     "pseudo_labeled_ratio",
@@ -102,11 +86,8 @@ __all__ = [
     "split_pools",
     "ssl",
     "standardize",
-    "temporal_instability",
     "temporal_instability_batch",
     "ti_uncertainty_profile",
     "tracker",
     "train_round",
-    "ucb",
-    "uncertainty",
 ]

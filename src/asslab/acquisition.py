@@ -170,9 +170,12 @@ def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 100,
-            tol: float = 1e-8) -> np.ndarray:
-    for _ in range(max_iter):
+LLOYD_MAX_ITER = 100
+LLOYD_TOL = 1e-8  # stop once no centroid moves farther than this
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    for _ in range(LLOYD_MAX_ITER):
         assign = _dsq_to_centers(points, centers).argmin(axis=1)
         new_centers = centers.copy()  # empty cluster keeps its old centroid
         for j in range(len(centers)):
@@ -181,7 +184,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 100,
                 new_centers[j] = members.mean(axis=0)
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
-        if shift < tol:
+        if shift < LLOYD_TOL:
             break
     return centers
 
@@ -191,16 +194,14 @@ def acquire_diverse(
     embeddings: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    lloyd: bool = True,
 ) -> np.ndarray:
     """Cluster score-weighted embeddings; return one sample per centroid.
 
     Each sample's embedding is scaled by its streaming score, k-means++
-    seeds K centers by D^2 sampling, Lloyd refines them (skippable via
-    lloyd=False for seeding-only selection), and every final centroid maps
-    to its nearest actual sample. Duplicate mappings are dropped, then
-    remaining slots fill with each centroid's next-nearest unused sample,
-    cycling in centroid order.
+    seeds K centers by D^2 sampling, Lloyd refines them, and every final
+    centroid maps to its nearest actual sample. Duplicate mappings are
+    dropped, then remaining slots fill with each centroid's next-nearest
+    unused sample, cycling in centroid order.
     """
     ids = snapshot.ids
     n = len(ids)
@@ -209,9 +210,7 @@ def acquire_diverse(
     if emb.ndim != 2 or emb.shape[0] != n:
         raise InputError("one embedding row per snapshot id required")
     weighted = snapshot.score[:, None] * emb
-    centers = _kmeanspp_seed(weighted, k, rng)
-    if lloyd:
-        centers = _lloyd(weighted, centers)
+    centers = _lloyd(weighted, _kmeanspp_seed(weighted, k, rng))
     # ids are sorted ascending, so a stable argsort on distance breaks
     # ties toward the lower id.
     d2 = _dsq_to_centers(weighted, centers)

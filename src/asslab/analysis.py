@@ -51,16 +51,9 @@ class SnapshotSeries:
         return len(self.ids)
 
 
-def temporal_instability(labels) -> int:
-    """Number of adjacent predicted-label changes along one sample's history."""
-    arr = np.asarray(labels)
-    if arr.size == 0:
-        raise InputError("label history must be nonempty")
-    return int(np.count_nonzero(arr[1:] != arr[:-1]))
-
-
 def temporal_instability_batch(series: SnapshotSeries) -> np.ndarray:
-    """Per-sample temporal instability over all snapshots, aligned to ids."""
+    """Per-sample count of adjacent predicted-label changes over all
+    snapshots, aligned to ids."""
     lab = series.labels
     if lab.shape[0] == 0:
         raise InputError("series has no snapshots")
@@ -120,11 +113,6 @@ def ti_uncertainty_profile(series: SnapshotSeries) -> list[tuple[int, int, float
 def pseudo_label_flags(series: SnapshotSeries, tau: float = 0.95) -> np.ndarray:
     """True for samples whose max-prob exceeded tau in at least one snapshot."""
     return np.any(series.max_prob > tau, axis=0)
-
-
-def pseudo_label_counts(series: SnapshotSeries, tau: float = 0.95) -> np.ndarray:
-    """Number of snapshots in which each sample's max-prob exceeded tau."""
-    return np.count_nonzero(series.max_prob > tau, axis=0)
 
 
 def pseudo_labeled_ratio(

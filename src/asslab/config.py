@@ -1,12 +1,13 @@
-"""One (de)serializer for the config dataclasses, typed at the boundary.
+"""One (de)serializer and type check for the config dataclasses.
 
-Configs arrive as JSON-shaped dicts (a config file, a manifest). Field
-types come from the dataclass annotations: an int field takes an integer
-but not a bool, a float field takes a finite int or float but not a bool,
-bool and str fields take only their own type, a list field takes a list
-whose elements are checked the same way, and a nested config section
-takes an object. Values are kept as given, so an int in a float field
-stays an int and serializes back unchanged.
+Configs arrive as JSON-shaped dicts (a config file, a manifest) or are
+built in Python. Either way validate() checks every field against its
+annotation before the class's own range checks: an int field takes an
+integer but not a bool, a float field takes a finite int or float but not
+a bool, bool and str fields take only their own type, a list field takes
+a list whose elements are checked the same way, and a nested config
+section takes its config class. Values are kept as given, so an int in a
+float field stays an int and serializes back unchanged.
 """
 
 from __future__ import annotations
@@ -23,38 +24,58 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 
 class DictConfig:
-    """Mixin for config dataclasses that define validate()."""
+    """Mixin for config dataclasses that define _check_ranges()."""
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict):
-        return _decode(cls, d, "")
+        cfg = _decode(cls, d, "")
+        cfg.validate()
+        return cfg
+
+    def validate(self) -> None:
+        """Raise ConfigError unless every field, nested sections included,
+        has its annotated type and passes its class's range checks."""
+        _check(type(self), self, "")
 
 
 def _decode(tp, value, key: str):
+    """Build the nested config sections of a dict; leave other values as given."""
+    if not (isinstance(tp, type) and issubclass(tp, DictConfig)):
+        return value
+    name = key or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    unknown = set(value) - {f.name for f in dataclasses.fields(tp)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    hints = _type_hints(tp)
+    prefix = f"{key}." if key else ""
+    return tp(**{k: _decode(hints[k], v, prefix + k) for k, v in value.items()})
+
+
+def _check(tp, value, key: str) -> None:
     if isinstance(tp, type) and issubclass(tp, DictConfig):
-        name = key or "config"
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name} must be an object, got {value!r}")
-        unknown = set(value) - {f.name for f in dataclasses.fields(tp)}
-        if unknown:
-            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        if not isinstance(value, tp):
+            raise ConfigError(f"{key or 'config'} must be an object, got {value!r}")
         hints = _type_hints(tp)
         prefix = f"{key}." if key else ""
-        cfg = tp(**{k: _decode(hints[k], v, prefix + k) for k, v in value.items()})
-        cfg.validate()
-        return cfg
+        for f in dataclasses.fields(tp):
+            _check(hints[f.name], getattr(value, f.name), prefix + f.name)
+        value._check_ranges()
+        return
     if typing.get_origin(tp) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         (item,) = typing.get_args(tp)
-        return [_decode(item, v, f"{key}[{i}]") for i, v in enumerate(value)]
+        for i, v in enumerate(value):
+            _check(item, v, f"{key}[{i}]")
+        return
     if tp is float:
         ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     else:
         ok = isinstance(value, tp)
     if not ok or isinstance(value, bool) and tp is not bool:
         raise ConfigError(f"{key} must be {_NAMES[tp]}, got {value!r}")
-    return value

@@ -33,7 +33,7 @@ class GeneratorSpec(DictConfig):
     blob_radius: float = 5.0  # blob centers sit on a circle of this radius
     ring_spacing: float = 2.0  # ring c has radius (c + 1) * spacing
 
-    def validate(self):
+    def _check_ranges(self):
         if self.kind not in GENERATOR_KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
         if self.kind == "two-moons" and self.n_classes != 2:
@@ -230,24 +230,9 @@ class Augmenter:
         sigma_w = WEAK_SCALE * x.std(axis=0)
         return cls(sigma_w=sigma_w, sigma_s=STRONG_MULT * sigma_w)
 
-    def weak(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return x + self.sigma_w * rng.standard_normal(x.shape[-1])
-
     def weak_batch(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return x + self.sigma_w * rng.standard_normal(x.shape)
-
-    def strong(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        d = x.shape[-1]
-        out = x + self.sigma_s * rng.standard_normal(d)
-        out = out * rng.uniform(self.scale_low, self.scale_high, size=d)
-        u = rng.random()
-        j = int(rng.integers(0, d))  # drawn even when unused, fixed stream shape
-        if u < self.drop_prob:
-            out[j] = 0.0
-        return out
 
     def strong_batch(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

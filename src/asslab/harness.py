@@ -87,7 +87,7 @@ class TrackerParams(DictConfig):
     c_i: float = 2.0
     variance_mean: str = "post"
 
-    def validate(self):
+    def _check_ranges(self):
         # TrackerStore revalidates; constructing one surfaces errors early.
         TrackerStore([], self.alpha, self.c_u, self.c_i, self.variance_mean)
 
@@ -108,10 +108,7 @@ class ExperimentConfig(DictConfig):
     export_datasets: bool = True
     log_events: bool = False
 
-    def validate(self):
-        self.dataset.validate()
-        self.ssl.validate()
-        self.tracker.validate()
+    def _check_ranges(self):
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
         if self.acquire_k < 1:

@@ -56,20 +56,8 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.weights[-1].shape[0]
 
-    @property
-    def embedding_dim(self) -> int:
-        # Penultimate width; equals input_dim for a single-layer net.
-        if self.n_layers == 1:
-            return self.input_dim
-        return self.weights[-2].shape[0]
-
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
 
 
 @dataclass
@@ -142,15 +130,6 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
     return ForwardResult(logits=logits, probs=softmax(logits), embedding=post[-1])
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardResult:
-    """Forward a single sample: logits, softmax probabilities, embedding."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"expected a 1-d input vector, got shape {x.shape}")
-    res = forward_batch(params, x[None, :])
-    return ForwardResult(logits=res.logits[0], probs=res.probs[0], embedding=res.embedding[0])
-
-
 def _as_batch(inputs, targets, weights):
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -209,17 +188,6 @@ def loss_and_grads(
         if i > 0:
             da = dz @ params.weights[i]
     return loss, Gradients(gw, gb), probs
-
-
-def backward(
-    params: ModelParams,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> Gradients:
-    """Gradients of the weighted mean cross-entropy over a batch."""
-    _, grads, _ = loss_and_grads(params, inputs, targets, weights)
-    return grads
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
@@ -348,7 +316,7 @@ def run_gradient_check(
                 break
         t = rng.dirichlet(np.ones(k), size=n)
         w = rng.uniform(0.2, 2.0, size=n)
-        analytic = backward(params, x, t, w)
+        analytic = loss_and_grads(params, x, t, w)[1]
         numeric = finite_diff_grads(params, x, t, w, step=step)
         errors.append(gradient_relative_error(analytic, numeric))
     return errors

@@ -39,7 +39,7 @@ class SslConfig(DictConfig):
     weak_augment_labeled: bool = True
     carry_tracker: bool = False  # keep tracker streams across rounds
 
-    def validate(self):
+    def _check_ranges(self):
         if self.steps_per_round < 1:
             raise ConfigError("steps_per_round must be at least 1")
         if self.batch_size < 1 or self.mu < 1:
@@ -70,14 +70,9 @@ class RoundMetrics:
     n_events: int
 
 
-def pseudo_label(probs_weak: np.ndarray, tau: float) -> tuple[int, int]:
-    """(argmax class, mask): mask is 1 only when max prob strictly exceeds tau."""
-    p = np.asarray(probs_weak, dtype=np.float64)
-    label = int(np.argmax(p))
-    return label, int(p[label] > tau)
-
-
 def pseudo_label_batch(probs_weak: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row (argmax class, mask), ties to the lowest index; mask is 1.0
+    only when the max prob strictly exceeds tau."""
     p = np.asarray(probs_weak, dtype=np.float64)
     labels = np.argmax(p, axis=1)
     mask = (p[np.arange(len(p)), labels] > tau).astype(np.float64)

@@ -11,7 +11,7 @@ needs no extra inference after training ends.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,40 +22,24 @@ from .errors import ConfigError, InputError, TrackerError
 EPS_PROB = 1e-12
 
 
-def uncertainty(probs: np.ndarray) -> float:
-    """L2 distance between a distribution and the one-hot of its argmax.
+def uncertainty_batch(probs: np.ndarray) -> np.ndarray:
+    """Per-row L2 distance between a distribution and the one-hot of its argmax.
 
     Zero exactly when the prediction is one-hot, growing as confidence
     drops. Ties in the argmax resolve to the lowest index.
     """
     p = np.asarray(probs, dtype=np.float64)
     one_hot = np.zeros_like(p)
-    one_hot[np.argmax(p)] = 1.0
-    return float(np.linalg.norm(p - one_hot))
-
-
-def uncertainty_batch(probs: np.ndarray) -> np.ndarray:
-    p = np.asarray(probs, dtype=np.float64)
-    one_hot = np.zeros_like(p)
     one_hot[np.arange(p.shape[0]), np.argmax(p, axis=1)] = 1.0
     return np.linalg.norm(p - one_hot, axis=1)
 
 
-def inconsistency(probs_w: np.ndarray, probs_s: np.ndarray) -> float:
-    """Symmetrized KL divergence between weak-view and strong-view predictions.
+def inconsistency_batch(probs_w: np.ndarray, probs_s: np.ndarray) -> np.ndarray:
+    """Per-row symmetrized KL divergence between weak- and strong-view predictions.
 
     (KL(p_w||p_s) + KL(p_s||p_w)) / 2, natural log, probabilities floored
     at EPS_PROB inside the logs only.
     """
-    return float(
-        inconsistency_batch(
-            np.asarray(probs_w, dtype=np.float64)[None, :],
-            np.asarray(probs_s, dtype=np.float64)[None, :],
-        )[0]
-    )
-
-
-def inconsistency_batch(probs_w: np.ndarray, probs_s: np.ndarray) -> np.ndarray:
     pw = np.asarray(probs_w, dtype=np.float64)
     ps = np.asarray(probs_s, dtype=np.float64)
     log_w = np.log(np.maximum(pw, EPS_PROB))
@@ -63,67 +47,6 @@ def inconsistency_batch(probs_w: np.ndarray, probs_s: np.ndarray) -> np.ndarray:
     kl_ws = ((pw * (log_w - log_s)).sum(axis=1))
     kl_sw = ((ps * (log_s - log_w)).sum(axis=1))
     return 0.5 * (kl_ws + kl_sw)
-
-
-@dataclass
-class EmaState:
-    """Exponential moving mean/variance, zero-initialized, no bias correction."""
-
-    mean: float = 0.0
-    var: float = 0.0
-    count: int = 0
-
-
-def ema_update(
-    state: EmaState, value: float, alpha: float, variance_mean: str = "post"
-) -> EmaState:
-    """One step of the moving mean/variance recurrences.
-
-    mean' = alpha*value + (1-alpha)*mean, then
-    var'  = alpha*(value - mean')^2 + (1-alpha)*var.
-
-    The variance centers on the updated mean ("post"); pass "pre" to center
-    on the previous mean instead, kept for ablation.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise InputError(f"alpha must be in (0, 1], got {alpha}")
-    if variance_mean not in ("post", "pre"):
-        raise InputError(f"variance_mean must be 'post' or 'pre', got {variance_mean!r}")
-    if not np.isfinite(value):
-        raise TrackerError(f"non-finite tracked value {value}")
-    new_mean = alpha * value + (1.0 - alpha) * state.mean
-    center = new_mean if variance_mean == "post" else state.mean
-    new_var = alpha * (value - center) ** 2 + (1.0 - alpha) * state.var
-    return EmaState(mean=new_mean, var=new_var, count=state.count + 1)
-
-
-def ucb(state: EmaState, c: float) -> float:
-    """mean + c * sqrt(var), with the variance clamped at zero."""
-    if c < 0:
-        raise InputError(f"confidence multiplier must be nonnegative, got {c}")
-    return state.mean + c * np.sqrt(max(state.var, 0.0))
-
-
-def final_score(u_ucb: float, i_ucb: float) -> float:
-    """Acquisition score: product of the two upper confidence bounds."""
-    if not (np.isfinite(u_ucb) and np.isfinite(i_ucb)):
-        raise InputError("scores must be finite")
-    return float(u_ucb * i_ucb)
-
-
-@dataclass
-class PredictionEvent:
-    """Weak/strong prediction pair for one appearance of one sample.
-
-    step is the sample's own appearance index, which strictly increases
-    per sample even when an epoch boundary puts the same sample into one
-    training step twice.
-    """
-
-    sample_id: int
-    step: int
-    probs_weak: np.ndarray
-    probs_strong: np.ndarray
 
 
 @dataclass
@@ -220,9 +143,6 @@ class TrackerStore:
         self._i_var = np.zeros(n)
         self._count = np.zeros(n, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def _locate(self, ids: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.ids, ids)
         bad = (pos >= len(self.ids)) | (self.ids[np.minimum(pos, len(self.ids) - 1)] != ids)
@@ -230,18 +150,15 @@ class TrackerStore:
             raise TrackerError(f"unknown sample id {int(np.asarray(ids)[bad][0])}")
         return pos
 
-    def ingest(self, event: PredictionEvent) -> None:
-        """Fold one weak/strong prediction pair into the sample's streams."""
-        self.ingest_batch(
-            np.asarray([event.sample_id], dtype=np.int64),
-            np.asarray(event.probs_weak, dtype=np.float64)[None, :],
-            np.asarray(event.probs_strong, dtype=np.float64)[None, :],
-        )
-
     def ingest_batch(
         self, ids: np.ndarray, probs_weak: np.ndarray, probs_strong: np.ndarray
     ) -> None:
-        """Vectorized ingest of one mini-batch of prediction pairs.
+        """Fold one mini-batch of weak/strong prediction pairs into the streams.
+
+        Each stream follows mean' = alpha*value + (1-alpha)*mean, then
+        var' = alpha*(value - center)^2 + (1-alpha)*var, from zero with no
+        bias correction; center is the updated mean ("post") or, for
+        ablation, the previous one ("pre").
 
         ids must be unique within the call: the EMA recurrence is
         sequential per sample, and a fancy-indexed update would silently
@@ -270,14 +187,6 @@ class TrackerStore:
             means[pos] = new_mean
         self._count[pos] += 1
 
-    def state_of(self, sample_id: int) -> tuple[EmaState, EmaState]:
-        pos = int(self._locate(np.asarray([sample_id], dtype=np.int64))[0])
-        c = int(self._count[pos])
-        return (
-            EmaState(mean=float(self._u_mean[pos]), var=float(self._u_var[pos]), count=c),
-            EmaState(mean=float(self._i_mean[pos]), var=float(self._i_var[pos]), count=c),
-        )
-
     def remove(self, ids) -> None:
         """Drop acquired ids; the store then matches the shrunken pool."""
         drop = self._locate(np.asarray(sorted(int(i) for i in ids), dtype=np.int64))
@@ -290,13 +199,9 @@ class TrackerStore:
         self._i_var = self._i_var[keep]
         self._count = self._count[keep]
 
-    def reset(self) -> None:
-        """Zero every stream, keeping the id set and hyperparameters."""
-        for arr in (self._u_mean, self._u_var, self._i_mean, self._i_var):
-            arr.fill(0.0)
-        self._count.fill(0)
-
     def snapshot(self) -> TrackerSnapshot:
+        """UCB of each stream, mean + c * sqrt(var) with the variance clamped
+        at zero, and their product as the acquisition score."""
         u_ucb = self._u_mean + self.c_u * np.sqrt(np.maximum(self._u_var, 0.0))
         i_ucb = self._i_mean + self.c_i * np.sqrt(np.maximum(self._i_var, 0.0))
         return TrackerSnapshot(

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from asslab import nn
 from asslab.acquisition import AcquisitionRequest, acquire, acquire_coreset
 from asslab.analysis import (
@@ -39,7 +40,7 @@ from asslab.harness import (
     run_and_emit,
 )
 from asslab.ssl import SslConfig, train_round
-from asslab.tracker import PredictionEvent, TrackerStore, inconsistency, uncertainty
+from asslab.tracker import TrackerStore, inconsistency_batch, uncertainty_batch
 
 
 VERDICTS: list[str] = []
@@ -84,48 +85,47 @@ class TestValueExamples:
     """Canonical analytic values, recomputed here from first principles."""
 
     def test_unit_value_examples(self):
-        checks = []
-
         # Distance of a prediction from its own argmax one-hot vector.
-        checks.append((uncertainty(np.array([0.0, 1.0, 0.0])), 0.0))
-        checks.append((uncertainty(np.array([0.5, 0.5])), math.sqrt(0.5)))
-        checks.append((uncertainty(np.array([0.8, 0.2])), math.sqrt(0.08)))
+        np.testing.assert_allclose(
+            uncertainty_batch([[0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.8, 0.2, 0.0]]),
+            [0.0, math.sqrt(0.5), math.sqrt(0.08)], atol=1e-8)
         # Symmetrized KL divergence between the two augmented views.
-        checks.append((inconsistency(np.array([0.3, 0.7]), np.array([0.3, 0.7])), 0.0))
-        sym = inconsistency(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
-        checks.append((sym, 0.8 * math.log(9.0)))
-        swapped = inconsistency(np.array([0.1, 0.9]), np.array([0.9, 0.1]))
-        checks.append((swapped, sym))
-        for got, want in checks:
-            np.testing.assert_allclose(got, want, atol=1e-8)
+        pw = np.array([[0.3, 0.7], [0.9, 0.1], [0.1, 0.9]])
+        ps = np.array([[0.3, 0.7], [0.1, 0.9], [0.9, 0.1]])
+        np.testing.assert_allclose(inconsistency_batch(pw, ps),
+                                   [0.0, 0.8 * math.log(9.0), 0.8 * math.log(9.0)], atol=1e-8)
 
         # Streaming mean/variance recurrence against hand-rolled values.
         store = TrackerStore([7], alpha=0.8)
-        for t, (pw, ps) in enumerate([(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
-                                      (np.array([1.0, 0.0]), np.array([1.0, 0.0]))]):
-            store.ingest(PredictionEvent(sample_id=7, step=t, probs_weak=pw,
-                                         probs_strong=ps))
-        u_state, _ = store.state_of(7)
+        for pair in ([0.5, 0.5], [1.0, 0.0]):
+            store.ingest_batch([7], [pair], [pair])
+        snap = store.snapshot()
         # u stream is [sqrt(.5), 0]; scale-invariant form of the [1, 0] example.
         r = math.sqrt(0.5)
-        np.testing.assert_allclose(u_state.mean, 0.16 * r, atol=1e-12)
-        np.testing.assert_allclose(u_state.var, 0.026880 * r * r, atol=1e-12)
+        np.testing.assert_allclose(snap.u_mean[0], 0.16 * r, atol=1e-12)
+        np.testing.assert_allclose(snap.u_var[0], 0.026880 * r * r, atol=1e-12)
 
         # Constant stream from zero: mean follows 1 - (1 - alpha)^t.
         store = TrackerStore([1], alpha=0.8)
-        uniform = np.array([0.5, 0.5])
-        for t in range(3):
-            store.ingest(PredictionEvent(sample_id=1, step=t, probs_weak=uniform,
-                                         probs_strong=uniform))
-        u_state, _ = store.state_of(1)
-        np.testing.assert_allclose(u_state.mean, 0.992 * math.sqrt(0.5), atol=1e-12)
+        for _ in range(3):
+            store.ingest_batch([1], [[0.5, 0.5]], [[0.5, 0.5]])
+        np.testing.assert_allclose(store.snapshot().u_mean[0], 0.992 * r, atol=1e-12)
 
-        # Confidence bound and final score arithmetic.
-        snap = TrackerStore([0], alpha=0.8, c_u=0.5).snapshot()
-        assert snap.score[0] == 0.0
-        np.testing.assert_allclose(0.5 + 0.5 * math.sqrt(0.04), 0.6, atol=1e-12)
-        np.testing.assert_allclose(math.sqrt(0.5) * 0.8 * math.log(9.0),
-                                   1.2429379, atol=1e-6)
+        # Confidence bounds and final score of known streams. Sample 0 sees
+        # ([.5, .5], [.5, .5]) then ([.9, .1], [.1, .9]): u = [r, r/5] and
+        # i = [0, L] with L = 0.8 ln 9, so u_mean = 0.32 r, u_var = 0.00896,
+        # i_mean = 0.8 L and i_var = 0.032 L^2. Sample 1 is never seen.
+        store = TrackerStore([0, 1], alpha=0.8, c_u=0.5, c_i=2.0)
+        for weak, strong in (([0.5, 0.5], [0.5, 0.5]), ([0.9, 0.1], [0.1, 0.9])):
+            store.ingest_batch([0], [weak], [strong])
+        snap = store.snapshot()
+        big_l = 0.8 * math.log(9.0)
+        u_ucb = 0.32 * r + 0.5 * math.sqrt(0.00896)
+        i_ucb = 0.8 * big_l + 2.0 * math.sqrt(0.032) * big_l
+        np.testing.assert_allclose(snap.u_ucb, [u_ucb, 0.0], atol=1e-12)
+        np.testing.assert_allclose(snap.i_ucb, [i_ucb, 0.0], atol=1e-12)
+        np.testing.assert_allclose(snap.score, [u_ucb * i_ucb, 0.0], atol=1e-12)
+        np.testing.assert_allclose(snap.score, [0.5568107, 0.0], atol=1e-7)
 
         # Greedy k-center worked example: labeled {0}, unlabeled {1, 2, 10}.
         ids, dists = acquire_coreset(
@@ -141,44 +141,29 @@ class TestValueExamples:
     def test_streaming_recurrence_matches_replay_oracle(self):
         # Independent pure-python replay of the same event log.
         def replay(events, alpha=0.8):
-            eps = 1e-12
-            state = [0.0, 0.0, 0.0, 0.0]
+            u, i = oracles.EmaState(), oracles.EmaState()
             for pw, ps in events:
-                j = max(range(len(pw)), key=lambda m: (pw[m], -m))
-                u = math.sqrt(sum((p - (1.0 if m == j else 0.0)) ** 2
-                                  for m, p in enumerate(pw)))
-
-                def kl(a, b):
-                    return sum(x * (math.log(max(x, eps)) - math.log(max(y, eps)))
-                               for x, y in zip(a, b))
-
-                i = 0.5 * (kl(pw, ps) + kl(ps, pw))
-                for idx, v in ((0, u), (2, i)):
-                    new_mean = alpha * v + (1 - alpha) * state[idx]
-                    state[idx + 1] = (alpha * (v - new_mean) ** 2
-                                      + (1 - alpha) * state[idx + 1])
-                    state[idx] = new_mean
-            return state
+                u = oracles.ema_update(u, oracles.uncertainty(pw), alpha)
+                i = oracles.ema_update(i, oracles.inconsistency(pw, ps), alpha)
+            return u, i
 
         rng = np.random.default_rng(42)
         for trial in range(20):
             k = int(rng.integers(2, 5))
             store = TrackerStore([3], alpha=0.8, c_u=0.5, c_i=2.0)
             events = []
-            for t in range(int(rng.integers(1, 30))):
+            for _ in range(int(rng.integers(1, 30))):
                 pw = rng.dirichlet(np.ones(k))
                 ps = rng.dirichlet(np.ones(k))
-                store.ingest(PredictionEvent(sample_id=3, step=t, probs_weak=pw,
-                                             probs_strong=ps))
+                store.ingest_batch([3], pw[None, :], ps[None, :])
                 events.append((pw.tolist(), ps.tolist()))
-            u_mean, u_var, i_mean, i_var = replay(events)
+            u, i = replay(events)
             snap = store.snapshot()
-            np.testing.assert_allclose(snap.u_mean[0], u_mean, atol=1e-12)
-            np.testing.assert_allclose(snap.u_var[0], u_var, atol=1e-12)
-            np.testing.assert_allclose(snap.i_mean[0], i_mean, atol=1e-12)
-            np.testing.assert_allclose(snap.i_var[0], i_var, atol=1e-12)
-            want = ((u_mean + 0.5 * math.sqrt(max(u_var, 0.0)))
-                    * (i_mean + 2.0 * math.sqrt(max(i_var, 0.0))))
+            np.testing.assert_allclose(snap.u_mean[0], u.mean, atol=1e-12)
+            np.testing.assert_allclose(snap.u_var[0], u.var, atol=1e-12)
+            np.testing.assert_allclose(snap.i_mean[0], i.mean, atol=1e-12)
+            np.testing.assert_allclose(snap.i_var[0], i.var, atol=1e-12)
+            want = oracles.final_score(oracles.ucb(u, 0.5), oracles.ucb(i, 2.0))
             np.testing.assert_allclose(snap.score[0], want, atol=1e-12)
         report("streaming-oracle", True, "20 replayed logs match to 1e-12")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asslab import nn
 from asslab.acquisition import (
@@ -34,6 +36,17 @@ def make_snapshot(scores, ids=None, counts=None):
         i_ucb=zero, score=scores,
         counts=np.ones(n, dtype=np.int64) if counts is None else np.asarray(counts),
     )
+
+
+@st.composite
+def scored_pools(draw):
+    """(ids, scores, k): unique unsorted ids, scores from a few values, 1 <= k <= n."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return np.asarray(ids, dtype=np.int64), np.asarray(scores, dtype=np.float64), k
 
 
 def probs_model(prob_rows):
@@ -90,6 +103,17 @@ class TestTopKScore:
             ref = ids[np.lexsort((ids, -scores))][:k]
             np.testing.assert_array_equal(got, ref)
             np.testing.assert_array_equal(got_scores, scores[got])
+
+    @settings(deadline=None)
+    @given(scored_pools())
+    @example((np.array([5, 3, 9]), np.zeros(3), 3))
+    @example((np.array([5, 3, 9]), np.zeros(3), 1))
+    def test_matches_full_lexsort_property(self, pool):
+        ids, scores, k = pool
+        order = np.lexsort((ids, -scores))[:k]
+        got, got_scores = _top_k_ids(ids, scores, k)
+        np.testing.assert_array_equal(got, ids[order])
+        np.testing.assert_array_equal(got_scores, scores[order])
 
     def test_increasing_transform_invariance(self):
         rng = np.random.default_rng(2)
@@ -261,13 +285,6 @@ class TestDiverse:
         snap = make_snapshot(np.ones(6))
         ids = acquire_diverse(snap, emb, 4, np.random.default_rng(14))
         assert len(set(ids.tolist())) == 4
-
-    def test_seeding_only_mode(self):
-        rng = np.random.default_rng(15)
-        emb = rng.normal(size=(25, 3))
-        snap = make_snapshot(rng.uniform(0.1, 1.0, size=25))
-        ids = acquire_diverse(snap, emb, 6, np.random.default_rng(16), lloyd=False)
-        assert len(set(ids.tolist())) == 6
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from asslab.analysis import (
     SnapshotSeries,
     consecutive_snapshot_spearman,
     export_series,
     load_series,
     pairwise_matrix,
-    pseudo_label_counts,
     pseudo_label_flags,
     pseudo_labeled_ratio,
     spearman,
-    temporal_instability,
     temporal_instability_batch,
     ti_uncertainty_profile,
 )
@@ -31,39 +30,46 @@ def make_series(labels, uncertainty=None, max_prob=None, ids=None, steps=None):
     )
 
 
+def label_changes(*histories):
+    """temporal_instability_batch of one column per label history."""
+    return temporal_instability_batch(make_series(np.column_stack(histories))).tolist()
+
+
 class TestTemporalInstability:
     def test_constant(self):
-        assert temporal_instability([1, 1, 1, 1]) == 0
+        assert label_changes([1, 1, 1, 1]) == [0]
 
     def test_alternating(self):
-        assert temporal_instability([0, 1, 0, 1]) == 3
+        assert label_changes([0, 1, 0, 1]) == [3]
 
     def test_mixed(self):
-        assert temporal_instability([1, 1, 2, 2, 1]) == 2
+        assert label_changes([1, 1, 2, 2, 1]) == [2]
 
     def test_single(self):
-        assert temporal_instability([5]) == 0
+        assert label_changes([5], [2]) == [0, 0]
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            temporal_instability([])
+            temporal_instability_batch(make_series(np.zeros((0, 3), dtype=int)))
 
     def test_range_and_concat_additivity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            a = rng.integers(0, 3, size=rng.integers(1, 10))
-            b = rng.integers(0, 3, size=rng.integers(1, 10))
-            ti_a, ti_b = temporal_instability(a), temporal_instability(b)
-            assert 0 <= ti_a <= len(a) - 1 if len(a) > 1 else ti_a == 0
-            joint = temporal_instability(np.concatenate([a, b]))
-            assert joint == ti_a + ti_b + int(a[-1] != b[0])
+            t_a, t_b = rng.integers(1, 10, size=2)
+            a = rng.integers(0, 3, size=(t_a, 5))
+            b = rng.integers(0, 3, size=(t_b, 5))
+            ti_a = temporal_instability_batch(make_series(a))
+            ti_b = temporal_instability_batch(make_series(b))
+            assert np.all((ti_a >= 0) & (ti_a <= t_a - 1))
+            joint = temporal_instability_batch(make_series(np.concatenate([a, b])))
+            np.testing.assert_array_equal(joint, ti_a + ti_b + (a[-1] != b[0]))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, size=(6, 20))
         batch = temporal_instability_batch(make_series(labels))
         for j in range(20):
-            assert batch[j] == temporal_instability(labels[:, j])
+            assert batch[j] == oracles.temporal_instability(labels[:, j])
 
 
 class TestSpearman:
@@ -202,11 +208,6 @@ class TestPseudoRatio:
                              max_prob=np.array([[0.95, 0.95, 0.96, 0.94]]))
         flags = pseudo_label_flags(series, tau=0.95)
         np.testing.assert_array_equal(flags, [False, False, True, False])
-
-    def test_counts(self):
-        mp = np.array([[0.99, 0.5], [0.99, 0.99], [0.5, 0.5]])
-        series = make_series(np.zeros((3, 2), dtype=int), max_prob=mp)
-        np.testing.assert_array_equal(pseudo_label_counts(series), [2, 1])
 
     def test_bad_frac(self):
         series = make_series(np.zeros((1, 4), dtype=int))

@@ -71,6 +71,8 @@ class TestGenerate:
     def test_negative_noise(self):
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(size=100, noise=-0.1), seed=0)
+        with pytest.raises(ConfigError):
+            generate(GeneratorSpec(size=100, noise=math.nan), seed=0)
 
     def test_moons_need_two_classes(self):
         with pytest.raises(ConfigError):
@@ -106,15 +108,15 @@ class TestSpecRoundTrip:
 class TestAugmenter:
     def test_weak_zero_sigma_identity(self):
         aug = Augmenter(sigma_w=np.zeros(2), sigma_s=np.zeros(2))
-        x = np.array([0.3, -1.7])
+        X = np.array([[0.3, -1.7], [2.0, 0.5]])
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(aug.weak(x, rng), x)
+        np.testing.assert_array_equal(aug.weak_batch(X, rng), X)
 
     def test_weak_zero_mean(self):
         aug = Augmenter(sigma_w=np.full(2, 0.05), sigma_s=np.full(2, 0.2))
         x = np.array([1.0, 2.0])
         rng = np.random.default_rng(1)
-        draws = np.stack([aug.weak(x, rng) for _ in range(20000)])
+        draws = aug.weak_batch(np.tile(x, (20000, 1)), rng)
         np.testing.assert_allclose(draws.mean(axis=0), x, atol=3 * 0.05 / math.sqrt(20000))
 
     def test_weak_displacement_matches_chi(self):
@@ -122,32 +124,32 @@ class TestAugmenter:
         # sigma * sqrt(2) * Gamma((d+1)/2) / Gamma(d/2).
         sigma, d = 0.05, 2
         aug = Augmenter(sigma_w=np.full(d, sigma), sigma_s=np.full(d, 4 * sigma))
-        x = np.zeros(d)
+        X = np.zeros((10000, d))
         rng = np.random.default_rng(2)
-        disp = [np.linalg.norm(aug.weak(x, rng) - x) for _ in range(10000)]
+        disp = np.linalg.norm(aug.weak_batch(X, rng) - X, axis=1)
         analytic = sigma * math.sqrt(2.0) * math.gamma((d + 1) / 2) / math.gamma(d / 2)
         assert abs(np.mean(disp) - analytic) / analytic < 0.05
 
     def test_strong_identity_config(self):
         aug = Augmenter(sigma_w=np.zeros(2), sigma_s=np.zeros(2),
                         scale_low=1.0, scale_high=1.0, drop_prob=0.0)
-        x = np.array([0.4, -2.2])
-        np.testing.assert_array_equal(aug.strong(x, np.random.default_rng(3)), x)
+        X = np.array([[0.4, -2.2], [-1.0, 3.0]])
+        np.testing.assert_array_equal(aug.strong_batch(X, np.random.default_rng(3)), X)
 
     def test_strong_displaces_more_than_weak(self):
         ds = standardize(generate(GeneratorSpec(size=500, noise=0.2), seed=7))
         aug = Augmenter.for_data(ds.x)
-        x = ds.x[0]
+        X = np.tile(ds.x[0], (10000, 1))
         rng = np.random.default_rng(4)
-        weak_d = [np.linalg.norm(aug.weak(x, rng) - x) for _ in range(10000)]
-        strong_d = [np.linalg.norm(aug.strong(x, rng) - x) for _ in range(10000)]
+        weak_d = np.linalg.norm(aug.weak_batch(X, rng) - X, axis=1)
+        strong_d = np.linalg.norm(aug.strong_batch(X, rng) - X, axis=1)
         assert np.mean(strong_d) > np.mean(weak_d)
 
     def test_same_stream_identical(self):
         aug = Augmenter(sigma_w=np.full(2, 0.05), sigma_s=np.full(2, 0.2))
-        x = np.array([1.0, -1.0])
-        a = aug.strong(x, np.random.default_rng(5))
-        b = aug.strong(x, np.random.default_rng(5))
+        X = np.array([[1.0, -1.0], [0.5, 2.0]])
+        a = aug.strong_batch(X, np.random.default_rng(5))
+        b = aug.strong_batch(X, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_shapes_and_determinism(self):
@@ -165,10 +167,10 @@ class TestAugmenter:
         # do not depend on whether earlier calls actually dropped.
         aug_lo = Augmenter(sigma_w=np.zeros(2), sigma_s=np.zeros(2), drop_prob=0.0)
         aug_hi = Augmenter(sigma_w=np.zeros(2), sigma_s=np.zeros(2), drop_prob=1.0)
-        x = np.ones(2)
+        X = np.ones((5, 2))
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        aug_lo.strong(x, rng_a)
-        aug_hi.strong(x, rng_b)
+        np.testing.assert_array_equal(aug_lo.strong_batch(X, rng_a) == 0.0, False)
+        np.testing.assert_array_equal((aug_hi.strong_batch(X, rng_b) == 0.0).sum(axis=1), 1)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_for_data_sigma(self):

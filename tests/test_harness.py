@@ -25,6 +25,37 @@ from asslab.ssl import SslConfig, train_round
 from asslab.tracker import TrackerStore
 
 
+# Mistyped or non-finite values; each must raise ConfigError both from
+# from_dict and from the dataclass constructors plus validate().
+MISTYPED = [
+    {"rounds": "5"},
+    {"rounds": 5.0},
+    {"acquire_k": True},
+    {"seeds": [1.5]},
+    {"seeds": [-1]},
+    {"seeds": 3},
+    {"strategies": "random"},
+    {"strategies": ["random", 1]},
+    {"out_dir": 3},
+    {"stratify_init": 1},
+    {"dataset": {"size": "2000"}},
+    {"dataset": {"noise": math.nan}},
+    {"dataset": []},
+    {"ssl": {"hidden_dims": 64}},
+    {"ssl": {"hidden_dims": [64, True]}},
+    {"ssl": {"lr": math.nan}},
+    {"ssl": {"lr": True}},
+    {"ssl": {"steps_per_round": 2.5}},
+    {"ssl": {"weak_augment_labeled": "yes"}},
+    {"ssl": {"init_mode": None}},
+    {"tracker": {"c_u": math.inf}},
+    {"tracker": "post"},
+    {"rounds": True},
+    {"acquire_k": 2.0},
+]
+SECTIONS = {"dataset": GeneratorSpec, "ssl": SslConfig, "tracker": TrackerParams}
+
+
 def small_cfg(**overrides) -> ExperimentConfig:
     base = dict(
         dataset=GeneratorSpec(size=200),
@@ -151,30 +182,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_cfg(strategies=["oracle"]).validate()
 
-    @pytest.mark.parametrize("override", [
-        {"rounds": "5"},
-        {"rounds": 5.0},
-        {"acquire_k": True},
-        {"seeds": [1.5]},
-        {"seeds": [-1]},
-        {"seeds": 3},
-        {"strategies": "random"},
-        {"strategies": ["random", 1]},
-        {"out_dir": 3},
-        {"stratify_init": 1},
-        {"dataset": {"size": "2000"}},
-        {"dataset": {"noise": math.nan}},
-        {"dataset": []},
-        {"ssl": {"hidden_dims": 64}},
-        {"ssl": {"hidden_dims": [64, True]}},
-        {"ssl": {"lr": math.nan}},
-        {"ssl": {"lr": True}},
-        {"ssl": {"steps_per_round": 2.5}},
-        {"ssl": {"weak_augment_labeled": "yes"}},
-        {"ssl": {"init_mode": None}},
-        {"tracker": {"c_u": math.inf}},
-        {"tracker": "post"},
-    ])
+    @pytest.mark.parametrize("override", MISTYPED)
     def test_typed_fields(self, override):
         d = ExperimentConfig().to_dict()
         for key, value in override.items():
@@ -184,6 +192,17 @@ class TestExperimentConfig:
                 d[key] = value
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("override", MISTYPED)
+    def test_typed_fields_built_in_python(self, override):
+        cfg = ExperimentConfig(**{
+            key: SECTIONS[key](**value) if isinstance(value, dict) else value
+            for key, value in override.items()
+        })
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
 
     def test_int_in_float_field_kept_as_given(self):
         cfg = ExperimentConfig.from_dict({"ssl": {"lr": 1, "tau": 0.5}})
@@ -221,6 +240,8 @@ class TestExperimentConfig:
             TrackerParams.from_dict({"alpha": 0.5, "beta": 1.0})
         with pytest.raises(ConfigError):
             TrackerParams.from_dict({"alpha": 1.5})
+        with pytest.raises(ConfigError):
+            TrackerParams(c_u=math.inf).validate()
 
 
 class TestRunExperiment:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracles
 from asslab import nn
 from asslab.data import Augmenter, GeneratorSpec, generate, split_pools, standardize
 from asslab.errors import ConfigError, TrainingError
@@ -8,7 +11,6 @@ from asslab.ssl import (
     SslConfig,
     _UnlabeledIterator,
     one_hot,
-    pseudo_label,
     pseudo_label_batch,
     train_round,
 )
@@ -41,27 +43,30 @@ def run_once(cfg, ds, pools, train_seed=3, param_seed=7, event_sink=None):
 
 class TestPseudoLabel:
     def test_confident(self):
-        assert pseudo_label([0.97, 0.02, 0.01], 0.95) == (0, 1)
+        labels, mask = pseudo_label_batch([[0.97, 0.02, 0.01]], 0.95)
+        assert (labels.tolist(), mask.tolist()) == ([0], [1.0])
 
     def test_uniform_unmasked(self):
         for k in [2, 3, 5]:
-            _, mask = pseudo_label(np.full(k, 1.0 / k), 0.95)
-            assert mask == 0
+            _, mask = pseudo_label_batch(np.full((1, k), 1.0 / k), 0.95)
+            assert mask.tolist() == [0.0]
 
     def test_boundary_strict(self):
-        assert pseudo_label([0.95, 0.05], 0.95) == (0, 0)
+        labels, mask = pseudo_label_batch([[0.95, 0.05], [0.05, 0.95]], 0.95)
+        assert (labels.tolist(), mask.tolist()) == ([0, 1], [0.0, 0.0])
 
     def test_tie_lowest_index(self):
-        label, _ = pseudo_label([0.4, 0.4, 0.2], 0.3)
-        assert label == 0
+        labels, _ = pseudo_label_batch([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]], 0.3)
+        assert labels.tolist() == [0, 1]
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         P = rng.dirichlet(np.ones(3), size=40)
+        P[0] = [0.25, 0.5, 0.25]  # max prob exactly at tau
+        P[1] = [0.3, 0.3, 0.4]
         labels, mask = pseudo_label_batch(P, 0.5)
         for j in range(40):
-            l, m = pseudo_label(P[j], 0.5)
-            assert (labels[j], mask[j]) == (l, m)
+            assert (labels[j], mask[j]) == oracles.pseudo_label(P[j], 0.5)
 
 
 class TestUnlabeledIterator:
@@ -110,6 +115,8 @@ class TestConfig:
             {"init_mode": "warm"},
             {"snapshot_interval": 0},
             {"hidden_dims": []},
+            {"lr": math.nan, "lambda_u": math.nan},
+            {"hidden_dims": [8, True]},
         ]:
             with pytest.raises(ConfigError):
                 SslConfig(**kw).validate()
@@ -173,7 +180,7 @@ class TestTrainRound:
         cfg = SslConfig(steps_per_round=30, batch_size=4, mu=4,
                         snapshot_interval=10, hidden_dims=[8])
         _, metrics, tracker = run_once(cfg, ds, pools)
-        counts = np.array([tracker.state_of(int(i))[0].count for i in tracker.ids])
+        counts = tracker.snapshot().counts
         assert counts.min() >= 1
         assert counts.sum() == metrics.n_events
         assert metrics.n_events == cfg.steps_per_round * cfg.mu * cfg.batch_size
@@ -208,9 +215,9 @@ class TestTrainRound:
         x_w = aug.weak_batch(ds.x[batch_unl], rng)
         probs_w = nn.forward_batch(params, x_w).probs
         u_ref = uncertainty_batch(probs_w)
-        for j, sid in enumerate(batch_unl):
-            state, _ = tracker.state_of(int(sid))
-            np.testing.assert_allclose(state.mean, 0.8 * u_ref[j], rtol=1e-12)
+        snap = tracker.snapshot()
+        pos = np.searchsorted(snap.ids, batch_unl)
+        np.testing.assert_allclose(snap.u_mean[pos], 0.8 * u_ref, rtol=1e-12)
 
     def test_event_sink_receives_all_events(self):
         ds, pools = make_problem(size=120, n_init=8, n_test=20)

@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from asslab.errors import ConfigError, InputError, TrackerError
+import oracles
+from asslab.errors import ConfigError, TrackerError
 from asslab.tracker import (
-    EmaState,
-    PredictionEvent,
     TrackerStore,
-    ema_update,
-    final_score,
-    inconsistency,
     inconsistency_batch,
     load_snapshot_csv,
-    ucb,
-    uncertainty,
     uncertainty_batch,
 )
 
@@ -23,72 +17,78 @@ def random_dist(rng, k):
     return rng.dirichlet(np.ones(k))
 
 
+def stream(store, sample_id, pairs):
+    """Ingest (probs_weak, probs_strong) pairs for one sample, one step each."""
+    for pw, ps in pairs:
+        store.ingest_batch([sample_id], np.asarray([pw], float), np.asarray([ps], float))
+
+
+def state(store, sample_id):
+    """(u_mean, u_var, i_mean, i_var, count) of one sample from a snapshot."""
+    snap = store.snapshot()
+    j = int(np.searchsorted(snap.ids, sample_id))
+    return (snap.u_mean[j], snap.u_var[j], snap.i_mean[j], snap.i_var[j], snap.counts[j])
+
+
 class TestUncertainty:
     def test_one_hot_zero(self):
         for k in [2, 3, 5]:
-            for c in range(k):
-                p = np.zeros(k)
-                p[c] = 1.0
-                assert uncertainty(p) == 0.0
+            np.testing.assert_array_equal(uncertainty_batch(np.eye(k)), np.zeros(k))
 
     def test_uniform(self):
         for k in [2, 3, 4, 10]:
-            u = uncertainty(np.full(k, 1.0 / k))
-            np.testing.assert_allclose(u, math.sqrt(1.0 - 1.0 / k), rtol=1e-12)
-        np.testing.assert_allclose(uncertainty([0.5, 0.5]), 0.70710678, atol=5e-9)
+            u = uncertainty_batch(np.full((1, k), 1.0 / k))
+            np.testing.assert_allclose(u, [math.sqrt(1.0 - 1.0 / k)], rtol=1e-12)
+        np.testing.assert_allclose(uncertainty_batch([[0.5, 0.5]]), [0.70710678], atol=5e-9)
 
     def test_hand_value(self):
-        np.testing.assert_allclose(uncertainty([0.8, 0.2]), 0.28284271, atol=5e-9)
+        np.testing.assert_allclose(uncertainty_batch([[0.8, 0.2]]), [0.28284271], atol=5e-9)
 
     def test_range_and_zero_iff_onehot(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            p = random_dist(rng, int(rng.integers(2, 6)))
-            u = uncertainty(p)
-            assert 0.0 <= u < math.sqrt(2.0)
-            if u == 0.0:
-                assert np.max(p) == 1.0
+        for k in range(2, 6):
+            P = rng.dirichlet(np.ones(k), size=50)
+            u = uncertainty_batch(P)
+            assert np.all((u >= 0.0) & (u < math.sqrt(2.0)))
+            assert np.all((u == 0.0) == (P.max(axis=1) == 1.0))
 
     def test_tie_goes_to_lowest_index(self):
-        # Both argmax candidates give the same norm here; check the batch
-        # version agrees with the scalar one on exact ties.
-        p = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(uncertainty_batch(p[None, :]), [uncertainty(p)])
+        # Tied argmax candidates give the same norm; the batch version must
+        # still agree exactly with the scalar reference on exact ties.
+        P = np.array([[0.5, 0.5, 0.0], [0.4, 0.4, 0.2], [0.2, 0.4, 0.4]])
+        np.testing.assert_array_equal(uncertainty_batch(P), [oracles.uncertainty(p) for p in P])
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1)
         P = rng.dirichlet(np.ones(4), size=30)
         np.testing.assert_allclose(
-            uncertainty_batch(P), np.array([uncertainty(p) for p in P]), rtol=1e-14
+            uncertainty_batch(P), [oracles.uncertainty(p) for p in P], rtol=1e-14
         )
 
 
 class TestInconsistency:
     def test_identical_zero(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            p = random_dist(rng, 3)
-            assert inconsistency(p, p) == 0.0
+        P = np.random.default_rng(2).dirichlet(np.ones(3), size=20)
+        np.testing.assert_array_equal(inconsistency_batch(P, P), np.zeros(20))
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            p, q = random_dist(rng, 4), random_dist(rng, 4)
-            np.testing.assert_allclose(inconsistency(p, q), inconsistency(q, p), rtol=1e-12)
+        P, Q = rng.dirichlet(np.ones(4), size=20), rng.dirichlet(np.ones(4), size=20)
+        np.testing.assert_allclose(inconsistency_batch(P, Q), inconsistency_batch(Q, P),
+                                   rtol=1e-12)
 
     def test_hand_value(self):
-        val = inconsistency([0.9, 0.1], [0.1, 0.9])
+        (val,) = inconsistency_batch([[0.9, 0.1]], [[0.1, 0.9]])
         np.testing.assert_allclose(val, 0.8 * math.log(9.0), rtol=1e-12)
         assert abs(val - 1.75778) < 1e-5
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            p, q = random_dist(rng, 3), random_dist(rng, 3)
-            assert inconsistency(p, q) >= 0.0
+        P, Q = rng.dirichlet(np.ones(3), size=100), rng.dirichlet(np.ones(3), size=100)
+        assert np.all(inconsistency_batch(P, Q) >= 0.0)
 
     def test_zero_probability_floored(self):
-        val = inconsistency([1.0, 0.0], [0.5, 0.5])
+        (val,) = inconsistency_batch([[1.0, 0.0]], [[0.5, 0.5]])
         assert np.isfinite(val)
         # The zero entry contributes 0 * log(eps/0.5) = 0 on the weak side.
         expected = 0.5 * (math.log(2.0) + (0.5 * math.log(0.5 / 1.0) + 0.5 * math.log(0.5 / 1e-12)))
@@ -98,95 +98,153 @@ class TestInconsistency:
         rng = np.random.default_rng(5)
         P = rng.dirichlet(np.ones(3), size=25)
         Q = rng.dirichlet(np.ones(3), size=25)
+        P[0] = [1.0, 0.0, 0.0]  # one floored zero on each side
+        Q[1] = [0.0, 0.5, 0.5]
         np.testing.assert_allclose(
             inconsistency_batch(P, Q),
-            [inconsistency(p, q) for p, q in zip(P, Q)],
+            [oracles.inconsistency(p, q) for p, q in zip(P, Q)],
             rtol=1e-12,
         )
 
 
 class TestEmaUpdate:
+    """The moving mean/variance recurrence, read back through snapshot()."""
+
+    HALF = ([0.5, 0.5], [0.5, 0.5])  # u = sqrt(0.5), i = 0
+    ONE_HOT = ([1.0, 0.0], [1.0, 0.0])  # u = 0, i = 0
+
     def test_alpha_one_full_replacement(self):
-        s = ema_update(EmaState(mean=0.7, var=0.3, count=5), 0.25, alpha=1.0)
-        assert s.mean == 0.25
-        assert s.var == 0.0
-        assert s.count == 6
+        store = TrackerStore([0], alpha=1.0)
+        stream(store, 0, [self.HALF, self.HALF, ([0.8, 0.2], [0.3, 0.7])])
+        u_mean, u_var, i_mean, i_var, count = state(store, 0)
+        assert u_mean == uncertainty_batch([[0.8, 0.2]])[0]
+        assert i_mean == inconsistency_batch([[0.8, 0.2]], [[0.3, 0.7]])[0]
+        assert (u_var, i_var, count) == (0.0, 0.0, 3)
 
     def test_constant_stream_geometric(self):
-        s = EmaState()
-        for _ in range(3):
-            s = ema_update(s, 1.0, alpha=0.8)
-        np.testing.assert_allclose(s.mean, 0.992, rtol=1e-12)
+        store = TrackerStore([0], alpha=0.8)
+        stream(store, 0, [self.HALF] * 3)
+        np.testing.assert_allclose(state(store, 0)[0], 0.992 * math.sqrt(0.5), rtol=1e-12)
 
     def test_hand_rolled_two_steps(self):
-        s = ema_update(EmaState(), 1.0, alpha=0.8)
-        np.testing.assert_allclose(s.mean, 0.8, rtol=1e-12)
-        np.testing.assert_allclose(s.var, 0.032, rtol=1e-12)
-        s = ema_update(s, 0.0, alpha=0.8)
-        np.testing.assert_allclose(s.mean, 0.16, rtol=1e-12)
-        np.testing.assert_allclose(s.var, 0.026880, rtol=1e-12)
+        # u stream [r, 0] with r = sqrt(0.5): the [1, 0] example scaled by r.
+        store = TrackerStore([0], alpha=0.8)
+        stream(store, 0, [self.HALF])
+        u_mean, u_var = state(store, 0)[:2]
+        np.testing.assert_allclose(u_mean, 0.8 * math.sqrt(0.5), rtol=1e-12)
+        np.testing.assert_allclose(u_var, 0.032 * 0.5, rtol=1e-12)
+        stream(store, 0, [self.ONE_HOT])
+        u_mean, u_var = state(store, 0)[:2]
+        np.testing.assert_allclose(u_mean, 0.16 * math.sqrt(0.5), rtol=1e-12)
+        np.testing.assert_allclose(u_var, 0.026880 * 0.5, rtol=1e-12)
 
     def test_pre_mean_variant(self):
-        s = ema_update(EmaState(), 1.0, alpha=0.8, variance_mean="pre")
-        np.testing.assert_allclose(s.mean, 0.8, rtol=1e-12)
-        np.testing.assert_allclose(s.var, 0.8, rtol=1e-12)
+        store = TrackerStore([0], alpha=0.8, variance_mean="pre")
+        stream(store, 0, [self.HALF])
+        u_mean, u_var = state(store, 0)[:2]
+        np.testing.assert_allclose(u_mean, 0.8 * math.sqrt(0.5), rtol=1e-12)
+        np.testing.assert_allclose(u_var, 0.8 * 0.5, rtol=1e-12)
 
     def test_monotone_response(self):
+        # The mean rises exactly when the new value exceeds it.
         rng = np.random.default_rng(6)
         for _ in range(50):
-            s = EmaState(mean=float(rng.uniform(0, 1)), var=0.0, count=1)
-            above = s.mean + float(rng.uniform(0.01, 1.0))
-            assert ema_update(s, above, alpha=0.8).mean > s.mean
+            store = TrackerStore([0], alpha=0.8)
+            p, q = random_dist(rng, 3), random_dist(rng, 3)
+            stream(store, 0, [(p, p)])
+            before = state(store, 0)[0]
+            stream(store, 0, [(q, q)])
+            after = state(store, 0)[0]
+            assert (after > before) == (uncertainty_batch([q])[0] > before)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(InputError):
-            ema_update(EmaState(), 1.0, alpha=0.0)
-        with pytest.raises(InputError):
-            ema_update(EmaState(), 1.0, alpha=1.5)
+        with pytest.raises(ConfigError):
+            TrackerStore([0], alpha=0.0)
+        with pytest.raises(ConfigError):
+            TrackerStore([0], alpha=1.5)
 
     def test_rejects_non_finite(self):
+        store = TrackerStore([0, 1], alpha=0.8)
         with pytest.raises(TrackerError):
-            ema_update(EmaState(), float("nan"), alpha=0.8)
+            store.ingest_batch([0, 1], np.array([[0.5, 0.5], [np.nan, 0.5]]),
+                               np.full((2, 2), 0.5))
 
 
 class TestUcbAndScore:
+    """UCBs and scores as snapshot() computes them."""
+
+    def fed_store(self, seed, **kw):
+        rng = np.random.default_rng(seed)
+        store = TrackerStore(range(8), **kw)
+        for _ in range(10):
+            ids = rng.choice(8, size=4, replace=False)
+            store.ingest_batch(ids, rng.dirichlet(np.ones(3), size=4),
+                               rng.dirichlet(np.ones(3), size=4))
+        return store
+
     def test_c_zero(self):
-        s = EmaState(mean=0.42, var=0.1, count=3)
-        assert ucb(s, 0.0) == 0.42
+        snap = self.fed_store(7, c_u=0.0, c_i=0.0).snapshot()
+        np.testing.assert_array_equal(snap.u_ucb, snap.u_mean)
+        np.testing.assert_array_equal(snap.i_ucb, snap.i_mean)
 
     def test_arithmetic(self):
-        np.testing.assert_allclose(ucb(EmaState(mean=0.5, var=0.04, count=1), 0.5), 0.6)
+        # One value r = sqrt(0.5) from zero, alpha 0.8: mean 0.8 r and
+        # var 0.8 (0.2 r)^2 = 0.016, so u_ucb = 0.8 r + 0.5 sqrt(0.016).
+        store = TrackerStore([0], alpha=0.8, c_u=0.5, c_i=2.0)
+        stream(store, 0, [([0.5, 0.5], [0.5, 0.5])])
+        snap = store.snapshot()
+        np.testing.assert_allclose(snap.u_ucb, [0.8 * math.sqrt(0.5) + 0.5 * math.sqrt(0.016)],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(snap.u_ucb, [0.6289310], atol=1e-7)
 
     def test_zero_var(self):
+        # alpha = 1 keeps only the latest value, so the variance is zero.
         for c in [0.0, 0.5, 2.0, 10.0]:
-            assert ucb(EmaState(mean=0.3, var=0.0, count=1), c) == 0.3
+            snap = self.fed_store(8, alpha=1.0, c_u=c, c_i=c).snapshot()
+            np.testing.assert_array_equal(snap.u_var, 0.0)
+            np.testing.assert_array_equal(snap.u_ucb, snap.u_mean)
+            np.testing.assert_array_equal(snap.i_ucb, snap.i_mean)
 
     def test_negative_var_clamped(self):
-        assert ucb(EmaState(mean=0.3, var=-1e-18, count=1), 2.0) == 0.3
+        store = TrackerStore([0], c_u=2.0, c_i=2.0)
+        store._u_mean[:], store._u_var[:] = 0.3, -1e-18
+        assert store.snapshot().u_ucb[0] == 0.3
 
     def test_ucb_at_least_mean(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            s = EmaState(mean=float(rng.normal()), var=float(rng.uniform(0, 2)), count=1)
-            assert ucb(s, float(rng.uniform(0, 3))) >= s.mean
+        rng = np.random.default_rng(9)
+        for seed in range(10):
+            c_u, c_i = rng.uniform(0, 3, size=2)
+            snap = self.fed_store(seed, c_u=float(c_u), c_i=float(c_i)).snapshot()
+            assert np.all(snap.u_ucb >= snap.u_mean)
+            assert np.all(snap.i_ucb >= snap.i_mean)
 
     def test_rejects_negative_c(self):
-        with pytest.raises(InputError):
-            ucb(EmaState(), -0.5)
+        with pytest.raises(ConfigError):
+            TrackerStore([0], c_u=-0.5)
+        with pytest.raises(ConfigError):
+            TrackerStore([0], c_i=-0.5)
 
     def test_final_score(self):
-        assert final_score(0.6, 0.5) == pytest.approx(0.3)
-        assert final_score(0.0, 123.4) == 0.0
-        np.testing.assert_allclose(
-            final_score(math.sqrt(0.5), 0.8 * math.log(9.0)),
-            math.sqrt(0.5) * 0.8 * math.log(9.0),
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(final_score(0.70710678, 1.75778), 1.24293, atol=1e-5)
+        # alpha = 1, c = 0: u_ucb = u, i_ucb = i, score = u * i.
+        store = TrackerStore([0, 1], alpha=1.0, c_u=0.0, c_i=0.0)
+        store.ingest_batch([0, 1], [[0.5, 0.5], [1.0, 0.0]], [[0.9, 0.1], [0.1, 0.9]])
+        snap = store.snapshot()
+        # i = (1/2) sum (p_w - p_s)(ln p_w - ln p_s) = 0.2 ln 9 for sample 0.
+        want = math.sqrt(0.5) * 0.2 * math.log(9.0)
+        np.testing.assert_allclose(snap.score[0], want, rtol=1e-12)
+        np.testing.assert_allclose(snap.score[0], 0.3107345, atol=1e-7)
+        assert snap.score[1] == 0.0
+        np.testing.assert_array_equal(snap.score, snap.u_ucb * snap.i_ucb)
 
     def test_final_score_rejects_non_finite(self):
-        with pytest.raises(InputError):
-            final_score(float("inf"), 1.0)
+        # A non-finite inconsistency is refused before any stream of the
+        # batch changes, so every score stays finite.
+        store = TrackerStore([0, 1])
+        with pytest.raises(TrackerError):
+            store.ingest_batch([0, 1], np.full((2, 2), 0.5), [[0.5, 0.5], [np.nan, 0.5]])
+        snap = store.snapshot()
+        np.testing.assert_array_equal(snap.score, [0.0, 0.0])
+        np.testing.assert_array_equal(snap.counts, [0, 0])
 
 
 class TestTrackerStore:
@@ -195,73 +253,79 @@ class TestTrackerStore:
 
     def test_quiet_event_decays_toward_zero(self):
         store = self.make()
-        p = np.array([1.0, 0.0, 0.0])
-        for _ in range(5):
-            store.ingest(PredictionEvent(2, 0, p, p))
-        u, i = store.state_of(2)
-        assert u.mean == 0.0 and i.mean == 0.0
-        assert u.count == 5
+        p = [1.0, 0.0, 0.0]
+        stream(store, 2, [(p, p)] * 5)
+        u_mean, _, i_mean, _, count = state(store, 2)
+        assert u_mean == 0.0 and i_mean == 0.0
+        assert count == 5
 
     def test_count_after_n_ingests(self):
         store = self.make()
         rng = np.random.default_rng(8)
-        for step in range(7):
-            store.ingest(PredictionEvent(3, step, random_dist(rng, 3), random_dist(rng, 3)))
-        u, i = store.state_of(3)
-        assert u.count == 7 and i.count == 7
+        stream(store, 3, [(random_dist(rng, 3), random_dist(rng, 3)) for _ in range(7)])
+        np.testing.assert_array_equal(store.snapshot().counts, [0, 0, 0, 7, 0, 0])
 
     def test_unknown_id(self):
         store = self.make()
-        p = np.array([0.5, 0.5])
+        p = np.array([[0.5, 0.5]])
         with pytest.raises(TrackerError):
-            store.ingest(PredictionEvent(99, 0, p, p))
+            store.ingest_batch([99], p, p)
         with pytest.raises(TrackerError):
             store.remove([99])
 
-    def test_streaming_matches_offline_replay(self):
+    @pytest.mark.parametrize("variance_mean", ["post", "pre"])
+    def test_streaming_matches_offline_replay(self, variance_mean):
         # Replay a random event log through the store, then recompute every
-        # sample's final state directly from the log with the bare
-        # recurrences; both must agree to 1e-12.
+        # sample's final state directly from the log with the scalar
+        # reference recurrences; both must agree to 1e-12.
         rng = np.random.default_rng(9)
         ids = list(range(10))
-        store = TrackerStore(ids, alpha=0.8, c_u=0.5, c_i=2.0)
+        store = TrackerStore(ids, alpha=0.8, c_u=0.5, c_i=2.0, variance_mean=variance_mean)
         log = []
-        for step in range(300):
+        for _ in range(300):
             sid = int(rng.integers(0, 10))
-            e = PredictionEvent(sid, step, random_dist(rng, 4), random_dist(rng, 4))
-            log.append(e)
-            store.ingest(e)
-        for sid in ids:
-            u_ref, i_ref = EmaState(), EmaState()
-            for e in log:
-                if e.sample_id == sid:
-                    u_ref = ema_update(u_ref, uncertainty(e.probs_weak), 0.8)
-                    i_ref = ema_update(
-                        i_ref, inconsistency(e.probs_weak, e.probs_strong), 0.8
-                    )
-            u, i = store.state_of(sid)
-            np.testing.assert_allclose(u.mean, u_ref.mean, atol=1e-12)
-            np.testing.assert_allclose(u.var, u_ref.var, atol=1e-12)
-            np.testing.assert_allclose(i.mean, i_ref.mean, atol=1e-12)
-            np.testing.assert_allclose(i.var, i_ref.var, atol=1e-12)
-            assert u.count == u_ref.count
+            pw, ps = random_dist(rng, 4), random_dist(rng, 4)
+            log.append((sid, pw, ps))
+            stream(store, sid, [(pw, ps)])
+        snap = store.snapshot()
+        for j, sid in enumerate(ids):
+            u_ref, i_ref = oracles.EmaState(), oracles.EmaState()
+            for e_sid, pw, ps in log:
+                if e_sid == sid:
+                    u_ref = oracles.ema_update(u_ref, oracles.uncertainty(pw), 0.8,
+                                               variance_mean)
+                    i_ref = oracles.ema_update(i_ref, oracles.inconsistency(pw, ps), 0.8,
+                                               variance_mean)
+            np.testing.assert_allclose(snap.u_mean[j], u_ref.mean, atol=1e-12)
+            np.testing.assert_allclose(snap.u_var[j], u_ref.var, atol=1e-12)
+            np.testing.assert_allclose(snap.i_mean[j], i_ref.mean, atol=1e-12)
+            np.testing.assert_allclose(snap.i_var[j], i_ref.var, atol=1e-12)
+            assert snap.counts[j] == u_ref.count == i_ref.count
 
     def test_ingest_batch_matches_scalar(self):
+        # Multi-row batches against per-sample scalar replays.
         rng = np.random.default_rng(10)
-        a = self.make(20)
-        b = self.make(20)
+        store = self.make(20)
+        refs = {sid: (oracles.EmaState(), oracles.EmaState()) for sid in range(20)}
         for _ in range(30):
             ids = rng.choice(20, size=8, replace=False)
             Pw = rng.dirichlet(np.ones(3), size=8)
             Ps = rng.dirichlet(np.ones(3), size=8)
-            a.ingest_batch(ids, Pw, Ps)
+            store.ingest_batch(ids, Pw, Ps)
             for j, sid in enumerate(ids):
-                b.ingest(PredictionEvent(int(sid), 0, Pw[j], Ps[j]))
-        for sid in range(20):
-            ua, ia = a.state_of(sid)
-            ub, ib = b.state_of(sid)
-            assert (ua.mean, ua.var, ua.count) == (ub.mean, ub.var, ub.count)
-            assert (ia.mean, ia.var, ia.count) == (ib.mean, ib.var, ib.count)
+                u_ref, i_ref = refs[int(sid)]
+                refs[int(sid)] = (
+                    oracles.ema_update(u_ref, oracles.uncertainty(Pw[j]), 0.8),
+                    oracles.ema_update(i_ref, oracles.inconsistency(Pw[j], Ps[j]), 0.8),
+                )
+        snap = store.snapshot()
+        for j, sid in enumerate(snap.ids):
+            u_ref, i_ref = refs[int(sid)]
+            np.testing.assert_allclose(
+                [snap.u_mean[j], snap.u_var[j], snap.i_mean[j], snap.i_var[j]],
+                [u_ref.mean, u_ref.var, i_ref.mean, i_ref.var], rtol=1e-12, atol=1e-15,
+            )
+            assert snap.counts[j] == u_ref.count
 
     def test_ingest_batch_rejects_duplicates(self):
         store = self.make()
@@ -271,19 +335,15 @@ class TestTrackerStore:
 
     def test_remove(self):
         store = self.make(5)
+        stream(store, 3, [([0.6, 0.4], [0.3, 0.7])])
+        before = state(store, 3)
         store.remove([1, 3])
         np.testing.assert_array_equal(store.ids, [0, 2, 4])
+        np.testing.assert_array_equal(store.snapshot().ids, [0, 2, 4])
         with pytest.raises(TrackerError):
-            store.state_of(1)
-
-    def test_reset(self):
-        store = self.make()
-        p, q = np.array([0.6, 0.4]), np.array([0.3, 0.7])
-        store.ingest(PredictionEvent(0, 0, p, q))
-        store.reset()
-        u, i = store.state_of(0)
-        assert (u.mean, u.var, u.count) == (0.0, 0.0, 0)
-        assert (i.mean, i.var, i.count) == (0.0, 0.0, 0)
+            store.ingest_batch([1], [[0.5, 0.5]], [[0.5, 0.5]])
+        stream(store, 4, [([0.6, 0.4], [0.3, 0.7])])
+        assert state(store, 4) == before
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
@@ -302,12 +362,15 @@ class TestTrackerStore:
                 ids, rng.dirichlet(np.ones(3), size=4), rng.dirichlet(np.ones(3), size=4)
             )
         snap = store.snapshot()
-        for j, sid in enumerate(snap.ids):
-            u, i = store.state_of(int(sid))
-            np.testing.assert_allclose(snap.u_ucb[j], ucb(u, 0.5), rtol=1e-12)
-            np.testing.assert_allclose(snap.i_ucb[j], ucb(i, 2.0), rtol=1e-12)
+        for j in range(len(snap.ids)):
+            u = oracles.EmaState(mean=snap.u_mean[j], var=snap.u_var[j])
+            i = oracles.EmaState(mean=snap.i_mean[j], var=snap.i_var[j])
+            np.testing.assert_allclose(snap.u_ucb[j], oracles.ucb(u, 0.5), rtol=1e-12)
+            np.testing.assert_allclose(snap.i_ucb[j], oracles.ucb(i, 2.0), rtol=1e-12)
             np.testing.assert_allclose(
-                snap.score[j], final_score(ucb(u, 0.5), ucb(i, 2.0)), rtol=1e-12
+                snap.score[j],
+                oracles.final_score(oracles.ucb(u, 0.5), oracles.ucb(i, 2.0)),
+                rtol=1e-12,
             )
         path = tmp_path / "snap.csv"
         snap.export_csv(path)
