@@ -3,8 +3,10 @@
 Reproducibility contract: every rng in a run is derived from the experiment
 seed through a named stream, so with a shared seed the dataset, the pool
 split, the initial weights, and the round-0 training stream are identical
-across strategies. Acquisition draws live in a stream keyed by strategy
-position, so one strategy's consumption never perturbs another's.
+across strategies. Round 0 is therefore trained once per seed, under
+either init_mode, and every strategy acquires from that one model and
+tracker. Acquisition draws live in a stream keyed by strategy position,
+so one strategy's consumption never perturbs another's.
 
 All emitted CSVs format floats with repr and contain no timestamps; wall
 clocks and creation times live only in manifest.json.
@@ -12,6 +14,7 @@ clocks and creation times live only in manifest.json.
 
 from __future__ import annotations
 
+import copy
 import csv
 import importlib.metadata
 import json
@@ -175,11 +178,19 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run every (seed, strategy) lane of the configured sweep.
 
+    Round 0 is trained once per seed and shared by every strategy: under
+    either init_mode it starts from the seed's init params, pools0, a
+    fresh tracker and TRAIN_STREAM(seed, 0). Each lane then acquires from
+    that one result and trains its later rounds alone; with carry_tracker
+    it carries its own copy of the post-round-0 tracker.
+
     A lane that diverges during training is cut short: its completed
     rounds stay in the report list and the failure is recorded in the
-    error list, so partial results survive.
+    error list, so partial results survive. A round-0 divergence is
+    recorded for every lane of the seed.
 
-    progress, when given, is called with each finished RoundReport.
+    progress, when given, is called with each finished RoundReport, in
+    lane-major order.
     """
     cfg.validate()
     reports: list[RoundReport] = []
@@ -187,6 +198,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     datasets: dict[int, Dataset] = {}
     events: dict[tuple[int, str], list] = {}
     rand_init = cfg.ssl.init_mode == "rand_init"
+    carry = cfg.ssl.carry_tracker
 
     for seed in cfg.seeds:
         dataset = standardize(generate(cfg.dataset, derive_seed(seed, DATA_STREAM)))
@@ -199,34 +211,39 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         dims = [dataset.dim, *cfg.ssl.hidden_dims, dataset.n_classes]
         init_params = nn.init_params(dims, derive_rng(seed, INIT_STREAM))
 
+        def train(start, pools, tracker, round_index, lane_events):
+            sink = _event_recorder(lane_events, round_index) if cfg.log_events else None
+            return train_round(
+                start, pools, dataset, cfg.ssl, tracker,
+                derive_rng(seed, TRAIN_STREAM, round_index),
+                augmenter=augmenter, event_sink=sink,
+            )
+
+        tracker0 = _new_tracker(cfg, pools0)
+        events0: list = []
+        try:
+            round0 = train(init_params, pools0, tracker0, 0, events0)
+        except TrainingError as e:
+            round0 = e
+
         for si, strategy in enumerate(cfg.strategies):
             pools = pools0
-            carried = init_params
-            tracker = None
             keep_artifacts = si == 0
-            lane_events: list = []
+            lane_events = list(events0)
             round_index = 0
             try:
+                if isinstance(round0, TrainingError):
+                    raise round0  # recorded for this lane below, like any divergence
+                trained, metrics = round0
+                # remove() and ingest_batch write into the store, so a
+                # carried tracker must not be seen by another lane.
+                tracker = copy.deepcopy(tracker0) if carry else tracker0
                 for round_index in range(cfg.rounds):
-                    start = init_params if rand_init else carried
-                    if tracker is None or not cfg.ssl.carry_tracker:
-                        tracker = TrackerStore(
-                            pools.sorted_unlabeled(),
-                            alpha=cfg.tracker.alpha,
-                            c_u=cfg.tracker.c_u,
-                            c_i=cfg.tracker.c_i,
-                            variance_mean=cfg.tracker.variance_mean,
-                        )
-                    sink = (
-                        _event_recorder(lane_events, round_index)
-                        if cfg.log_events else None
-                    )
-                    trained, metrics = train_round(
-                        start, pools, dataset, cfg.ssl, tracker,
-                        derive_rng(seed, TRAIN_STREAM, round_index),
-                        augmenter=augmenter, event_sink=sink,
-                    )
-                    carried = trained
+                    if round_index > 0:
+                        if not carry:
+                            tracker = _new_tracker(cfg, pools)
+                        start = init_params if rand_init else trained
+                        trained, metrics = train(start, pools, tracker, round_index, lane_events)
                     snapshot = tracker.snapshot()
                     acq_rng = derive_rng(seed, ACQUIRE_STREAM, round_index, si)
                     t0 = time.perf_counter()
@@ -236,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                     ))
                     seconds = time.perf_counter() - t0
                     pools = pools.updated(ids)
-                    if cfg.ssl.carry_tracker:
+                    if carry:
                         tracker.remove(ids)
                     report = RoundReport(
                         seed=seed,
@@ -270,6 +287,16 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                 events[(seed, strategy)] = lane_events
     return ExperimentResult(
         reports=reports, errors=errors, datasets=datasets, events=events,
+    )
+
+
+def _new_tracker(cfg: ExperimentConfig, pools) -> TrackerStore:
+    return TrackerStore(
+        pools.sorted_unlabeled(),
+        alpha=cfg.tracker.alpha,
+        c_u=cfg.tracker.c_u,
+        c_i=cfg.tracker.c_i,
+        variance_mean=cfg.tracker.variance_mean,
     )
 
 

@@ -168,8 +168,11 @@ class TrackerStore:
         if len(np.unique(ids)) != len(ids):
             raise TrackerError("duplicate sample ids within one ingest batch")
         pos = self._locate(ids)
-        u_vals = uncertainty_batch(probs_weak)
-        i_vals = inconsistency_batch(probs_weak, probs_strong)
+        # An inf or nan probability makes a non-finite statistic, refused
+        # below; numpy's warning about it (inf + -inf) would come first.
+        with np.errstate(invalid="ignore", over="ignore"):
+            u_vals = uncertainty_batch(probs_weak)
+            i_vals = inconsistency_batch(probs_weak, probs_strong)
         finite = np.isfinite(u_vals) & np.isfinite(i_vals)
         if not np.all(finite):
             raise TrackerError(

@@ -303,19 +303,45 @@ class TestRunExperiment:
         run_experiment(small_cfg(strategies=["random"]), progress=seen.append)
         assert [r.round_index for r in seen] == [0, 1]
 
+    @pytest.mark.parametrize("init_mode", ["rand_init", "con_init"])
+    def test_round0_trained_once_per_seed(self, monkeypatch, init_mode):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_round(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_round", counting)
+        cfg = small_cfg(
+            strategies=["ucb-product", "random", "entropy"], seeds=[0, 1],
+            ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
+                          hidden_dims=[8, 8], init_mode=init_mode),
+        )
+        result = run_experiment(cfg)
+        seeds, strategies = len(cfg.seeds), len(cfg.strategies)
+        assert len(calls) == seeds * (1 + strategies * (cfg.rounds - 1)) == 8
+        assert len(result.reports) == seeds * strategies * cfg.rounds
+        # Reports stay lane-major: seed, then strategy, then round.
+        assert [(r.seed, r.strategy, r.round_index) for r in result.reports] == [
+            (seed, s, k) for seed in cfg.seeds for s in cfg.strategies
+            for k in range(cfg.rounds)
+        ]
+
     def test_divergence_recorded_with_partial_results(self):
         cfg = small_cfg(
-            strategies=["random"],
+            strategies=["random", "ucb-product", "entropy"],
             ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
                           hidden_dims=[8, 8], lr=1e200),
         )
         with np.errstate(all="ignore"):
             result = run_experiment(cfg)
         assert result.reports == []
-        assert len(result.errors) == 1
-        err = result.errors[0]
-        assert err["seed"] == 0 and err["strategy"] == "random"
-        assert err["round"] == 0 and err["step"] is not None
+        # The shared round 0 diverged: every lane records it.
+        assert [e["strategy"] for e in result.errors] == cfg.strategies
+        steps = {e["step"] for e in result.errors}
+        assert len(steps) == 1 and None not in steps
+        for err in result.errors:
+            assert err["seed"] == 0 and err["round"] == 0
 
 
 class TestInitModes:
@@ -331,25 +357,33 @@ class TestInitModes:
         dims = [dataset.dim, *cfg.ssl.hidden_dims, dataset.n_classes]
         init_params = nn.init_params(dims, derive_rng(seed, harness.INIT_STREAM))
         carried = init_params
+        tracker = None
         per_round = []
         for round_index in range(cfg.rounds):
             start = init_params if cfg.ssl.init_mode == "rand_init" else carried
-            tracker = TrackerStore(
-                pools.sorted_unlabeled(), alpha=cfg.tracker.alpha,
-                c_u=cfg.tracker.c_u, c_i=cfg.tracker.c_i,
-                variance_mean=cfg.tracker.variance_mean,
-            )
+            if tracker is None or not cfg.ssl.carry_tracker:
+                tracker = TrackerStore(
+                    pools.sorted_unlabeled(), alpha=cfg.tracker.alpha,
+                    c_u=cfg.tracker.c_u, c_i=cfg.tracker.c_i,
+                    variance_mean=cfg.tracker.variance_mean,
+                )
+            events = []
             carried, _ = train_round(
                 start, pools, dataset, cfg.ssl, tracker,
                 derive_rng(seed, harness.TRAIN_STREAM, round_index),
                 augmenter=augmenter,
+                event_sink=lambda step, ids, pw, ps: events.append(
+                    (step, np.array(ids), pw.copy(), ps.copy())),
             )
+            snapshot = tracker.snapshot()
             ids, _ = acquire(AcquisitionRequest(
-                strategy, cfg.acquire_k, tracker.snapshot(), carried, dataset,
+                strategy, cfg.acquire_k, snapshot, carried, dataset,
                 pools, derive_rng(seed, harness.ACQUIRE_STREAM, round_index, strategy_index),
             ))
             pools = pools.updated(ids)
-            per_round.append((carried, ids))
+            if cfg.ssl.carry_tracker:
+                tracker.remove(ids)
+            per_round.append((carried, ids, snapshot.counts, events))
         return per_round
 
     @pytest.mark.parametrize("init_mode", ["rand_init", "con_init"])
@@ -365,9 +399,59 @@ class TestInitModes:
             expected = self.replay_lane(cfg, 3, strategy, strategy_index)
             got = [r for r in result.reports if r.strategy == strategy]
             assert len(got) == len(expected)
-            for report, (params, ids) in zip(got, expected):
+            for report, (params, ids, _, _) in zip(got, expected):
                 assert_params_equal(report.params, params)
                 np.testing.assert_array_equal(report.acquired_ids, ids)
+
+    @pytest.mark.parametrize("init_mode", ["rand_init", "con_init"])
+    def test_carried_lanes_match_independent_replays(self, monkeypatch, tmp_path, init_mode):
+        # Round 0 and its tracker are shared; each lane must still end up
+        # exactly where a replay that trains its own round 0 does, so no
+        # lane sees another's removals or later ingests.
+        seen = {}
+
+        def recording(request):
+            seen.setdefault(request.strategy, []).append(request.snapshot.counts)
+            return acquire(request)
+
+        monkeypatch.setattr(harness, "acquire", recording)
+        cfg = small_cfg(
+            strategies=["ucb-product", "entropy", "random"], rounds=3, log_events=True,
+            ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8],
+                          init_mode=init_mode, carry_tracker=True),
+            seeds=[3],
+        )
+        out = tmp_path / "run"
+        result = run_and_emit(cfg, out_dir=str(out))
+        assert result.errors == []
+        for strategy_index, strategy in enumerate(cfg.strategies):
+            expected = self.replay_lane(cfg, 3, strategy, strategy_index)
+            got = [r for r in result.reports if r.strategy == strategy]
+            assert len(got) == len(expected) == cfg.rounds
+            for report, counts, (params, ids, want_counts, _) in zip(
+                    got, seen[strategy], expected):
+                assert_params_equal(report.params, params)
+                np.testing.assert_array_equal(report.acquired_ids, ids)
+                np.testing.assert_array_equal(counts, want_counts)
+                if report.tracker_snapshot is not None:
+                    np.testing.assert_array_equal(report.tracker_snapshot.counts, want_counts)
+            lane = result.events[(3, strategy)]
+            replayed = [(k, *e) for k, (_, _, _, events) in enumerate(expected)
+                        for e in events]
+            assert len(lane) == len(replayed)
+            for (k, step, ids, pw, ps), want in zip(lane, replayed):
+                assert (k, step) == want[:2]
+                np.testing.assert_array_equal(ids, want[2])
+                np.testing.assert_array_equal(pw, want[3])
+                np.testing.assert_array_equal(ps, want[4])
+
+        round0 = []
+        for strategy in cfg.strategies:
+            lines = (out / "seed_3" / f"events_{strategy}.csv").read_text().splitlines()
+            rows = [line for line in lines[1:] if line.startswith("0,")]
+            assert lines[1:len(rows) + 1] == rows  # round-0 rows come first
+            round0.append(rows)
+        assert round0[0] and round0[1] == round0[0] and round0[2] == round0[0]
 
     def test_init_modes_differ_after_round0(self):
         runs = {}

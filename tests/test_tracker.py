@@ -169,6 +169,19 @@ class TestEmaUpdate:
             store.ingest_batch([0, 1], np.array([[0.5, 0.5], [np.nan, 0.5]]),
                                np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("view", ["weak", "strong"])
+    def test_rejects_non_finite_views(self, view, value):
+        # The typed error, not a numpy warning (inf + -inf in the KL sum),
+        # reaches the caller, and no stream changes.
+        store = TrackerStore([0, 1])
+        bad = np.array([[0.5, 0.5], [value, 0.0]])
+        good = np.full((2, 2), 0.5)
+        weak, strong = (bad, good) if view == "weak" else (good, bad)
+        with pytest.raises(TrackerError, match="sample id 1"):
+            store.ingest_batch([0, 1], weak, strong)
+        np.testing.assert_array_equal(store.snapshot().counts, [0, 0])
+
 
 class TestUcbAndScore:
     """UCBs and scores as snapshot() computes them."""
