@@ -9,12 +9,12 @@ pure function over logs; nothing touches a model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
+from .table import read_table, write_table
 
 
 @dataclass
@@ -173,91 +173,66 @@ def pairwise_matrix(results: dict[str, dict]) -> PairwiseResult:
     )
 
 
+SERIES_COLUMNS = {
+    "step": int, "sample_id": int, "label": int, "uncertainty": float, "max_prob": float,
+}
+
+
 def export_series(series: SnapshotSeries, path) -> None:
-    """One row per (snapshot, sample); floats via repr for exact round trips."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "sample_id", "label", "uncertainty", "max_prob"])
-        for t in range(series.n_snapshots):
-            step = int(series.steps[t])
-            for j in range(series.n_samples):
-                writer.writerow(
-                    [
-                        step,
-                        int(series.ids[j]),
-                        int(series.labels[t, j]),
-                        repr(float(series.uncertainty[t, j])),
-                        repr(float(series.max_prob[t, j])),
-                    ]
-                )
+    """One row per (snapshot, sample), snapshot-major."""
+    t, n = series.n_snapshots, series.n_samples
+    write_table(path, SERIES_COLUMNS, [
+        np.repeat(series.steps, n), np.tile(series.ids, t), series.labels.ravel(),
+        series.uncertainty.ravel(), series.max_prob.ravel(),
+    ])
 
 
 def load_series(path) -> SnapshotSeries:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["step", "sample_id", "label", "uncertainty", "max_prob"]:
-            raise InputError(f"unexpected series header {header!r}")
-        rows = list(reader)
-    if not rows:
+    step, sample_id, label, uncertainty, max_prob = read_table(path, SERIES_COLUMNS)
+    if len(step) == 0:
         raise InputError("empty snapshot series file")
-    steps = sorted({int(r[0]) for r in rows})
-    ids = sorted({int(r[1]) for r in rows})
-    step_pos = {s: t for t, s in enumerate(steps)}
-    id_pos = {i: j for j, i in enumerate(ids)}
-    t_n = (len(steps), len(ids))
-    labels = np.zeros(t_n, dtype=np.int64)
-    uncertainty_arr = np.zeros(t_n)
-    max_prob = np.zeros(t_n)
-    seen = np.zeros(t_n, dtype=bool)
-    for r in rows:
-        t, j = step_pos[int(r[0])], id_pos[int(r[1])]
-        if seen[t, j]:
-            raise InputError(f"duplicate row for step {r[0]} sample {r[1]}")
-        seen[t, j] = True
-        labels[t, j] = int(r[2])
-        uncertainty_arr[t, j] = float(r[3])
-        max_prob[t, j] = float(r[4])
-    if not seen.all():
+    steps, t = np.unique(step, return_inverse=True)
+    ids, j = np.unique(sample_id, return_inverse=True)
+    cell = t * len(ids) + j
+    cells, counts = np.unique(cell, return_counts=True)
+    if len(cells) < len(cell):
+        dup = cells[np.argmax(counts > 1)]
+        raise InputError(
+            f"duplicate row for step {steps[dup // len(ids)]} sample {ids[dup % len(ids)]}"
+        )
+    if len(cell) != len(steps) * len(ids):
         raise InputError("snapshot series is missing (step, sample) entries")
+
+    def grid(column):
+        out = np.empty_like(column)
+        out[cell] = column
+        return out.reshape(len(steps), len(ids))
+
     return SnapshotSeries(
-        ids=np.asarray(ids, dtype=np.int64),
-        steps=np.asarray(steps, dtype=np.int64),
-        labels=labels,
-        uncertainty=uncertainty_arr,
-        max_prob=max_prob,
+        ids=ids, steps=steps, labels=grid(label),
+        uncertainty=grid(uncertainty), max_prob=grid(max_prob),
     )
 
 
 def write_ti_profile(path, profile: list[tuple[int, int, float, float]]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["ti", "count", "mean_u", "std_u"])
-        for ti, count, mean, std in profile:
-            writer.writerow([ti, count, repr(mean), repr(std)])
+    write_table(path, ["ti", "count", "mean_u", "std_u"],
+                [[row[c] for row in profile] for c in range(4)])
 
 
 def write_spearman_series(path, values: list[float | None]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pair_index", "spearman"])
-        for t, v in enumerate(values):
-            writer.writerow([t, "" if v is None else repr(v)])
+    write_table(path, ["pair_index", "spearman"], [list(range(len(values))), values])
 
 
 def write_pseudo_ratio(path, rows: list[tuple[str, float, float]]) -> None:
     """rows: (ranking metric name, top_frac, ratio) triples."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "top_frac", "ratio"])
-        for metric, frac, ratio in rows:
-            writer.writerow([metric, repr(float(frac)), repr(float(ratio))])
+    write_table(path, ["metric", "top_frac", "ratio"],
+                [[row[c] for row in rows] for c in range(3)])
 
 
 def write_pairwise_matrix(path, result: PairwiseResult) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["strategy"] + result.strategies)
-        for i, s in enumerate(result.strategies):
-            writer.writerow([s] + [int(v) for v in result.matrix[i]])
-        writer.writerow(["column_mean"] + [repr(float(v)) for v in result.column_means])
+    """One row per strategy's win counts, then the float column means."""
+    write_table(path, ["strategy"] + result.strategies, [
+        result.strategies + ["column_mean"],
+        *(wins + [mean] for wins, mean in
+          zip(result.matrix.T.tolist(), result.column_means.tolist())),
+    ])

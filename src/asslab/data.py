@@ -9,13 +9,13 @@ decision boundary while weak views stay close to the sample.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DictConfig
 from .errors import ConfigError, InputError
+from .table import read_table, write_table
 
 DATA_DIM = 2
 WEAK_SCALE = 0.05  # weak jitter sigma as a fraction of each feature's std
@@ -246,32 +246,16 @@ class Augmenter:
         return out
 
 
+def _dataset_columns(dim: int) -> dict:
+    return {"id": int, **{f"x{j}": float for j in range(dim)}, "y": int}
+
+
 def export_dataset(dataset: Dataset, path) -> None:
-    """Write `id,x0,...,y` rows; floats via repr so the round trip is exact."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id"] + [f"x{j}" for j in range(dataset.dim)] + ["y"])
-        for i in range(dataset.n):
-            writer.writerow(
-                [int(dataset.ids[i])]
-                + [repr(float(v)) for v in dataset.x[i]]
-                + [int(dataset.y[i])]
-            )
+    """Write `id,x0,...,y` rows."""
+    write_table(path, _dataset_columns(dataset.dim), [dataset.ids, *dataset.x.T, dataset.y])
 
 
 def import_dataset(path) -> Dataset:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[0] != "id" or header[-1] != "y":
-            raise InputError(f"unexpected dataset header {header!r}")
-        ids, xs, ys = [], [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            xs.append([float(v) for v in row[1:-1]])
-            ys.append(int(row[-1]))
-    return Dataset(
-        ids=np.asarray(ids, dtype=np.int64),
-        x=np.asarray(xs, dtype=np.float64),
-        y=np.asarray(ys, dtype=np.int64),
-    )
+    # Expect at least one x column, so an `id,y` header is rejected.
+    ids, *xs, y = read_table(path, lambda names: _dataset_columns(max(len(names) - 2, 1)))
+    return Dataset(ids=ids, x=np.stack(xs, axis=1), y=y)

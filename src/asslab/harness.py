@@ -8,14 +8,15 @@ either init_mode, and every strategy acquires from that one model and
 tracker. Acquisition draws live in a stream keyed by strategy position,
 so one strategy's consumption never perturbs another's.
 
-All emitted CSVs format floats with repr and contain no timestamps; wall
-clocks and creation times live only in manifest.json.
+Every emitted CSV is written, and read back, by the table module, which
+owns the format: CRLF rows, repr floats, empty cells for None. The CSVs
+contain no timestamps; wall clocks and creation times live only in
+manifest.json.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import importlib.metadata
 import json
 import os
@@ -52,6 +53,7 @@ from .data import (
 )
 from .errors import ConfigError, InputError, TrainingError
 from .ssl import SslConfig, train_round
+from .table import read_table, write_table
 from .tracker import TrackerSnapshot, TrackerStore, load_snapshot_csv
 
 # Named rng streams; each is an independent child of the experiment seed.
@@ -61,9 +63,14 @@ INIT_STREAM = 2
 TRAIN_STREAM = 3
 ACQUIRE_STREAM = 4
 
-ROUNDS_COLUMNS = [
-    "seed", "strategy", "round", "test_accuracy", "supervised_loss",
-    "unsupervised_loss", "mask_rate", "n_events", "n_labeled",
+ROUNDS_COLUMNS = {
+    "seed": int, "strategy": str, "round": int, "test_accuracy": float,
+    "supervised_loss": float, "unsupervised_loss": float, "mask_rate": float,
+    "n_events": int, "n_labeled": int,
+}
+ROUNDS_FIELDS = [  # the RoundReport attribute behind each rounds.csv column
+    "seed", "strategy", "round_index", "test_accuracy", "supervised_loss",
+    "unsupervised_loss", "mask_rate", "n_events", "n_labeled_after",
 ]
 ACQUISITION_COLUMNS = ["round", "strategy", "rank", "sample_id", "score"]
 PSEUDO_RATIO_FRACS = (0.01, 0.05, 0.1)
@@ -321,46 +328,29 @@ def _package_version() -> str:
 
 
 def _write_rounds_csv(path, reports: list[RoundReport]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(ROUNDS_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                r.seed, r.strategy, r.round_index,
-                repr(float(r.test_accuracy)),
-                repr(float(r.supervised_loss)),
-                repr(float(r.unsupervised_loss)),
-                repr(float(r.mask_rate)),
-                r.n_events, r.n_labeled_after,
-            ])
+    write_table(path, ROUNDS_COLUMNS,
+                [[getattr(r, name) for r in reports] for name in ROUNDS_FIELDS])
 
 
 def _write_acquisitions_csv(path, reports: list[RoundReport]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(ACQUISITION_COLUMNS)
-        for r in reports:
-            for rank, sample_id in enumerate(r.acquired_ids):
-                score = ""
-                if r.acquisition_scores is not None:
-                    score = repr(float(r.acquisition_scores[rank]))
-                writer.writerow([r.round_index, r.strategy, rank, int(sample_id), score])
+    ranked = [(r, rank) for r in reports for rank in range(len(r.acquired_ids))]
+    write_table(path, ACQUISITION_COLUMNS, [
+        [r.round_index for r, _ in ranked], [r.strategy for r, _ in ranked],
+        [rank for _, rank in ranked], [int(r.acquired_ids[rank]) for r, rank in ranked],
+        [None if r.acquisition_scores is None else float(r.acquisition_scores[rank])
+         for r, rank in ranked],
+    ])
 
 
 def _write_events_csv(path, lane_events: list) -> None:
-    k = lane_events[0][3].shape[1]
-    header = (["round", "step", "sample_id"]
-              + [f"p_w{j}" for j in range(k)] + [f"p_s{j}" for j in range(k)])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for round_index, step, ids, pw, ps in lane_events:
-            for j, sample_id in enumerate(ids):
-                writer.writerow(
-                    [round_index, step, int(sample_id)]
-                    + [repr(float(v)) for v in pw[j]]
-                    + [repr(float(v)) for v in ps[j]]
-                )
+    rounds, steps, ids, pw, ps = zip(*lane_events)
+    k = pw[0].shape[1]
+    sizes = [len(chunk) for chunk in ids]
+    write_table(
+        path, ["round", "step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)],
+        [np.repeat(rounds, sizes), np.repeat(steps, sizes), np.concatenate(ids),
+         *np.concatenate(pw).T, *np.concatenate(ps).T],
+    )
 
 
 def _snapshot_scores(snapshot: TrackerSnapshot, metric: str) -> dict[int, float]:
@@ -503,22 +493,23 @@ def load_manifest(in_dir: str) -> dict:
     if not os.path.exists(path):
         raise InputError(f"no manifest.json under {in_dir!r}")
     with open(path) as f:
-        return json.load(f)
+        try:
+            manifest = json.load(f)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InputError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise InputError(f"{path} has no \"config\" object")
+    return manifest
 
 
 def _final_accuracies(rounds_path: str, rounds: int) -> dict[tuple[str, int], float]:
     """(strategy, seed) -> accuracy from the final-round rows of rounds.csv."""
-    out: dict[tuple[str, int], float] = {}
-    with open(rounds_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ROUNDS_COLUMNS:
-            raise InputError(f"unexpected rounds header {header!r}")
-        for row in reader:
-            seed, strategy, round_index = int(row[0]), row[1], int(row[2])
-            if round_index == rounds - 1:
-                out[(strategy, seed)] = float(row[3])
-    return out
+    seed, strategy, round_index, accuracy, *_ = read_table(rounds_path, ROUNDS_COLUMNS)
+    return {
+        (s, sd): acc
+        for sd, s, r, acc in zip(seed.tolist(), strategy, round_index.tolist(), accuracy.tolist())
+        if r == rounds - 1
+    }
 
 
 def analyze_dir(in_dir: str) -> None:

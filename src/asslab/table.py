@@ -1,0 +1,59 @@
+"""The CSV format of every emitted log and analysis table.
+
+Rows end in CRLF, the csv module's default. Floats are written with repr,
+so every value reads back bit for bit; ints stay ints and None is an
+empty cell. The reader turns a malformed header, row or cell into an
+InputError, so a damaged run directory never surfaces as a traceback.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from .errors import InputError
+
+
+def write_table(path, header, columns) -> None:
+    """Write header, then row i from the i-th entry of every column.
+
+    Columns are equal-length lists or 1-d arrays; arrays go through
+    tolist(), so an int array prints ints and a float array repr floats.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(zip(*columns, strict=True))
+
+
+def read_table(path, header) -> list:
+    """The columns of a table written by write_table.
+
+    header maps each column name, in order, to int, float or str; it may
+    instead be a function from the file's header row to that mapping.
+    Int and float columns come back as int64 and float64 arrays, str
+    columns as lists.
+    """
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, csv.Error, UnicodeDecodeError) as e:
+        raise InputError(f"{path}: not a readable CSV table: {e}") from None
+    if not rows:
+        raise InputError(f"{path}: empty file")
+    names, *rows = rows
+    types = header(names) if callable(header) else header
+    if names != list(types):
+        raise InputError(f"{path}: unexpected header {names!r}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(names)}")
+    columns = []
+    for (name, kind), cells in zip(types.items(), zip(*rows) if rows else [()] * len(names)):
+        try:
+            columns.append(list(cells) if kind is str else np.fromiter(map(kind, cells), kind))
+        except (ValueError, OverflowError) as e:
+            raise InputError(f"{path}: bad {name!r} cell: {e}") from None
+    return columns

@@ -10,12 +10,12 @@ needs no extra inference after training ends.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, TrackerError
+from .errors import ConfigError, TrackerError
+from .table import read_table, write_table
 
 # Floor applied inside logarithms so degenerate (imported) distributions
 # with exact zeros cannot produce infinities.
@@ -69,42 +69,20 @@ class TrackerSnapshot:
     counts: np.ndarray | None = None
 
     def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(SNAPSHOT_COLUMNS)
-            for i in range(len(self.ids)):
-                writer.writerow(
-                    [int(self.ids[i])]
-                    + [
-                        repr(float(col[i]))
-                        for col in (
-                            self.u_mean, self.u_var, self.u_ucb,
-                            self.i_mean, self.i_var, self.i_ucb, self.score,
-                        )
-                    ]
-                )
+        write_table(path, SNAPSHOT_COLUMNS, [
+            self.ids, self.u_mean, self.u_var, self.u_ucb,
+            self.i_mean, self.i_var, self.i_ucb, self.score,
+        ])
 
 
-SNAPSHOT_COLUMNS = [
-    "sample_id", "u_mean", "u_var", "u_ucb", "i_mean", "i_var", "i_ucb", "score",
-]
+SNAPSHOT_COLUMNS = {
+    "sample_id": int, "u_mean": float, "u_var": float, "u_ucb": float,
+    "i_mean": float, "i_var": float, "i_ucb": float, "score": float,
+}
 
 
 def load_snapshot_csv(path) -> TrackerSnapshot:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != SNAPSHOT_COLUMNS:
-            raise InputError(f"unexpected snapshot header {header!r}")
-        rows = [row for row in reader]
-    cols = list(zip(*rows)) if rows else [[] for _ in SNAPSHOT_COLUMNS]
-    return TrackerSnapshot(
-        ids=np.asarray([int(v) for v in cols[0]], dtype=np.int64),
-        **{
-            name: np.asarray([float(v) for v in cols[j]], dtype=np.float64)
-            for j, name in enumerate(SNAPSHOT_COLUMNS[1:], start=1)
-        },
-    )
+    return TrackerSnapshot(*read_table(path, SNAPSHOT_COLUMNS))
 
 
 class TrackerStore:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -84,6 +85,68 @@ class TestRunCommand:
         assert not out.exists()
 
 
+def _replace_line(path, index, edit):
+    lines = path.read_bytes().split(b"\r\n")
+    lines[index] = edit(lines[index])
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _bad_float_cell(run):
+    _replace_line(run / "seed_0" / "snapshots_round0.csv", 1,
+                  lambda line: b",".join(line.split(b",")[:3] + [b"abc", b"0.5"]))
+
+
+def _truncated_scores(run):
+    path = run / "seed_0" / "scores" / "round0.csv"
+    text = path.read_bytes()
+    second_row = text.index(b"\r\n", text.index(b"\r\n") + 2) + 2
+    path.write_bytes(text[:text.index(b",", second_row)])
+
+
+def _short_rounds_row(run):
+    _replace_line(run / "rounds.csv", 1, lambda line: line.rsplit(b",", 1)[0])
+
+
+def _duplicated_series_row(run):
+    path = run / "seed_0" / "snapshots_round0.csv"
+    text = path.read_bytes()
+    path.write_bytes(text + text.split(b"\r\n")[1] + b"\r\n")
+
+
+def _scores_directory(run):
+    path = run / "seed_0" / "scores" / "round0.csv"
+    os.remove(path)
+    os.mkdir(path)
+
+
+def _manifest(data):
+    def damage(run):
+        (run / "manifest.json").write_bytes(data)
+    return damage
+
+
+DAMAGES = {
+    "bad-float-cell": _bad_float_cell,
+    "truncated-scores": _truncated_scores,
+    "short-rounds-row": _short_rounds_row,
+    "duplicated-series-row": _duplicated_series_row,
+    "scores-is-a-directory": _scores_directory,
+    "manifest-not-json": _manifest(b"{not json"),
+    "manifest-not-utf8": _manifest(b"\xff\xfe"),
+    "manifest-empty-object": _manifest(b"{}"),
+    "manifest-not-object": _manifest(b"[1]"),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    out = root / "out"
+    assert main(["run", "--config", str(write_config(root / "cfg.json")),
+                 "--out", str(out)]) == 0
+    return out
+
+
 class TestAnalyzeCommand:
     def test_analyze_rebuilds(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json")
@@ -95,6 +158,17 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--in", str(out)]) == 0
         assert "rebuilt" in capsys.readouterr().out
         assert ti.read_bytes() == original
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_run_exits_2_without_traceback(self, tiny_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        DAMAGES[damage](run)
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_analyze_missing_dir(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path / "missing")]) == 2
