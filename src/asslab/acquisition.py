@@ -29,23 +29,13 @@ def _validate_k(k: int, n: int) -> None:
 def _top_k_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-K by score, ties to lower id, ranked best first.
 
-    Partition finds the K-th largest value in O(n); only the few entries
-    at the boundary need sorting, so selection stays far cheaper than a
-    full argsort of the pool.
+    Partition finds the K-th largest score in O(n), so only the entries
+    at or above it are sorted, not the whole pool.
     """
     n = len(ids)
     _validate_k(k, n)
-    if k == n:
-        order = np.lexsort((ids, -scores))
-        return ids[order], scores[order]
-    thresh = np.partition(scores, n - k)[n - k]
-    above = np.flatnonzero(scores > thresh)
-    boundary = np.flatnonzero(scores == thresh)
-    need = k - len(above)
-    picked_boundary = boundary[np.argsort(ids[boundary], kind="stable")[:need]]
-    sel = np.concatenate([above, picked_boundary])
-    order = np.lexsort((ids[sel], -scores[sel]))
-    sel = sel[order]
+    sel = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    sel = sel[np.lexsort((ids[sel], -scores[sel]))[:k]]
     return ids[sel], scores[sel]
 
 

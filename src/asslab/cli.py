@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .errors import AsslabError, ConfigError, InputError
@@ -18,7 +19,9 @@ def load_config_file(path: str) -> ExperimentConfig:
             raw = json.load(f)
     except FileNotFoundError:
         raise InputError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:  # a directory, or unreadable
+        raise InputError(f"cannot read config file {path}: {e}") from None
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     return ExperimentConfig.from_dict(raw)
 
@@ -36,7 +39,12 @@ def _cmd_run(args) -> int:
     cfg = load_config_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=[args.seed])
+        cfg.validate()
     out_dir = args.out if args.out is not None else cfg.out_dir
+    try:  # a bad output path fails here, before any training
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"cannot create output directory {out_dir}: {e}") from None
     result = run_and_emit(cfg, out_dir=out_dir, progress=_print_progress)
     print(f"wrote {out_dir}")
     if result.errors:

@@ -2,11 +2,11 @@
 
 Reproducibility contract: every rng in a run is derived from the experiment
 seed through a named stream, so with a shared seed the dataset, the pool
-split, the initial weights, and the round-0 training stream are identical
-across strategies. Round 0 is therefore trained once per seed, under
-either init_mode, and every strategy acquires from that one model and
-tracker. Acquisition draws live in a stream keyed by strategy position,
-so one strategy's consumption never perturbs another's.
+split, the initial weights, and every round's training stream are
+identical across strategies. A lane's training input is therefore fixed
+by the ids it acquired in earlier rounds, and each distinct history is
+trained once per seed. Acquisition draws live in a stream keyed by
+strategy position, so one strategy's consumption never perturbs another's.
 
 Every emitted CSV is written, and read back, by the table module, which
 owns the format: CRLF rows, repr floats, empty cells for None. The CSVs
@@ -185,16 +185,16 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run every (seed, strategy) lane of the configured sweep.
 
-    Round 0 is trained once per seed and shared by every strategy: under
-    either init_mode it starts from the seed's init params, pools0, a
-    fresh tracker and TRAIN_STREAM(seed, 0). Each lane then acquires from
-    that one result and trains its later rounds alone; with carry_tracker
-    it carries its own copy of the post-round-0 tracker.
+    Each round is looked up in a per-seed memo keyed by the lane's
+    history, the sorted ids it acquired in each earlier round, so every
+    distinct history (round 0's empty one included) is trained once, under
+    either init_mode, and every lane with it acquires from that result.
+    With carry_tracker each lane carries its own copy of the memo's tracker.
 
     A lane that diverges during training is cut short: its completed
     rounds stay in the report list and the failure is recorded in the
-    error list, so partial results survive. A round-0 divergence is
-    recorded for every lane of the seed.
+    error list, so partial results survive. A shared divergence is
+    recorded for every lane that reaches its history.
 
     progress, when given, is called with each finished RoundReport, in
     lane-major order.
@@ -218,39 +218,37 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         dims = [dataset.dim, *cfg.ssl.hidden_dims, dataset.n_classes]
         init_params = nn.init_params(dims, derive_rng(seed, INIT_STREAM))
 
-        def train(start, pools, tracker, round_index, lane_events):
-            sink = _event_recorder(lane_events, round_index) if cfg.log_events else None
-            return train_round(
-                start, pools, dataset, cfg.ssl, tracker,
-                derive_rng(seed, TRAIN_STREAM, round_index),
-                augmenter=augmenter, event_sink=sink,
-            )
+        memo: dict[tuple, tuple] = {}  # history -> (outcome, tracker, events)
 
-        tracker0 = _new_tracker(cfg, pools0)
-        events0: list = []
-        try:
-            round0 = train(init_params, pools0, tracker0, 0, events0)
-        except TrainingError as e:
-            round0 = e
+        def train(start, pools, tracker, round_index):
+            round_events: list = []
+            sink = _event_recorder(round_events, round_index) if cfg.log_events else None
+            try:
+                outcome = train_round(start, pools, dataset, cfg.ssl, tracker,
+                                      derive_rng(seed, TRAIN_STREAM, round_index),
+                                      augmenter=augmenter, event_sink=sink)
+            except TrainingError as e:
+                outcome = e
+            return outcome, tracker, round_events
 
         for si, strategy in enumerate(cfg.strategies):
-            pools = pools0
+            pools, trained, tracker, history = pools0, init_params, None, ()
             keep_artifacts = si == 0
-            lane_events = list(events0)
-            round_index = 0
+            lane_events: list = []
             try:
-                if isinstance(round0, TrainingError):
-                    raise round0  # recorded for this lane below, like any divergence
-                trained, metrics = round0
-                # remove() and ingest_batch write into the store, so a
-                # carried tracker must not be seen by another lane.
-                tracker = copy.deepcopy(tracker0) if carry else tracker0
                 for round_index in range(cfg.rounds):
-                    if round_index > 0:
-                        if not carry:
+                    if history not in memo:
+                        if tracker is None or not carry:
                             tracker = _new_tracker(cfg, pools)
                         start = init_params if rand_init else trained
-                        trained, metrics = train(start, pools, tracker, round_index, lane_events)
+                        memo[history] = train(start, pools, tracker, round_index)
+                    outcome, tracker, round_events = memo[history]
+                    lane_events.extend(round_events)
+                    if isinstance(outcome, TrainingError):
+                        raise outcome  # recorded for this lane below
+                    trained, metrics = outcome
+                    if carry:  # remove() and later ingests write into the store
+                        tracker = copy.deepcopy(tracker)
                     snapshot = tracker.snapshot()
                     acq_rng = derive_rng(seed, ACQUIRE_STREAM, round_index, si)
                     t0 = time.perf_counter()
@@ -262,6 +260,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                     pools = pools.updated(ids)
                     if carry:
                         tracker.remove(ids)
+                    history += (tuple(sorted(ids.tolist())),)
                     report = RoundReport(
                         seed=seed,
                         strategy=strategy,

@@ -24,9 +24,6 @@ class ForwardCounter:
     def add(self, n: int):
         self.count += int(n)
 
-    def reset(self):
-        self.count = 0
-
 
 # Global counter; single-threaded training loops own it for the duration
 # of a run, so no locking is needed.
@@ -297,6 +294,8 @@ def run_gradient_check(
     inputs, soft targets, and positive per-example weights are all drawn
     at random from the given seed.
     """
+    if n_instances < 1:
+        raise InputError(f"n_instances must be at least 1, got {n_instances}")
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(n_instances):

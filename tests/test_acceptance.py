@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from asslab import nn
+from asslab import harness, nn
 from asslab.acquisition import AcquisitionRequest, acquire, acquire_coreset
 from asslab.analysis import (
     consecutive_snapshot_spearman,
@@ -74,11 +74,20 @@ def default_sweep(tmp_path_factory):
     """The full default benchmark: 7 strategies x 5 seeds x 5 rounds, emitted."""
     out_dir = str(tmp_path_factory.mktemp("default_sweep"))
     cfg = dataclasses.replace(ExperimentConfig(), out_dir=out_dir)
-    t0 = time.perf_counter()
-    result = run_and_emit(cfg)
-    elapsed = time.perf_counter() - t0
+    trained = []
+
+    def counting(*args, **kwargs):
+        trained.append(1)
+        return train_round(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "train_round", counting)
+        t0 = time.perf_counter()
+        result = run_and_emit(cfg)
+        elapsed = time.perf_counter() - t0
     assert not result.errors, f"sweep diverged: {result.errors}"
-    return {"cfg": cfg, "result": result, "out_dir": out_dir, "seconds": elapsed}
+    return {"cfg": cfg, "result": result, "out_dir": out_dir, "seconds": elapsed,
+            "trained_rounds": len(trained)}
 
 
 class TestValueExamples:
@@ -412,7 +421,9 @@ class TestRuntime:
     def test_default_benchmark_under_ten_minutes(self, default_sweep):
         seconds = default_sweep["seconds"]
         n = len(default_sweep["result"].reports)
+        trained = default_sweep["trained_rounds"]
         report("benchmark-runtime", seconds < 600.0,
-               f"7 strategies x 5 seeds x 5 rounds = {n} rounds in {seconds:.0f}s")
+               f"7 strategies x 5 seeds x 5 rounds = {n} lane-rounds, "
+               f"{trained} trained, in {seconds:.0f}s")
         assert n == 7 * 5 * 5
         assert seconds < 600.0

@@ -181,3 +181,36 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "instance 0" in out
         assert "ok" in out
+
+
+def _config_directory(tmp_path):
+    (tmp_path / "cfg").mkdir()
+    return ["run", "--config", str(tmp_path / "cfg")]
+
+
+def _config_not_utf8(tmp_path):
+    (tmp_path / "cfg.json").write_bytes(b'{"out_dir": "\xff"}')
+    return ["run", "--config", str(tmp_path / "cfg.json")]
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "out").write_text("")
+    return ["run", "--config", str(write_config(tmp_path / "cfg.json")),
+            "--out", str(tmp_path / "out")]
+
+
+BAD_INPUTS = {
+    "gradcheck-zero-instances": lambda tmp_path: ["gradcheck", "--instances", "0"],
+    "config-is-a-directory": _config_directory,
+    "config-not-utf8": _config_not_utf8,
+    "out-is-a-file": _out_is_a_file,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    assert main(BAD_INPUTS[case](tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "round 0" not in captured.out  # rejected before any training

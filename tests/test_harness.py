@@ -327,6 +327,33 @@ class TestRunExperiment:
             for k in range(cfg.rounds)
         ]
 
+    @pytest.mark.parametrize("init_mode", ["rand_init", "con_init"])
+    def test_each_distinct_history_trained_once(self, monkeypatch, init_mode):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_round(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_round", counting)
+        cfg = small_cfg(
+            strategies=["ucb-product", "entropy", "margin", "snapshot-el2n"], rounds=3,
+            ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
+                          hidden_dims=[8, 8], init_mode=init_mode),
+            seeds=[3],
+        )
+        result = run_experiment(cfg)
+        assert result.errors == []
+        histories = set()
+        for strategy in cfg.strategies:
+            lane = [r for r in result.reports if r.strategy == strategy]
+            assert [r.round_index for r in lane] == list(range(cfg.rounds))
+            acquired = [frozenset(r.acquired_ids.tolist()) for r in lane]
+            histories.update(tuple(acquired[:k]) for k in range(cfg.rounds))
+        # Some later round is shared, or this would only test round 0.
+        assert len(histories) < 1 + len(cfg.strategies) * (cfg.rounds - 1)
+        assert len(calls) == len(histories)
+
     def test_divergence_recorded_with_partial_results(self):
         cfg = small_cfg(
             strategies=["random", "ucb-product", "entropy"],
@@ -405,9 +432,11 @@ class TestInitModes:
 
     @pytest.mark.parametrize("init_mode", ["rand_init", "con_init"])
     def test_carried_lanes_match_independent_replays(self, monkeypatch, tmp_path, init_mode):
-        # Round 0 and its tracker are shared; each lane must still end up
-        # exactly where a replay that trains its own round 0 does, so no
-        # lane sees another's removals or later ingests.
+        # Rounds with the same history, round 0 and the later rounds that
+        # entropy and margin pick alike, share one training and tracker;
+        # each lane must still end up exactly where a replay that trains
+        # every round itself does, so no lane sees another's removals or
+        # later ingests.
         seen = {}
 
         def recording(request):
@@ -416,7 +445,8 @@ class TestInitModes:
 
         monkeypatch.setattr(harness, "acquire", recording)
         cfg = small_cfg(
-            strategies=["ucb-product", "entropy", "random"], rounds=3, log_events=True,
+            strategies=["ucb-product", "entropy", "random", "margin"], rounds=3,
+            log_events=True,
             ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8],
                           init_mode=init_mode, carry_tracker=True),
             seeds=[3],
@@ -451,7 +481,10 @@ class TestInitModes:
             rows = [line for line in lines[1:] if line.startswith("0,")]
             assert lines[1:len(rows) + 1] == rows  # round-0 rows come first
             round0.append(rows)
-        assert round0[0] and round0[1] == round0[0] and round0[2] == round0[0]
+        assert round0[0] and all(rows == round0[0] for rows in round0)
+        entropy, margin = ([sorted(r.acquired_ids.tolist()) for r in result.reports
+                            if r.strategy == s] for s in ("entropy", "margin"))
+        assert entropy == margin  # so their later rounds are shared too
 
     def test_init_modes_differ_after_round0(self):
         runs = {}
