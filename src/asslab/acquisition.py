@@ -1,10 +1,12 @@
 """Acquisition strategies: pick K unlabeled samples per round.
 
-The tracker-score strategy reads precomputed streaming scores and touches
-no model, which is the point: its selection is a single top-K over one
-array. Baselines (entropy, margin, point-in-time confidence distance,
-coreset) re-infer the pool; the diversity variant clusters score-weighted
-embeddings with k-means++ and Lloyd refinement.
+`acquire` is the one entry point, and every strategy is a score over the
+sorted unlabeled pool. The tracker-score strategy reads precomputed
+streaming scores and touches no model, which is the point: its selection
+is a single top-K over one array. Baselines (entropy, margin,
+point-in-time confidence distance, coreset) read one forward pass over
+the pool; the diversity variant clusters score-weighted embeddings with
+k-means++ and Lloyd refinement.
 """
 
 from __future__ import annotations
@@ -39,65 +41,16 @@ def _top_k_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray,
     return ids[sel], scores[sel]
 
 
-def acquire_topk_score(snapshot: TrackerSnapshot, k: int) -> np.ndarray:
-    """Select the K highest streaming scores; performs zero model inference.
-
-    A zero appearance count anywhere in the pool means the training loop
-    failed to visit a sample, which would make its score meaningless.
-    """
-    if snapshot.counts is not None and (snapshot.counts == 0).any():
-        missing = int(snapshot.ids[np.flatnonzero(snapshot.counts == 0)[0]])
-        raise AcquisitionError(
-            f"sample {missing} has no tracked events; training coverage bug"
-        )
-    ids, _ = _top_k_ids(snapshot.ids, snapshot.score, k)
-    return ids
-
-
-def acquire_random(unlabeled_ids, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement."""
-    ids = np.asarray(unlabeled_ids, dtype=np.int64)
-    _validate_k(k, len(ids))
-    return rng.choice(ids, size=k, replace=False)
-
-
 def _entropy(probs: np.ndarray) -> np.ndarray:
     # 0 * log 0 = 0; softmax can underflow to exact zero for large logits.
     safe = np.where(probs > 0, probs, 1.0)
     return -(probs * np.log(safe)).sum(axis=1)
 
 
-def acquire_entropy(
-    params: nn.ModelParams, dataset: Dataset, unlabeled_ids, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-K by Shannon entropy (natural log) of fresh raw-input predictions."""
-    ids = np.asarray(unlabeled_ids, dtype=np.int64)
-    _validate_k(k, len(ids))
-    probs = nn.forward_batch(params, dataset.x[ids]).probs
-    return _top_k_ids(ids, _entropy(probs), k)
-
-
-def acquire_margin(
-    params: nn.ModelParams, dataset: Dataset, unlabeled_ids, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-K by smallest gap between the two largest predicted probabilities."""
-    ids = np.asarray(unlabeled_ids, dtype=np.int64)
-    _validate_k(k, len(ids))
-    probs = nn.forward_batch(params, dataset.x[ids]).probs
+def _margin(probs: np.ndarray) -> np.ndarray:
+    """Gap between the two largest probabilities of each row."""
     top2 = -np.partition(-probs, 1, axis=1)[:, :2]
-    margin = top2[:, 0] - top2[:, 1]
-    sel, neg = _top_k_ids(ids, -margin, k)
-    return sel, -neg
-
-
-def acquire_snapshot_el2n(
-    params: nn.ModelParams, dataset: Dataset, unlabeled_ids, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-K by point-in-time confidence distance of the final model alone."""
-    ids = np.asarray(unlabeled_ids, dtype=np.int64)
-    _validate_k(k, len(ids))
-    probs = nn.forward_batch(params, dataset.x[ids]).probs
-    return _top_k_ids(ids, uncertainty_batch(probs), k)
+    return top2[:, 0] - top2[:, 1]
 
 
 def acquire_coreset(
@@ -226,11 +179,6 @@ def acquire_diverse(
     return ids[np.asarray(picked)]
 
 
-def compute_embeddings(params: nn.ModelParams, dataset: Dataset, ids) -> np.ndarray:
-    """Penultimate-layer activations for the given sample ids."""
-    return nn.forward_batch(params, dataset.x[np.asarray(ids, dtype=np.int64)]).embedding
-
-
 STRATEGIES = (
     "random",
     "entropy",
@@ -254,31 +202,52 @@ class AcquisitionRequest:
 
 
 def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
-    """Dispatch one strategy; returns (ids, per-id scores or None).
+    """Pick req.k ids from the sorted unlabeled pool; returns (ids, scores).
 
-    Scores are the strategy's own ranking values for logging; random and
-    the clustering variant have no per-id ranking, so they return None.
+    Ids are ranked best first (coreset: greedy pick order), ties to the
+    lower id, each with its ranking value for the log (random: None).
+
+    - random: a uniform draw without replacement.
+    - ucb-product: top-K tracked score; no model inference.
+    - ucb-product-div: acquire_diverse over the pool's embeddings, each
+      pick logged with its tracked score.
+    - entropy: top-K Shannon entropy (natural log) of the predictions.
+    - margin: top-K smallest gap between the two largest probabilities.
+    - snapshot-el2n: top-K distance of the final model's prediction from
+      its own one-hot.
+    - coreset: acquire_coreset, covering from the labeled embeddings.
+
+    The tracked strategies need a snapshot of exactly this pool in which
+    every sample has an event: zero events means training never visited
+    the sample, so its score would be meaningless. The others run one
+    forward pass over the pool (coreset one more over the labeled pool).
     """
-    unlabeled = req.pools.sorted_unlabeled()
+    if req.strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {req.strategy!r}")
+    ids, k = req.pools.sorted_unlabeled(), req.k
+    _validate_k(k, len(ids))
     if req.strategy == "random":
-        return acquire_random(unlabeled, req.k, req.rng), None
-    if req.strategy == "entropy":
-        return acquire_entropy(req.params, req.dataset, unlabeled, req.k)
-    if req.strategy == "margin":
-        return acquire_margin(req.params, req.dataset, unlabeled, req.k)
-    if req.strategy == "snapshot-el2n":
-        return acquire_snapshot_el2n(req.params, req.dataset, unlabeled, req.k)
-    if req.strategy == "coreset":
-        unl_emb = compute_embeddings(req.params, req.dataset, unlabeled)
-        lab_emb = compute_embeddings(req.params, req.dataset, req.pools.sorted_labeled())
-        return acquire_coreset(unlabeled, unl_emb, lab_emb, req.k)
-    if req.strategy == "ucb-product":
-        ids = acquire_topk_score(req.snapshot, req.k)
-        pos = np.searchsorted(req.snapshot.ids, ids)
-        return ids, req.snapshot.score[pos]
+        return req.rng.choice(ids, size=k, replace=False), None
+    snap = req.snapshot
+    if req.strategy.startswith("ucb-"):
+        if not np.array_equal(snap.ids, ids):
+            raise InputError("tracker snapshot ids differ from the unlabeled pool")
+        if snap.counts is not None and (snap.counts == 0).any():
+            missing = int(ids[np.flatnonzero(snap.counts == 0)[0]])
+            raise AcquisitionError(
+                f"sample {missing} has no tracked events; training coverage bug"
+            )
+        if req.strategy == "ucb-product":
+            return _top_k_ids(ids, snap.score, k)
+    out = nn.forward_batch(req.params, req.dataset.x[ids])
     if req.strategy == "ucb-product-div":
-        emb = compute_embeddings(req.params, req.dataset, req.snapshot.ids)
-        ids = acquire_diverse(req.snapshot, emb, req.k, req.rng)
-        pos = np.searchsorted(req.snapshot.ids, ids)
-        return ids, req.snapshot.score[pos]
-    raise ConfigError(f"unknown strategy {req.strategy!r}")
+        picked = acquire_diverse(snap, out.embedding, k, req.rng)
+        return picked, snap.score[np.searchsorted(ids, picked)]
+    if req.strategy == "coreset":
+        labeled = nn.forward_batch(req.params, req.dataset.x[req.pools.sorted_labeled()])
+        return acquire_coreset(ids, out.embedding, labeled.embedding, k)
+    if req.strategy == "margin":
+        sel, neg = _top_k_ids(ids, -_margin(out.probs), k)
+        return sel, -neg
+    score = _entropy if req.strategy == "entropy" else uncertainty_batch
+    return _top_k_ids(ids, score(out.probs), k)

@@ -172,7 +172,8 @@ def split_pools(
     """Draw a random test set, then a (stratified) initial labeled set.
 
     Stratification takes labeled samples round-robin across classes in
-    random within-class order, so n_init == k yields one per class.
+    random within-class order, so n_init == k yields one per class: the
+    first n_init samples by (rank within their class, class).
     """
     k = dataset.n_classes
     if n_init + n_test >= dataset.n:
@@ -186,20 +187,11 @@ def split_pools(
     test = perm[:n_test]
     rest = perm[n_test:]
     if stratify:
-        by_class = [rest[dataset.y[rest] == c] for c in range(k)]
-        picked, cursor = [], [0] * k
-        while len(picked) < n_init:
-            progressed = False
-            for c in range(k):
-                if len(picked) >= n_init:
-                    break
-                if cursor[c] < len(by_class[c]):
-                    picked.append(by_class[c][cursor[c]])
-                    cursor[c] += 1
-                    progressed = True
-            if not progressed:
-                raise ConfigError("not enough samples to fill the labeled set")
-        labeled = np.array(picked)
+        y = dataset.y[rest]
+        by_class = np.argsort(y, kind="stable")
+        rank = np.empty_like(by_class)
+        rank[by_class] = np.arange(len(y)) - np.searchsorted(y[by_class], y[by_class])
+        labeled = rest[np.lexsort((y, rank))[:n_init]]
     else:
         labeled = rest[:n_init]
     labeled_set = frozenset(int(i) for i in labeled)

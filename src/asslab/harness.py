@@ -394,14 +394,23 @@ def _write_pairwise(analysis_dir: str, acc_table: dict[str, dict]) -> None:
     )
 
 
+def _check_out_dir(cfg: ExperimentConfig, out_dir: str) -> None:
+    if (os.path.exists(os.path.join(out_dir, "manifest.json"))
+            and load_manifest(out_dir)["config"] != cfg.to_dict()):
+        raise InputError(f"{out_dir} holds the run of a different config")
+
+
 def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     """Write the run's artifact tree.
 
     rounds.csv, per-seed acquisition logs, round-0 snapshot series and
     per-round score snapshots for the first strategy, derived analysis
     CSVs, and manifest.json. Every file except the manifest is a pure
-    function of the config, so reruns are byte-identical.
+    function of the config, so reruns are byte-identical. An out_dir
+    whose manifest records a different config raises InputError, since
+    the files of that run would stay beside the new ones.
     """
+    _check_out_dir(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     _write_rounds_csv(os.path.join(out_dir, "rounds.csv"), result.reports)
 
@@ -482,8 +491,10 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def run_and_emit(cfg: ExperimentConfig, out_dir: str | None = None,
                  progress=None) -> ExperimentResult:
+    out_dir = out_dir if out_dir is not None else cfg.out_dir
+    _check_out_dir(cfg, out_dir)  # before any training
     result = run_experiment(cfg, progress=progress)
-    emit(result, cfg, out_dir if out_dir is not None else cfg.out_dir)
+    emit(result, cfg, out_dir)
     return result
 
 

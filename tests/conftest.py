@@ -1,6 +1,24 @@
-"""Shared pytest hooks for the test suite."""
+"""Shared pytest hooks and fixtures for the test suite."""
 
 import sys
+
+import pytest
+
+from asslab import nn
+
+
+@pytest.fixture
+def forward_rows(monkeypatch):
+    """Row count of every nn.forward_batch call made while the test runs."""
+    rows = []
+    real = nn.forward_batch
+
+    def counting(params, x):
+        rows.append(len(x))
+        return real(params, x)
+
+    monkeypatch.setattr(nn, "forward_batch", counting)
+    return rows
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -94,3 +94,20 @@ def forward(params, x) -> tuple[list[float], np.ndarray]:
     e = [math.exp(v - top) for v in logits]
     total = sum(e)
     return [v / total for v in e], a
+
+
+def round_robin(labels, n: int) -> list[int]:
+    """Positions of the first n picks when the classes, in ascending order,
+    take turns giving up their next sample in the given order; a class that
+    runs out is skipped. Requires n <= len(labels)."""
+    queues: dict = {}
+    for pos, c in enumerate(labels):
+        queues.setdefault(int(c), []).append(pos)
+    picked: list[int] = []
+    turn = 0
+    while len(picked) < n:
+        for c in sorted(queues):
+            if turn < len(queues[c]) and len(picked) < n:
+                picked.append(queues[c][turn])
+        turn += 1
+    return picked

@@ -319,7 +319,7 @@ class TestOrderingAndCost:
         assert div_vs_random
         assert div_col_ok
 
-    def test_tracked_acquisition_needs_no_inference(self):
+    def test_tracked_acquisition_needs_no_inference(self, forward_rows):
         """Selecting by tracked scores must cost zero forward passes and a
         vanishing fraction of an inference-based strategy's wall-clock."""
         spec = GeneratorSpec(noise=0.25, size=20000)
@@ -335,10 +335,10 @@ class TestOrderingAndCost:
                                      params=params, dataset=ds, pools=pools,
                                      rng=derive_rng(0, ACQUIRE_STREAM, 0, idx))
             acquire(req)  # warm caches and allocator before measuring
-            before = nn.forward_counter.count
+            before = sum(forward_rows)
             t0 = time.perf_counter()
             acquire(req)
-            return time.perf_counter() - t0, nn.forward_counter.count - before
+            return time.perf_counter() - t0, sum(forward_rows) - before
 
         tracked_s, tracked_fwd = timed("ucb-product", 0)
         entropy_s, entropy_fwd = timed("entropy", 1)

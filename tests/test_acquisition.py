@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,14 +15,8 @@ from asslab.acquisition import (
     acquire,
     acquire_coreset,
     acquire_diverse,
-    acquire_entropy,
-    acquire_margin,
-    acquire_random,
-    acquire_snapshot_el2n,
-    acquire_topk_score,
-    compute_embeddings,
 )
-from asslab.data import Dataset, GeneratorSpec, generate, split_pools, standardize
+from asslab.data import Dataset, GeneratorSpec, SamplePools, generate, split_pools, standardize
 from asslab.errors import AcquisitionError, ConfigError, InputError
 from asslab.tracker import TrackerSnapshot, TrackerStore
 
@@ -55,42 +50,64 @@ def probs_model(prob_rows):
     return nn.ModelParams([logits], [np.zeros(logits.shape[0])])
 
 
-def one_hot_inputs(n):
-    return np.eye(n)
+def request(strategy, k, unlabeled=None, snapshot=None, prob_rows=None, rng=None):
+    """A request over samples 0..n-1 with one-hot inputs.
+
+    The unlabeled pool is `unlabeled` (default: the snapshot's ids, else
+    every sample) and every other sample is labeled. prob_rows, when
+    given, is the model's prediction for each sample.
+    """
+    if unlabeled is None:
+        unlabeled = snapshot.ids if snapshot is not None else range(len(prob_rows))
+    unlabeled = frozenset(int(i) for i in unlabeled)
+    n = len(prob_rows) if prob_rows is not None else max(unlabeled) + 1
+    rows = prob_rows if prob_rows is not None else np.full((n, 2), 0.5)
+    return AcquisitionRequest(
+        strategy=strategy, k=k, snapshot=snapshot, params=probs_model(rows),
+        dataset=Dataset(ids=np.arange(n), x=np.eye(n), y=np.zeros(n, dtype=np.int64)),
+        pools=SamplePools(labeled=frozenset(range(n)) - unlabeled, unlabeled=unlabeled,
+                          test=frozenset()),
+        rng=np.random.default_rng(0) if rng is None else rng,
+    )
+
+
+def acquire_ids(*args, **kwargs):
+    return acquire(request(*args, **kwargs))[0]
 
 
 class TestTopKScore:
     def test_full_pool(self):
         snap = make_snapshot([0.3, 0.9, 0.1, 0.5])
-        ids = acquire_topk_score(snap, 4)
+        ids = acquire_ids("ucb-product", 4, snapshot=snap)
         assert set(ids.tolist()) == {0, 1, 2, 3}
         assert ids.tolist() == [1, 3, 0, 2]  # ranked by score
 
     def test_equal_scores_lowest_ids(self):
         snap = make_snapshot(np.ones(6))
-        np.testing.assert_array_equal(acquire_topk_score(snap, 3), [0, 1, 2])
+        np.testing.assert_array_equal(acquire_ids("ucb-product", 3, snapshot=snap), [0, 1, 2])
 
     def test_simple_ordering(self):
         snap = make_snapshot([0.9, 0.5, 0.7], ids=[10, 11, 12])
-        np.testing.assert_array_equal(acquire_topk_score(snap, 2), [10, 12])
+        ids, scores = acquire(request("ucb-product", 2, snapshot=snap))
+        np.testing.assert_array_equal(ids, [10, 12])
+        np.testing.assert_array_equal(scores, [0.9, 0.7])
 
     def test_zero_count_rejected(self):
         snap = make_snapshot([0.5, 0.5, 0.5], counts=[1, 0, 2])
         with pytest.raises(AcquisitionError):
-            acquire_topk_score(snap, 1)
+            acquire(request("ucb-product", 1, snapshot=snap))
 
-    def test_no_forward_passes(self):
+    def test_no_forward_passes(self, forward_rows):
         snap = make_snapshot(np.random.default_rng(0).uniform(size=500))
-        before = nn.forward_counter.count
-        acquire_topk_score(snap, 20)
-        assert nn.forward_counter.count == before
+        acquire(request("ucb-product", 20, snapshot=snap))
+        assert forward_rows == []
 
     def test_k_validation(self):
         snap = make_snapshot([0.1, 0.2])
         with pytest.raises(InputError):
-            acquire_topk_score(snap, 3)
+            acquire(request("ucb-product", 3, snapshot=snap))
         with pytest.raises(InputError):
-            acquire_topk_score(snap, 0)
+            acquire(request("ucb-product", 0, snapshot=snap))
 
     def test_matches_full_sort(self):
         rng = np.random.default_rng(1)
@@ -128,34 +145,31 @@ class TestTopKScore:
 
 class TestRandom:
     def test_full_pool(self):
-        ids = np.arange(50, 60)
-        got = acquire_random(ids, 10, np.random.default_rng(3))
-        assert sorted(got.tolist()) == list(range(50, 60))
+        ids, scores = acquire(request("random", 10, unlabeled=range(50, 60)))
+        assert sorted(ids.tolist()) == list(range(50, 60))
+        assert scores is None
 
     def test_deterministic(self):
-        ids = np.arange(100)
-        a = acquire_random(ids, 10, np.random.default_rng(4))
-        b = acquire_random(ids, 10, np.random.default_rng(4))
+        a = acquire_ids("random", 10, unlabeled=range(100), rng=np.random.default_rng(4))
+        b = acquire_ids("random", 10, unlabeled=range(100), rng=np.random.default_rng(4))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_and_bounded(self):
-        ids = np.arange(30)
-        got = acquire_random(ids, 12, np.random.default_rng(5))
+        got = acquire_ids("random", 12, unlabeled=range(30), rng=np.random.default_rng(5))
         assert len(set(got.tolist())) == 12
-        assert set(got.tolist()) <= set(ids.tolist())
+        assert set(got.tolist()) <= set(range(30))
 
     def test_uniform_frequencies(self):
-        rng = np.random.default_rng(6)
-        ids = np.arange(10)
+        req = request("random", 1, unlabeled=range(10), rng=np.random.default_rng(6))
         counts = np.zeros(10, dtype=int)
         for _ in range(10000):
-            counts[acquire_random(ids, 1, rng)[0]] += 1
+            counts[acquire(req)[0][0]] += 1
         sigma = math.sqrt(10000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - 1000) <= 3 * sigma)
 
     def test_k_too_large(self):
         with pytest.raises(InputError):
-            acquire_random(np.arange(5), 6, np.random.default_rng(0))
+            acquire(request("random", 6, unlabeled=range(5)))
 
 
 class TestEntropy:
@@ -170,9 +184,7 @@ class TestEntropy:
 
     def test_uncertain_beats_confident(self):
         rows = [[0.98, 0.01, 0.01], [0.4, 0.3, 0.3], [0.9, 0.05, 0.05]]
-        params = probs_model(rows)
-        ds = Dataset(ids=np.arange(3), x=one_hot_inputs(3), y=np.array([0, 1, 2]))
-        ids, scores = acquire_entropy(params, ds, np.arange(3), 1)
+        ids, scores = acquire(request("entropy", 1, prob_rows=rows))
         assert ids.tolist() == [1]
         np.testing.assert_allclose(scores[0], _entropy(np.array([rows[1]]))[0], rtol=1e-9)
 
@@ -184,19 +196,16 @@ class TestMargin:
             [0.45, 0.45, 0.10],  # top-2 tie: margin 0
             [0.6, 0.3, 0.1],  # margin 0.3
         ]
-        params = probs_model(rows)
-        ds = Dataset(ids=np.arange(3), x=one_hot_inputs(3), y=np.array([0, 1, 2]))
-        ids, scores = acquire_margin(params, ds, np.arange(3), 3)
+        ids, scores = acquire(request("margin", 3, prob_rows=rows))
         assert ids.tolist() == [1, 2, 0]
         np.testing.assert_allclose(scores, [0.0, 0.3, 1.0], atol=1e-7)
+        assert not np.signbit(scores).any()  # a tied gap is logged as 0.0, not -0.0
 
 
 class TestSnapshotEl2n:
     def test_selects_least_confident(self):
         rows = [[0.99, 0.01], [0.55, 0.45], [0.8, 0.2]]
-        params = probs_model(rows)
-        ds = Dataset(ids=np.arange(3), x=one_hot_inputs(3), y=np.array([0, 1, 1]))
-        ids, scores = acquire_snapshot_el2n(params, ds, np.arange(3), 2)
+        ids, scores = acquire(request("snapshot-el2n", 2, prob_rows=rows))
         assert ids.tolist() == [1, 2]
         expected = math.sqrt(0.45**2 + 0.45**2)
         np.testing.assert_allclose(scores[0], expected, rtol=1e-9)
@@ -331,15 +340,35 @@ class TestDispatcher:
             if scores is not None:
                 assert len(scores) == 5
 
-    def test_scored_strategy_runs_without_inference(self):
-        before = nn.forward_counter.count
-        acquire(self.request("ucb-product"))
-        assert nn.forward_counter.count == before
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forward_budget(self, strategy, forward_rows):
+        acquire(self.request(strategy))
+        pool = len(self.pools.unlabeled)
+        expected = {"random": [], "ucb-product": [],
+                    "coreset": [pool, len(self.pools.labeled)]}.get(strategy, [pool])
+        assert forward_rows == expected
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             acquire(self.request("badge"))
 
-    def test_embeddings_shape(self):
-        emb = compute_embeddings(self.params, self.ds, self.pools.sorted_unlabeled())
-        assert emb.shape == (len(self.pools.unlabeled), 16)
+    @pytest.mark.parametrize("strategy", ["ucb-product", "ucb-product-div"])
+    def test_unvisited_sample_rejected(self, strategy):
+        counts = self.snapshot.counts.copy()
+        counts[3] = 0
+        self.snapshot = dataclasses.replace(self.snapshot, counts=counts)
+        with pytest.raises(AcquisitionError):
+            acquire(self.request(strategy))
+
+    @pytest.mark.parametrize("strategy", ["ucb-product", "ucb-product-div"])
+    @pytest.mark.parametrize("change", ["labeled id added", "pool id missing"])
+    def test_snapshot_of_another_pool_rejected(self, strategy, change):
+        ids = self.pools.sorted_unlabeled()
+        if change == "labeled id added":  # scored highest, so it would be picked
+            ids = np.sort(np.append(ids, min(self.pools.labeled)))
+            scores = np.where(ids == min(self.pools.labeled), 9.0, 1.0)
+        else:
+            ids, scores = ids[1:], np.ones(len(ids) - 1)
+        self.snapshot = make_snapshot(scores, ids=ids)
+        with pytest.raises(InputError):
+            acquire(self.request(strategy))

@@ -77,6 +77,20 @@ class TestRunCommand:
         assert message in err
         assert "Traceback" not in err
 
+    def test_out_of_another_config_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        first = write_config(tmp_path / "first.json")
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0  # same config
+        capsys.readouterr()
+        other = write_config(tmp_path / "other.json", seeds=[1])
+        assert main(["run", "--config", str(other), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "different config" in captured.err
+        assert "Traceback" not in captured.err
+        assert "round 0" not in captured.out
+        assert not (out / "seed_1").exists()
+
     def test_infeasible_budget_rejected_before_work(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json", rounds=100)
         out = tmp_path / "out"

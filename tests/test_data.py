@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from asslab.data import (
     Augmenter,
@@ -32,6 +36,23 @@ class TestGenerate:
         # Centers at (5,0) and (-5,0): thresholding x0 at 0 is perfect.
         pred = np.where(ds.x[:, 0] > 0, 0, 1)
         assert np.all(pred == ds.y)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_stratified_matches_round_robin_oracle(self, data):
+        k = data.draw(st.integers(2, 7))
+        extra = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=50))
+        labels = data.draw(st.permutations(list(range(k)) + extra))  # every class present
+        n = len(labels)
+        n_init = data.draw(st.integers(k, n - 1))
+        n_test = data.draw(st.integers(0, n - n_init - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ds = Dataset(ids=np.arange(n), x=np.zeros((n, 2)), y=np.asarray(labels))
+        pools = split_pools(ds, n_init=n_init, n_test=n_test, seed=seed)
+        rest = np.random.default_rng(seed).permutation(n)[n_test:]
+        picks = oracles.round_robin(ds.y[rest].tolist(), n_init)
+        assert pools.labeled == {int(rest[p]) for p in picks}
+        assert pools.test == {int(i) for i in np.random.default_rng(seed).permutation(n)[:n_test]}
 
     def test_same_seed_identical(self):
         for kind in ["gaussian-blobs", "two-moons", "concentric-rings"]:

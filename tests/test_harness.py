@@ -80,21 +80,21 @@ def assert_params_equal(a: nn.ModelParams, b: nn.ModelParams):
         np.testing.assert_array_equal(ba, bb)
 
 
-def assert_dirs_match(dir_a, dir_b):
-    def listing(root):
-        files = []
-        for base, _, names in os.walk(root):
-            for name in names:
-                files.append(os.path.relpath(os.path.join(base, name), root))
-        return sorted(files)
+def tree_bytes(root):
+    """{relative path: bytes} of every file under root."""
+    out = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(base, name), "rb") as f:
+                out[os.path.relpath(os.path.join(base, name), root)] = f.read()
+    return out
 
-    files_a, files_b = listing(dir_a), listing(dir_b)
-    assert files_a == files_b
-    for rel in files_a:
-        with open(os.path.join(dir_a, rel), "rb") as f:
-            bytes_a = f.read()
-        with open(os.path.join(dir_b, rel), "rb") as f:
-            bytes_b = f.read()
+
+def assert_dirs_match(dir_a, dir_b):
+    tree_a, tree_b = tree_bytes(dir_a), tree_bytes(dir_b)
+    assert sorted(tree_a) == sorted(tree_b)
+    for rel, bytes_a in tree_a.items():
+        bytes_b = tree_b[rel]
         if rel == "manifest.json":
             doc_a, doc_b = json.loads(bytes_a), json.loads(bytes_b)
             doc_a.pop("nondeterministic")
@@ -582,6 +582,29 @@ class TestEmit:
         run_and_emit(cfg, out_dir=str(tmp_path / "a"))
         run_and_emit(cfg, out_dir=str(tmp_path / "b"))
         assert_dirs_match(tmp_path / "a", tmp_path / "b")
+
+    def test_rerun_into_same_dir_byte_identical(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_cfg()
+        run_and_emit(cfg, out_dir=str(out))
+        first = tree_bytes(out)
+        run_and_emit(cfg, out_dir=str(out))
+        second = tree_bytes(out)
+        del first["manifest.json"], second["manifest.json"]  # hold the run's timings
+        assert second == first
+
+    def test_dir_of_another_config_refused(self, tmp_path):
+        out = tmp_path / "run"
+        result = run_and_emit(small_cfg(seeds=[0, 1]), out_dir=str(out))
+        before = tree_bytes(out)
+        other = small_cfg(seeds=[0])
+        trained = []
+        with pytest.raises(InputError, match="different config"):
+            run_and_emit(other, out_dir=str(out), progress=trained.append)
+        assert trained == []  # refused before any training
+        with pytest.raises(InputError, match="different config"):
+            emit(result, other, str(out))
+        assert tree_bytes(out) == before
 
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "run"
