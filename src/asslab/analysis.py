@@ -117,25 +117,25 @@ def pseudo_label_flags(series: SnapshotSeries, tau: float = 0.95) -> np.ndarray:
 
 def pseudo_labeled_ratio(
     series: SnapshotSeries,
-    scores: dict[int, float],
+    scores: np.ndarray,
     top_frac: float,
     tau: float = 0.95,
 ) -> float:
     """Fraction of top-scored samples that ever crossed the threshold.
 
-    Takes the ceil(top_frac * n) highest-scoring ids (ties to lower id)
-    and reports how many of them were pseudo-labeled at least once.
+    scores is aligned with series.ids. Takes the ceil(top_frac * n)
+    highest-scoring ids (ties to lower id) and reports how many of them
+    were pseudo-labeled at least once.
     """
     if not 0.0 < top_frac <= 1.0:
         raise InputError(f"top_frac must be in (0, 1], got {top_frac}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != series.ids.shape:
+        raise InputError(f"need {series.n_samples} scores aligned with the series ids, "
+                         f"got shape {scores.shape}")
     flags = pseudo_label_flags(series, tau)
-    try:
-        score_arr = np.asarray([scores[int(i)] for i in series.ids], dtype=np.float64)
-    except KeyError as e:
-        raise InputError(f"missing score for sample id {e.args[0]}") from e
     m = int(np.ceil(top_frac * series.n_samples))
-    order = np.lexsort((series.ids, -score_arr))
-    top = order[:m]
+    top = np.lexsort((series.ids, -scores))[:m]
     return float(np.count_nonzero(flags[top]) / m)
 
 

@@ -41,10 +41,7 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, seeds=[args.seed])
         cfg.validate()
     out_dir = args.out if args.out is not None else cfg.out_dir
-    try:  # a bad output path fails here, before any training
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise InputError(f"cannot create output directory {out_dir}: {e}") from None
+    os.makedirs(out_dir, exist_ok=True)  # a bad output path fails before any training
     result = run_and_emit(cfg, out_dir=out_dir, progress=_print_progress)
     print(f"wrote {out_dir}")
     if result.errors:
@@ -105,7 +102,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AsslabError as e:
+    except (AsslabError, OSError) as e:  # OSError: an unwritable output tree
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ from .config import DictConfig
 from .errors import ConfigError, InputError
 from .table import read_table, write_table
 
-DATA_DIM = 2
 WEAK_SCALE = 0.05  # weak jitter sigma as a fraction of each feature's std
 STRONG_MULT = 4.0  # strong jitter sigma as a multiple of the weak one
 
@@ -96,23 +95,19 @@ def generate(spec: GeneratorSpec, seed: int) -> Dataset:
     for c, n_c in enumerate(counts):
         if spec.kind == "gaussian-blobs":
             theta = 2.0 * np.pi * c / spec.n_classes
-            center = spec.blob_radius * np.array([np.cos(theta), np.sin(theta)])
-            pts = center + rng.normal(scale=spec.noise, size=(n_c, DATA_DIM)) if spec.noise > 0 \
-                else np.tile(center, (n_c, 1))
+            pts = np.tile(spec.blob_radius * np.array([np.cos(theta), np.sin(theta)]), (n_c, 1))
         elif spec.kind == "two-moons":
             t = rng.uniform(0.0, np.pi, size=n_c)
             if c == 0:
                 pts = np.column_stack([np.cos(t), np.sin(t)])
             else:
                 pts = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
-            if spec.noise > 0:
-                pts = pts + rng.normal(scale=spec.noise, size=pts.shape)
         else:  # concentric-rings
             radius = (c + 1) * spec.ring_spacing
             theta = rng.uniform(0.0, 2.0 * np.pi, size=n_c)
             pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
-            if spec.noise > 0:
-                pts = pts + rng.normal(scale=spec.noise, size=pts.shape)
+        if spec.noise > 0:
+            pts = pts + rng.normal(scale=spec.noise, size=pts.shape)
         xs.append(pts)
         ys.append(np.full(n_c, c, dtype=np.int64))
     x = np.concatenate(xs)

@@ -352,11 +352,6 @@ def _write_events_csv(path, lane_events: list) -> None:
     )
 
 
-def _snapshot_scores(snapshot: TrackerSnapshot, metric: str) -> dict[int, float]:
-    values = getattr(snapshot, metric)
-    return {int(i): float(v) for i, v in zip(snapshot.ids, values)}
-
-
 def _write_seed_analysis(
     analysis_dir: str,
     seed: int,
@@ -364,6 +359,9 @@ def _write_seed_analysis(
     snapshot: TrackerSnapshot,
     tau: float,
 ) -> None:
+    if not np.array_equal(series.ids, snapshot.ids):
+        raise InputError(f"seed {seed}: the round-0 scores and snapshot series "
+                         "cover different samples")
     write_ti_profile(
         os.path.join(analysis_dir, f"ti_profile_seed{seed}.csv"),
         ti_uncertainty_profile(series),
@@ -373,25 +371,37 @@ def _write_seed_analysis(
             os.path.join(analysis_dir, f"spearman_series_seed{seed}.csv"),
             consecutive_snapshot_spearman(series),
         )
-    rows = []
-    for metric in PSEUDO_RATIO_METRICS:
-        scores = _snapshot_scores(snapshot, metric)
-        for frac in PSEUDO_RATIO_FRACS:
-            rows.append((metric, frac, pseudo_labeled_ratio(series, scores, frac, tau)))
+    rows = [(metric, frac, pseudo_labeled_ratio(series, getattr(snapshot, metric), frac, tau))
+            for metric in PSEUDO_RATIO_METRICS for frac in PSEUDO_RATIO_FRACS]
     write_pseudo_ratio(os.path.join(analysis_dir, f"pseudo_ratio_seed{seed}.csv"), rows)
 
 
-def _write_pairwise(analysis_dir: str, acc_table: dict[str, dict]) -> None:
-    """Win-count matrix over the settings every strategy completed."""
-    if not acc_table:
+def _write_analysis(
+    out_dir: str,
+    cfg: ExperimentConfig,
+    round0: dict[int, tuple[SnapshotSeries, TrackerSnapshot]],
+    finals: dict[tuple[str, int], float],
+) -> None:
+    """Write analysis/, the one path for both emit and analyze_dir.
+
+    round0 maps seed -> the first strategy's round-0 series and scores;
+    finals maps (strategy, seed) -> final-round test accuracy. The win
+    matrix lists the strategies with a final accuracy in config order,
+    over the seeds that every one of them completed.
+    """
+    if not (round0 or finals):
         return
-    shared = set.intersection(*(set(v) for v in acc_table.values()))
-    if not shared:
-        return
-    table = {s: {key: acc[key] for key in shared} for s, acc in acc_table.items()}
-    write_pairwise_matrix(
-        os.path.join(analysis_dir, "pairwise_matrix.csv"), pairwise_matrix(table)
-    )
+    analysis_dir = os.path.join(out_dir, "analysis")
+    os.makedirs(analysis_dir, exist_ok=True)
+    for seed, (series, snapshot) in round0.items():
+        _write_seed_analysis(analysis_dir, seed, series, snapshot, cfg.ssl.tau)
+    finished = [s for s in cfg.strategies if any(s == t for t, _ in finals)]
+    shared = [seed for seed in cfg.seeds if all((s, seed) in finals for s in finished)]
+    if finished and shared:
+        write_pairwise_matrix(os.path.join(analysis_dir, "pairwise_matrix.csv"), pairwise_matrix({
+            s: {f"{cfg.dataset.kind}-seed{seed}": finals[s, seed] for seed in shared}
+            for s in finished
+        }))
 
 
 def _check_out_dir(cfg: ExperimentConfig, out_dir: str) -> None:
@@ -419,9 +429,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
         by_seed.setdefault(r.seed, []).append(r)
 
     first_strategy = cfg.strategies[0]
-    analysis_dir = os.path.join(out_dir, "analysis")
-    acc_table: dict[str, dict] = {s: {} for s in cfg.strategies}
-
+    round0: dict[int, tuple[SnapshotSeries, TrackerSnapshot]] = {}
     for seed, seed_reports in by_seed.items():
         seed_dir = _seed_dir(out_dir, seed)
         os.makedirs(seed_dir, exist_ok=True)
@@ -438,29 +446,21 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
                 r.tracker_snapshot.export_csv(
                     os.path.join(scores_dir, f"round{r.round_index}.csv")
                 )
-        round0 = next((r for r in first if r.round_index == 0), None)
-        if round0 is not None and round0.series is not None:
-            export_series(round0.series, os.path.join(seed_dir, "snapshots_round0.csv"))
-            if round0.tracker_snapshot is not None:
-                os.makedirs(analysis_dir, exist_ok=True)
-                _write_seed_analysis(
-                    analysis_dir, seed, round0.series, round0.tracker_snapshot,
-                    cfg.ssl.tau,
-                )
-
-        for r in seed_reports:
-            if r.round_index == cfg.rounds - 1:
-                acc_table[r.strategy][f"{cfg.dataset.kind}-seed{seed}"] = r.test_accuracy
+        first_round = next((r for r in first if r.round_index == 0), None)
+        if first_round is not None and first_round.series is not None:
+            export_series(first_round.series, os.path.join(seed_dir, "snapshots_round0.csv"))
+            if first_round.tracker_snapshot is not None:
+                round0[seed] = (first_round.series, first_round.tracker_snapshot)
 
     for (seed, strategy), lane_events in result.events.items():
         seed_dir = _seed_dir(out_dir, seed)
         os.makedirs(seed_dir, exist_ok=True)
         _write_events_csv(os.path.join(seed_dir, f"events_{strategy}.csv"), lane_events)
 
-    acc_table = {s: acc for s, acc in acc_table.items() if acc}
-    if acc_table:
-        os.makedirs(analysis_dir, exist_ok=True)
-        _write_pairwise(analysis_dir, acc_table)
+    _write_analysis(out_dir, cfg, round0, {
+        (r.strategy, r.seed): r.test_accuracy
+        for r in result.reports if r.round_index == cfg.rounds - 1
+    })
 
     manifest = {
         "config": cfg.to_dict(),
@@ -525,31 +525,20 @@ def _final_accuracies(rounds_path: str, rounds: int) -> dict[tuple[str, int], fl
 def analyze_dir(in_dir: str) -> None:
     """Rebuild the analysis CSVs of an emitted run directory from its logs.
 
-    Produces byte-identical files to the original emit because every log
-    stores floats via repr and is therefore an exact round trip.
+    Loads the round-0 series and scores of each seed and the final-round
+    accuracies of rounds.csv, then writes them through the same function
+    as emit, so the files match the originals byte for byte: every log
+    stores floats via repr, an exact round trip.
     """
     manifest = load_manifest(in_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
-    analysis_dir = os.path.join(in_dir, "analysis")
-
+    round0 = {}
     for seed in cfg.seeds:
         seed_dir = _seed_dir(in_dir, seed)
         series_path = os.path.join(seed_dir, "snapshots_round0.csv")
         scores_path = os.path.join(seed_dir, "scores", "round0.csv")
-        if not (os.path.exists(series_path) and os.path.exists(scores_path)):
-            continue
-        os.makedirs(analysis_dir, exist_ok=True)
-        _write_seed_analysis(
-            analysis_dir, seed, load_series(series_path),
-            load_snapshot_csv(scores_path), cfg.ssl.tau,
-        )
-
+        if os.path.exists(series_path) and os.path.exists(scores_path):
+            round0[seed] = (load_series(series_path), load_snapshot_csv(scores_path))
     rounds_path = os.path.join(in_dir, "rounds.csv")
-    if os.path.exists(rounds_path):
-        finals = _final_accuracies(rounds_path, cfg.rounds)
-        acc_table: dict[str, dict] = {}
-        for (strategy, seed), acc in finals.items():
-            acc_table.setdefault(strategy, {})[f"{cfg.dataset.kind}-seed{seed}"] = acc
-        if acc_table:
-            os.makedirs(analysis_dir, exist_ok=True)
-            _write_pairwise(analysis_dir, acc_table)
+    finals = _final_accuracies(rounds_path, cfg.rounds) if os.path.exists(rounds_path) else {}
+    _write_analysis(in_dir, cfg, round0, finals)

@@ -184,14 +184,12 @@ class TestTiProfile:
 class TestPseudoRatio:
     def test_none_exceed(self):
         series = make_series(np.zeros((3, 10), dtype=int), max_prob=np.full((3, 10), 0.5))
-        scores = {i: float(i) for i in range(10)}
-        assert pseudo_labeled_ratio(series, scores, 0.5) == 0.0
+        assert pseudo_labeled_ratio(series, np.arange(10.0), 0.5) == 0.0
 
     def test_all_exceed(self):
         series = make_series(np.zeros((3, 10), dtype=int), max_prob=np.full((3, 10), 0.99))
-        scores = {i: float(i) for i in range(10)}
         for frac in [0.1, 0.5, 1.0]:
-            assert pseudo_labeled_ratio(series, scores, frac) == 1.0
+            assert pseudo_labeled_ratio(series, np.arange(10.0), frac) == 1.0
 
     def test_hand_fraction(self):
         # Top-50% by score = ids 9..5 with flags T,T,F,T,F -> 0.6.
@@ -200,8 +198,7 @@ class TestPseudoRatio:
         for i, flagged in flags.items():
             mp[0, i] = 0.99 if flagged else 0.5
         series = make_series(np.zeros((1, 10), dtype=int), max_prob=mp)
-        scores = {i: float(i) for i in range(10)}
-        assert pseudo_labeled_ratio(series, scores, 0.5) == pytest.approx(0.6)
+        assert pseudo_labeled_ratio(series, np.arange(10.0), 0.5) == pytest.approx(0.6)
 
     def test_threshold_strict(self):
         series = make_series(np.zeros((1, 4), dtype=int),
@@ -212,21 +209,21 @@ class TestPseudoRatio:
     def test_bad_frac(self):
         series = make_series(np.zeros((1, 4), dtype=int))
         with pytest.raises(InputError):
-            pseudo_labeled_ratio(series, {i: 0.0 for i in range(4)}, 0.0)
+            pseudo_labeled_ratio(series, np.zeros(4), 0.0)
         with pytest.raises(InputError):
-            pseudo_labeled_ratio(series, {i: 0.0 for i in range(4)}, 1.2)
+            pseudo_labeled_ratio(series, np.zeros(4), 1.2)
 
-    def test_missing_score(self):
+    def test_wrong_length_scores(self):
         series = make_series(np.zeros((1, 4), dtype=int))
-        with pytest.raises(InputError):
-            pseudo_labeled_ratio(series, {0: 1.0}, 0.5)
+        for scores in [[1.0], np.zeros(5), np.zeros((4, 1))]:
+            with pytest.raises(InputError):
+                pseudo_labeled_ratio(series, scores, 0.5)
 
     def test_ceil_and_tie_break(self):
         # 3 of 4 -> ceil(0.6*4) = 3 picks; equal scores resolve to lower ids.
         mp = np.array([[0.99, 0.5, 0.5, 0.99]])
         series = make_series(np.zeros((1, 4), dtype=int), max_prob=mp)
-        scores = {i: 1.0 for i in range(4)}
-        assert pseudo_labeled_ratio(series, scores, 0.6) == pytest.approx(1.0 / 3.0)
+        assert pseudo_labeled_ratio(series, np.ones(4), 0.6) == pytest.approx(1.0 / 3.0)
 
 
 class TestPairwiseMatrix:

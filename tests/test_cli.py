@@ -91,6 +91,17 @@ class TestRunCommand:
         assert "round 0" not in captured.out
         assert not (out / "seed_1").exists()
 
+    def test_unwritable_seed_dir_exits_2_without_traceback(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "seed_0").write_bytes(b"")
+        assert main(["run", "--config", str(write_config(tmp_path / "cfg.json")),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "seed_0" in err
+        assert "Traceback" not in err
+
     def test_infeasible_budget_rejected_before_work(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json", rounds=100)
         out = tmp_path / "out"
@@ -133,6 +144,18 @@ def _scores_directory(run):
     os.mkdir(path)
 
 
+def _analysis_file(run):
+    shutil.rmtree(run / "analysis")
+    (run / "analysis").write_bytes(b"")
+
+
+def _scores_of_other_samples(run):
+    path = run / "seed_0" / "scores" / "round0.csv"
+    text = path.read_bytes()
+    last = text.rstrip(b"\r\n").split(b"\r\n")[-1].split(b",")
+    path.write_bytes(text + b",".join([str(int(last[0]) + 1).encode()] + last[1:]) + b"\r\n")
+
+
 def _manifest(data):
     def damage(run):
         (run / "manifest.json").write_bytes(data)
@@ -140,11 +163,13 @@ def _manifest(data):
 
 
 DAMAGES = {
+    "analysis-is-a-file": _analysis_file,
     "bad-float-cell": _bad_float_cell,
     "truncated-scores": _truncated_scores,
     "short-rounds-row": _short_rounds_row,
     "duplicated-series-row": _duplicated_series_row,
     "scores-is-a-directory": _scores_directory,
+    "scores-of-other-samples": _scores_of_other_samples,
     "manifest-not-json": _manifest(b"{not json"),
     "manifest-not-utf8": _manifest(b"\xff\xfe"),
     "manifest-empty-object": _manifest(b"{}"),

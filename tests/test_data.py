@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -53,6 +54,20 @@ class TestGenerate:
         picks = oracles.round_robin(ds.y[rest].tolist(), n_init)
         assert pools.labeled == {int(rest[p]) for p in picks}
         assert pools.test == {int(i) for i in np.random.default_rng(seed).permutation(n)[:n_test]}
+
+    # SHA-256 of x then y bytes for size 301, seed 7; pinned so that the
+    # generator's draws and arithmetic stay fixed for every kind.
+    @pytest.mark.parametrize("kind,k,noise,digest", [
+        ("gaussian-blobs", 3, 0.0, "a0eb7cb20154e13e8d2922d9ddd1ebaf7632d8ee4e3007cdb57ee952b57f26c6"),
+        ("gaussian-blobs", 3, 0.25, "52fab147a18cc2648c9047b53d09784b00ff5757d2fec2e3c4224d808d49a467"),
+        ("two-moons", 2, 0.0, "bb76babb4a2348b196caa0ed94f70014acc614021c23f31edc209925b9c96781"),
+        ("two-moons", 2, 0.25, "77a8fcae8498cb071212359a3c28247eba9ca6018ba67f46fa4a399cba4a4c05"),
+        ("concentric-rings", 3, 0.0, "82904128a49c9e4a757ca8560ff5be7654c59b9cfe5dfe71dd5eb7d41ca5acdb"),
+        ("concentric-rings", 3, 0.25, "aff44fd86b53fc9d74802c9a58b416b6ee34f893c9ce34454342c77cce5e4057"),
+    ])
+    def test_output_pinned(self, kind, k, noise, digest):
+        ds = generate(GeneratorSpec(kind=kind, size=301, n_classes=k, noise=noise), seed=7)
+        assert hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest() == digest
 
     def test_same_seed_identical(self):
         for kind in ["gaussian-blobs", "two-moons", "concentric-rings"]:

@@ -9,7 +9,7 @@ import pytest
 from asslab import harness, nn
 from asslab.acquisition import STRATEGIES, AcquisitionRequest, acquire
 from asslab.data import Augmenter, GeneratorSpec, generate, split_pools, standardize
-from asslab.errors import ConfigError, InputError
+from asslab.errors import ConfigError, InputError, TrainingError
 from asslab.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -684,6 +684,30 @@ class TestAnalyzeDir:
         analyze_dir(str(out))
         rebuilt = {name: (analysis / name).read_bytes() for name in os.listdir(analysis)}
         assert rebuilt == originals
+
+    def test_rebuild_after_lane_error_is_byte_identical(self, tmp_path, monkeypatch):
+        # The 2nd training is seed 0's round 1 of random, so rounds.csv
+        # lists ucb-product's final row first while the config lists random first.
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrainingError("diverged", step=1)
+            return train_round(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_round", failing)
+        out = tmp_path / "run"
+        result = run_and_emit(small_cfg(strategies=["random", "ucb-product"], seeds=[0, 1]),
+                              out_dir=str(out))
+        assert [(e["seed"], e["strategy"], e["round"]) for e in result.errors] == [
+            (0, "random", 1)]
+        path = out / "analysis" / "pairwise_matrix.csv"
+        original = path.read_bytes()
+        assert original.startswith(b"strategy,random,ucb-product\r\n")
+        os.remove(path)
+        analyze_dir(str(out))
+        assert path.read_bytes() == original
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InputError):
