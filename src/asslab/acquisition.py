@@ -1,12 +1,12 @@
 """Acquisition strategies: pick K unlabeled samples per round.
 
-`acquire` is the one entry point, and every strategy is a score over the
-sorted unlabeled pool. The tracker-score strategy reads precomputed
-streaming scores and touches no model, which is the point: its selection
-is a single top-K over one array. Baselines (entropy, margin,
-point-in-time confidence distance, coreset) read one forward pass over
-the pool; the diversity variant clusters score-weighted embeddings with
-k-means++ and Lloyd refinement.
+`acquire` is the one entry point: every strategy picks positions in the
+sorted unlabeled pool, and `acquire` maps them to ids. The tracker-score
+strategy reads precomputed streaming scores and touches no model, which
+is the point: its selection is a single top-K over one array. Baselines
+(entropy, margin, point-in-time confidence distance, coreset) read one
+forward pass over the pool; the diversity variant clusters score-weighted
+embeddings with k-means++ and Lloyd refinement.
 """
 
 from __future__ import annotations
@@ -21,24 +21,15 @@ from .errors import AcquisitionError, ConfigError, InputError
 from .tracker import TrackerSnapshot, uncertainty_batch
 
 
-def _validate_k(k: int, n: int) -> None:
-    if k < 1:
-        raise InputError(f"K must be at least 1, got {k}")
-    if k > n:
-        raise InputError(f"K = {k} exceeds pool size {n}")
-
-
-def _top_k_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-K by score, ties to lower id, ranked best first.
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the K largest scores, best first, ties to the lower position.
 
     Partition finds the K-th largest score in O(n), so only the entries
     at or above it are sorted, not the whole pool.
     """
-    n = len(ids)
-    _validate_k(k, n)
+    n = len(scores)
     sel = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    sel = sel[np.lexsort((ids[sel], -scores[sel]))[:k]]
-    return ids[sel], scores[sel]
+    return sel[np.argsort(-scores[sel], kind="stable")[:k]]
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -53,38 +44,27 @@ def _margin(probs: np.ndarray) -> np.ndarray:
     return top2[:, 0] - top2[:, 1]
 
 
-def acquire_coreset(
-    unlabeled_ids,
-    unlabeled_emb: np.ndarray,
-    labeled_emb: np.ndarray,
-    k: int,
+def _coreset(
+    emb: np.ndarray, labeled_emb: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy k-center: repeatedly take the sample farthest from coverage.
 
     Coverage is the labeled set plus everything picked so far; distance is
-    Euclidean in embedding space. Returns ids in greedy pick order along
-    with each pick's covering distance at selection time.
+    Euclidean in embedding space. Returns positions in greedy pick order,
+    ties to the lower position, with each pick's covering distance at
+    selection time.
     """
-    ids = np.asarray(unlabeled_ids, dtype=np.int64)
-    _validate_k(k, len(ids))
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    emb = np.asarray(unlabeled_emb, dtype=np.float64)[order]
-    if emb.shape[0] != len(ids):
-        raise InputError("one embedding row per unlabeled id required")
-    if len(labeled_emb):
-        diff = emb[:, None, :] - np.asarray(labeled_emb, dtype=np.float64)[None, :, :]
-        min_dist = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-    else:
-        min_dist = np.full(len(ids), np.inf)
+    min_dist = np.full(len(emb), np.inf)
+    for row in labeled_emb:
+        min_dist = np.minimum(min_dist, np.linalg.norm(emb - row, axis=1))
     picked, dists = [], []
     for _ in range(k):
-        best = np.flatnonzero(min_dist == min_dist.max())[0]  # ids sorted: tie -> lower id
+        best = int(np.argmax(min_dist))  # the first maximum
         picked.append(best)
         dists.append(min_dist[best])
         min_dist = np.minimum(min_dist, np.linalg.norm(emb - emb[best], axis=1))
         min_dist[best] = -np.inf
-    return ids[np.asarray(picked)], np.asarray(dists)
+    return np.asarray(picked), np.asarray(dists)
 
 
 def _dsq_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -132,30 +112,22 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return centers
 
 
-def acquire_diverse(
-    snapshot: TrackerSnapshot,
-    embeddings: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+def _diverse(
+    score: np.ndarray, emb: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Cluster score-weighted embeddings; return one sample per centroid.
+    """Cluster score-weighted embeddings; return one position per centroid.
 
     Each sample's embedding is scaled by its streaming score, k-means++
     seeds K centers by D^2 sampling, Lloyd refines them, and every final
     centroid maps to its nearest actual sample. Duplicate mappings are
     dropped, then remaining slots fill with each centroid's next-nearest
-    unused sample, cycling in centroid order.
+    unused sample, cycling in centroid order. The fill ends only for
+    K <= len(emb), which acquire checks.
     """
-    ids = snapshot.ids
-    n = len(ids)
-    _validate_k(k, n)
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] != n:
-        raise InputError("one embedding row per snapshot id required")
-    weighted = snapshot.score[:, None] * emb
+    n = len(emb)
+    weighted = score[:, None] * emb
     centers = _lloyd(weighted, _kmeanspp_seed(weighted, k, rng))
-    # ids are sorted ascending, so a stable argsort on distance breaks
-    # ties toward the lower id.
+    # A stable argsort on distance breaks ties toward the lower position.
     d2 = _dsq_to_centers(weighted, centers)
     nearest_order = [np.argsort(d2[:, j], kind="stable") for j in range(k)]
     used = np.zeros(n, dtype=bool)
@@ -176,7 +148,7 @@ def acquire_diverse(
             used[cand] = True
             picked.append(cand)
         j += 1
-    return ids[np.asarray(picked)]
+    return np.asarray(picked)
 
 
 STRATEGIES = (
@@ -204,18 +176,20 @@ class AcquisitionRequest:
 def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
     """Pick req.k ids from the sorted unlabeled pool; returns (ids, scores).
 
-    Ids are ranked best first (coreset: greedy pick order), ties to the
-    lower id, each with its ranking value for the log (random: None).
+    Each strategy picks positions in the sorted pool, so a tie goes to
+    the lower position and with it the lower id. Ids are ranked best
+    first (coreset: greedy pick order), each with its ranking value for
+    the log (random: None).
 
     - random: a uniform draw without replacement.
     - ucb-product: top-K tracked score; no model inference.
-    - ucb-product-div: acquire_diverse over the pool's embeddings, each
-      pick logged with its tracked score.
+    - ucb-product-div: _diverse over the pool's embeddings, each pick
+      logged with its tracked score.
     - entropy: top-K Shannon entropy (natural log) of the predictions.
     - margin: top-K smallest gap between the two largest probabilities.
     - snapshot-el2n: top-K distance of the final model's prediction from
       its own one-hot.
-    - coreset: acquire_coreset, covering from the labeled embeddings.
+    - coreset: _coreset, covering from the labeled embeddings.
 
     The tracked strategies need a snapshot of exactly this pool in which
     every sample has an event: zero events means training never visited
@@ -225,9 +199,10 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
     if req.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {req.strategy!r}")
     ids, k = req.pools.sorted_unlabeled(), req.k
-    _validate_k(k, len(ids))
-    if req.strategy == "random":
-        return req.rng.choice(ids, size=k, replace=False), None
+    if k < 1:
+        raise InputError(f"K must be at least 1, got {k}")
+    if k > len(ids):
+        raise InputError(f"K = {k} exceeds pool size {len(ids)}")
     snap = req.snapshot
     if req.strategy.startswith("ucb-"):
         if not np.array_equal(snap.ids, ids):
@@ -237,17 +212,25 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
             raise AcquisitionError(
                 f"sample {missing} has no tracked events; training coverage bug"
             )
-        if req.strategy == "ucb-product":
-            return _top_k_ids(ids, snap.score, k)
-    out = nn.forward_batch(req.params, req.dataset.x[ids])
-    if req.strategy == "ucb-product-div":
-        picked = acquire_diverse(snap, out.embedding, k, req.rng)
-        return picked, snap.score[np.searchsorted(ids, picked)]
-    if req.strategy == "coreset":
-        labeled = nn.forward_batch(req.params, req.dataset.x[req.pools.sorted_labeled()])
-        return acquire_coreset(ids, out.embedding, labeled.embedding, k)
-    if req.strategy == "margin":
-        sel, neg = _top_k_ids(ids, -_margin(out.probs), k)
-        return sel, -neg
-    score = _entropy if req.strategy == "entropy" else uncertainty_batch
-    return _top_k_ids(ids, score(out.probs), k)
+    if req.strategy == "random":
+        pos, logged = req.rng.choice(len(ids), size=k, replace=False), None
+    elif req.strategy == "ucb-product":
+        pos = _top_k(snap.score, k)
+        logged = snap.score[pos]
+    else:
+        out = nn.forward_batch(req.params, req.dataset.x[ids])
+        if req.strategy == "ucb-product-div":
+            pos = _diverse(snap.score, out.embedding, k, req.rng)
+            logged = snap.score[pos]
+        elif req.strategy == "coreset":
+            labeled = nn.forward_batch(req.params, req.dataset.x[req.pools.sorted_labeled()])
+            pos, logged = _coreset(out.embedding, labeled.embedding, k)
+        elif req.strategy == "margin":
+            margin = _margin(out.probs)
+            pos = _top_k(-margin, k)
+            logged = margin[pos]
+        else:
+            score = (_entropy if req.strategy == "entropy" else uncertainty_batch)(out.probs)
+            pos = _top_k(score, k)
+            logged = score[pos]
+    return ids[pos], logged

@@ -196,6 +196,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     error list, so partial results survive. A shared divergence is
     recorded for every lane that reaches its history.
 
+    Only the first strategy's reports carry artifacts: every round its
+    tracker snapshot, round 0 also its snapshot series. emit writes
+    whatever the reports carry.
+
     progress, when given, is called with each finished RoundReport, in
     lane-major order.
     """
@@ -413,9 +417,10 @@ def _check_out_dir(cfg: ExperimentConfig, out_dir: str) -> None:
 def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     """Write the run's artifact tree.
 
-    rounds.csv, per-seed acquisition logs, round-0 snapshot series and
-    per-round score snapshots for the first strategy, derived analysis
-    CSVs, and manifest.json. Every file except the manifest is a pure
+    rounds.csv, per-seed acquisition logs, the round-0 snapshot series
+    and per-round score snapshots of the reports that carry them (the
+    first strategy's, see run_experiment), derived analysis CSVs, and
+    manifest.json. Every file except the manifest is a pure
     function of the config, so reruns are byte-identical. An out_dir
     whose manifest records a different config raises InputError, since
     the files of that run would stay beside the new ones.
@@ -428,7 +433,6 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     for r in result.reports:
         by_seed.setdefault(r.seed, []).append(r)
 
-    first_strategy = cfg.strategies[0]
     round0: dict[int, tuple[SnapshotSeries, TrackerSnapshot]] = {}
     for seed, seed_reports in by_seed.items():
         seed_dir = _seed_dir(out_dir, seed)
@@ -437,8 +441,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
         if cfg.export_datasets and seed in result.datasets:
             export_dataset(result.datasets[seed], os.path.join(seed_dir, "dataset.csv"))
 
-        first = [r for r in seed_reports if r.strategy == first_strategy]
-        scored = [r for r in first if r.tracker_snapshot is not None]
+        scored = [r for r in seed_reports if r.tracker_snapshot is not None]
         if scored:
             scores_dir = os.path.join(seed_dir, "scores")
             os.makedirs(scores_dir, exist_ok=True)
@@ -446,11 +449,10 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
                 r.tracker_snapshot.export_csv(
                     os.path.join(scores_dir, f"round{r.round_index}.csv")
                 )
-        first_round = next((r for r in first if r.round_index == 0), None)
-        if first_round is not None and first_round.series is not None:
+        first_round = next((r for r in scored if r.series is not None), None)
+        if first_round is not None:
             export_series(first_round.series, os.path.join(seed_dir, "snapshots_round0.csv"))
-            if first_round.tracker_snapshot is not None:
-                round0[seed] = (first_round.series, first_round.tracker_snapshot)
+            round0[seed] = (first_round.series, first_round.tracker_snapshot)
 
     for (seed, strategy), lane_events in result.events.items():
         seed_dir = _seed_dir(out_dir, seed)

@@ -102,8 +102,10 @@ class TrackerStore:
     ):
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        if c_u < 0 or c_i < 0:
-            raise ConfigError("confidence multipliers must be nonnegative")
+        if not (0.0 <= c_u < np.inf and 0.0 <= c_i < np.inf):
+            raise ConfigError(
+                f"confidence multipliers must be finite and nonnegative, got {c_u}, {c_i}"
+            )
         if variance_mean not in ("post", "pre"):
             raise ConfigError(f"variance_mean must be 'post' or 'pre', got {variance_mean!r}")
         ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
@@ -122,8 +124,11 @@ class TrackerStore:
         self._count = np.zeros(n, dtype=np.int64)
 
     def _locate(self, ids: np.ndarray) -> np.ndarray:
+        n = len(self.ids)
         pos = np.searchsorted(self.ids, ids)
-        bad = (pos >= len(self.ids)) | (self.ids[np.minimum(pos, len(self.ids) - 1)] != ids)
+        bad = pos >= n
+        if n:
+            bad |= self.ids[np.minimum(pos, n - 1)] != ids
         if np.any(bad):
             raise TrackerError(f"unknown sample id {int(np.asarray(ids)[bad][0])}")
         return pos
@@ -140,9 +145,18 @@ class TrackerStore:
 
         ids must be unique within the call: the EMA recurrence is
         sequential per sample, and a fancy-indexed update would silently
-        keep only the last duplicate.
+        keep only the last duplicate. Both views hold one row of class
+        probabilities per id.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        probs_weak = np.asarray(probs_weak, dtype=np.float64)
+        probs_strong = np.asarray(probs_strong, dtype=np.float64)
+        if (probs_weak.ndim != 2 or probs_weak.shape != probs_strong.shape
+                or probs_weak.shape[0] != len(ids) or probs_weak.shape[1] == 0):
+            raise TrackerError(
+                f"views of shape {probs_weak.shape} and {probs_strong.shape}"
+                f" for {len(ids)} ids; need (n_ids, n_classes) each"
+            )
         if len(np.unique(ids)) != len(ids):
             raise TrackerError("duplicate sample ids within one ingest batch")
         pos = self._locate(ids)

@@ -20,7 +20,7 @@ import pytest
 
 import oracles
 from asslab import harness, nn
-from asslab.acquisition import AcquisitionRequest, acquire, acquire_coreset
+from asslab.acquisition import AcquisitionRequest, _coreset, acquire
 from asslab.analysis import (
     consecutive_snapshot_spearman,
     pairwise_matrix,
@@ -137,13 +137,8 @@ class TestValueExamples:
         np.testing.assert_allclose(snap.score, [0.5568107, 0.0], atol=1e-7)
 
         # Greedy k-center worked example: labeled {0}, unlabeled {1, 2, 10}.
-        ids, dists = acquire_coreset(
-            np.array([101, 102, 110]),
-            np.array([[1.0], [2.0], [10.0]]),
-            np.array([[0.0]]),
-            k=2,
-        )
-        np.testing.assert_array_equal(ids, [110, 102])
+        pos, dists = _coreset(np.array([[1.0], [2.0], [10.0]]), np.array([[0.0]]), k=2)
+        np.testing.assert_array_equal(np.array([101, 102, 110])[pos], [110, 102])
         np.testing.assert_allclose(dists, [10.0, 2.0], atol=1e-12)
         report("unit-values", True, "analytic examples match to 1e-8")
 

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asslab import nn
 from asslab.acquisition import (
     STRATEGIES,
     AcquisitionRequest,
+    _coreset,
+    _diverse,
     _entropy,
-    _top_k_ids,
+    _top_k,
     acquire,
-    acquire_coreset,
-    acquire_diverse,
 )
 from asslab.data import Dataset, GeneratorSpec, SamplePools, generate, split_pools, standardize
 from asslab.errors import AcquisitionError, ConfigError, InputError
@@ -35,13 +36,43 @@ def make_snapshot(scores, ids=None, counts=None):
 
 @st.composite
 def scored_pools(draw):
-    """(ids, scores, k): unique unsorted ids, scores from a few values, 1 <= k <= n."""
+    """(scores, k): scores from a few values, 1 <= k <= n."""
     n = draw(st.integers(1, 40))
-    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
     scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-    return np.asarray(ids, dtype=np.int64), np.asarray(scores, dtype=np.float64), k
+    return np.asarray(scores, dtype=np.float64), k
+
+
+@st.composite
+def coreset_cases(draw):
+    """(emb, labeled_emb, k): integer-valued (tied) or real embeddings, 1 <= k <= n."""
+    n, m, d = draw(st.integers(1, 30)), draw(st.integers(0, 8)), draw(st.integers(1, 12))
+    elements = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3),
+        st.floats(0.0, 5.0),  # ReLU-like
+    ]))
+    emb = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    labeled = draw(hnp.arrays(np.float64, (m, d), elements=elements))
+    return emb, labeled, draw(st.integers(1, n))
+
+
+def broadcast_coreset(emb, labeled_emb, k):
+    """Greedy k-center over one (n, m, d) difference tensor, ties to the lower position."""
+    if len(labeled_emb):
+        diff = emb[:, None, :] - labeled_emb[None, :, :]
+        min_dist = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+    else:
+        min_dist = np.full(len(emb), np.inf)
+    picked, dists = [], []
+    for _ in range(k):
+        best = np.flatnonzero(min_dist == min_dist.max())[0]
+        picked.append(best)
+        dists.append(min_dist[best])
+        min_dist = np.minimum(min_dist, np.linalg.norm(emb - emb[best], axis=1))
+        min_dist[best] = -np.inf
+    return np.asarray(picked), np.asarray(dists)
 
 
 def probs_model(prob_rows):
@@ -114,32 +145,30 @@ class TestTopKScore:
         for _ in range(30):
             n = int(rng.integers(3, 60))
             scores = np.round(rng.uniform(size=n), 2)  # force ties
-            ids = np.arange(n, dtype=np.int64)
             k = int(rng.integers(1, n + 1))
-            got, got_scores = _top_k_ids(ids, scores, k)
-            ref = ids[np.lexsort((ids, -scores))][:k]
+            got = _top_k(scores, k)
+            ref = np.lexsort((np.arange(n), -scores))[:k]
             np.testing.assert_array_equal(got, ref)
-            np.testing.assert_array_equal(got_scores, scores[got])
+            np.testing.assert_array_equal(scores[got], np.sort(scores)[::-1][:k])
 
     @settings(deadline=None)
     @given(scored_pools())
-    @example((np.array([5, 3, 9]), np.zeros(3), 3))
-    @example((np.array([5, 3, 9]), np.zeros(3), 1))
+    @example((np.zeros(3), 3))
+    @example((np.zeros(3), 1))
     def test_matches_full_lexsort_property(self, pool):
-        ids, scores, k = pool
-        order = np.lexsort((ids, -scores))[:k]
-        got, got_scores = _top_k_ids(ids, scores, k)
-        np.testing.assert_array_equal(got, ids[order])
-        np.testing.assert_array_equal(got_scores, scores[order])
+        scores, k = pool
+        order = np.lexsort((np.arange(len(scores)), -scores))[:k]
+        got = _top_k(scores, k)
+        np.testing.assert_array_equal(got, order)
+        np.testing.assert_array_equal(scores[got], scores[order])
 
     def test_increasing_transform_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             scores = rng.uniform(size=40)
-            ids = np.arange(40, dtype=np.int64)
-            base, _ = _top_k_ids(ids, scores, 7)
+            base = _top_k(scores, 7)
             for f in (np.exp, lambda s: 3.0 * s + 1.0, np.cbrt):
-                trans, _ = _top_k_ids(ids, f(scores), 7)
+                trans = _top_k(f(scores), 7)
                 assert set(base.tolist()) == set(trans.tolist())
 
 
@@ -215,24 +244,22 @@ class TestCoreset:
     def test_outlier_first(self):
         unl_emb = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0]])
         lab_emb = np.array([[0.0, 0.0]])
-        ids, dists = acquire_coreset(np.array([5, 6, 7]), unl_emb, lab_emb, 1)
-        assert ids.tolist() == [7]
+        pos, dists = _coreset(unl_emb, lab_emb, 1)
+        assert pos.tolist() == [2]
         np.testing.assert_allclose(dists, [math.hypot(9, 9)])
 
     def test_one_dimensional_example(self):
-        ids = np.array([101, 102, 110])
         unl_emb = np.array([[1.0], [2.0], [10.0]])
         lab_emb = np.array([[0.0]])
-        got, dists = acquire_coreset(ids, unl_emb, lab_emb, 2)
-        assert got.tolist() == [110, 102]
+        got, dists = _coreset(unl_emb, lab_emb, 2)
+        assert got.tolist() == [2, 1]
         np.testing.assert_allclose(dists, [10.0, 2.0])
 
     def test_full_pool_greedy_order(self):
         rng = np.random.default_rng(7)
         unl_emb = rng.normal(size=(8, 3))
         lab_emb = rng.normal(size=(2, 3))
-        ids = np.arange(8)
-        got, dists = acquire_coreset(ids, unl_emb, lab_emb, 8)
+        got, dists = _coreset(unl_emb, lab_emb, 8)
         assert sorted(got.tolist()) == list(range(8))
         # Covering distances never increase along the greedy order.
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
@@ -240,8 +267,20 @@ class TestCoreset:
     def test_tie_breaks_to_lower_id(self):
         unl_emb = np.array([[1.0], [1.0], [-1.0]])
         lab_emb = np.array([[0.0]])
-        got, _ = acquire_coreset(np.array([3, 4, 5]), unl_emb, lab_emb, 1)
-        assert got.tolist() == [3]
+        got, _ = _coreset(unl_emb, lab_emb, 1)
+        assert got.tolist() == [0]
+
+    @settings(deadline=None)
+    @given(coreset_cases())
+    @example((np.ones((3, 2)), np.ones((1, 2)), 3))  # every distance tied at 0
+    @example((np.zeros((2, 1)), np.zeros((0, 1)), 2))  # no labeled rows
+    def test_matches_broadcast_form(self, case):
+        emb, labeled, k = case
+        got, dists = _coreset(emb, labeled, k)
+        ref, ref_dists = broadcast_coreset(emb, labeled, k)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()  # bit for bit
+        assert len(set(got.tolist())) == k
 
 
 class TestDiverse:
@@ -249,21 +288,18 @@ class TestDiverse:
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(20, 4))
         scores = rng.uniform(0.1, 1.0, size=20)
-        snap = make_snapshot(scores)
         weighted = scores[:, None] * emb
         expected = int(np.argmin(np.linalg.norm(weighted - weighted.mean(axis=0), axis=1)))
-        ids = acquire_diverse(snap, emb, 1, np.random.default_rng(9))
-        assert ids.tolist() == [expected]
+        pos = _diverse(scores, emb, 1, np.random.default_rng(9))
+        assert pos.tolist() == [expected]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(10)
         emb = rng.normal(size=(30, 3))
         scores = rng.uniform(0.1, 1.0, size=30)
-        base = acquire_diverse(make_snapshot(scores), emb, 5, np.random.default_rng(11))
+        base = _diverse(scores, emb, 5, np.random.default_rng(11))
         for factor in [2.0, 4.0, 0.5]:  # powers of two keep float math exact
-            scaled = acquire_diverse(
-                make_snapshot(factor * scores), emb, 5, np.random.default_rng(11)
-            )
+            scaled = _diverse(factor * scores, emb, 5, np.random.default_rng(11))
             np.testing.assert_array_equal(base, scaled)
 
     def test_two_separated_clusters(self):
@@ -271,36 +307,23 @@ class TestDiverse:
         a = rng.normal(scale=0.05, size=(10, 2))
         b = np.array([50.0, 50.0]) + rng.normal(scale=0.05, size=(10, 2))
         emb = np.concatenate([a, b])
-        snap = make_snapshot(np.ones(20))
-        ids = acquire_diverse(snap, emb, 2, np.random.default_rng(13))
-        assert len(ids) == 2
-        sides = {int(i) < 10 for i in ids.tolist()}
+        pos = _diverse(np.ones(20), emb, 2, np.random.default_rng(13))
+        assert len(pos) == 2
+        sides = {int(i) < 10 for i in pos.tolist()}
         assert sides == {True, False}
-
-    def test_k_too_large(self):
-        snap = make_snapshot(np.ones(4))
-        with pytest.raises(InputError):
-            acquire_diverse(snap, np.zeros((4, 2)), 5, np.random.default_rng(0))
-
-    def test_embedding_shape_checked(self):
-        snap = make_snapshot(np.ones(4))
-        with pytest.raises(InputError):
-            acquire_diverse(snap, np.zeros((3, 2)), 2, np.random.default_rng(0))
 
     def test_duplicate_centroids_fill_distinct(self):
         # All points identical: every centroid maps to the same nearest
-        # sample; the fill must still return K distinct ids.
-        emb = np.ones((6, 2))
-        snap = make_snapshot(np.ones(6))
-        ids = acquire_diverse(snap, emb, 4, np.random.default_rng(14))
-        assert len(set(ids.tolist())) == 4
+        # sample; the fill must still return K distinct positions.
+        pos = _diverse(np.ones(6), np.ones((6, 2)), 4, np.random.default_rng(14))
+        assert len(set(pos.tolist())) == 4
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         emb = rng.normal(size=(40, 3))
-        snap = make_snapshot(rng.uniform(size=40))
-        a = acquire_diverse(snap, emb, 8, np.random.default_rng(18))
-        b = acquire_diverse(snap, emb, 8, np.random.default_rng(18))
+        scores = rng.uniform(size=40)
+        a = _diverse(scores, emb, 8, np.random.default_rng(18))
+        b = _diverse(scores, emb, 8, np.random.default_rng(18))
         np.testing.assert_array_equal(a, b)
 
 
@@ -347,6 +370,13 @@ class TestDispatcher:
         expected = {"random": [], "ucb-product": [],
                     "coreset": [pool, len(self.pools.labeled)]}.get(strategy, [pool])
         assert forward_rows == expected
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_k_outside_pool_rejected(self, strategy, forward_rows):
+        for k in (0, len(self.pools.unlabeled) + 1):
+            with pytest.raises(InputError):
+                acquire(self.request(strategy, k=k))
+        assert forward_rows == []  # K is checked before any inference
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):

@@ -236,6 +236,11 @@ class TestUcbAndScore:
             TrackerStore([0], c_u=-0.5)
         with pytest.raises(ConfigError):
             TrackerStore([0], c_i=-0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                TrackerStore([1, 2], c_u=bad)
+            with pytest.raises(ConfigError):
+                TrackerStore([1, 2], c_i=bad)
 
     def test_final_score(self):
         # alpha = 1, c = 0: u_ucb = u, i_ucb = i, score = u * i.
@@ -285,6 +290,11 @@ class TestTrackerStore:
             store.ingest_batch([99], p, p)
         with pytest.raises(TrackerError):
             store.remove([99])
+        empty = TrackerStore([])
+        with pytest.raises(TrackerError):
+            empty.ingest_batch([0], p, p)
+        with pytest.raises(TrackerError):
+            empty.remove([3])
 
     @pytest.mark.parametrize("variance_mean", ["post", "pre"])
     def test_streaming_matches_offline_replay(self, variance_mean):
@@ -345,6 +355,21 @@ class TestTrackerStore:
         P = np.full((2, 2), 0.5)
         with pytest.raises(TrackerError):
             store.ingest_batch(np.array([1, 1]), P, P)
+
+    @pytest.mark.parametrize("weak, strong", [
+        ([[0.9, 0.1]], [[0.5, 0.5]]),  # one row for two ids, once broadcast to both
+        ([[0.9, 0.1]] * 3, [[0.5, 0.5]] * 3),  # three rows for two ids
+        ([0.9, 0.1], [0.5, 0.5]),  # 1-d views
+        ([[0.9, 0.1]] * 2, [[0.5, 0.3, 0.2]] * 2),  # views of different widths
+        ([[0.9, 0.1]] * 2, [[0.5, 0.5]]),  # strong view one row short
+        (np.zeros((2, 0)), np.zeros((2, 0))),  # no classes
+        (np.full((2, 2, 1), 0.5), np.full((2, 2, 1), 0.5)),  # 3-d views
+    ])
+    def test_ingest_batch_checks_view_shapes(self, weak, strong):
+        store = self.make()
+        with pytest.raises(TrackerError):
+            store.ingest_batch([1, 3], weak, strong)
+        np.testing.assert_array_equal(store.snapshot().counts, np.zeros(6))
 
     def test_remove(self):
         store = self.make(5)
