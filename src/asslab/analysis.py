@@ -37,6 +37,8 @@ class SnapshotSeries:
         for name in ("labels", "uncertainty", "max_prob"):
             if getattr(self, name).shape != (t, n):
                 raise InputError(f"{name} must have shape ({t}, {n})")
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InputError(f"{name} must be finite")
         if t > 1 and not np.all(np.diff(self.steps) > 0):
             raise InputError("snapshot steps must be strictly increasing")
         if len(np.unique(self.ids)) != n:
@@ -76,6 +78,8 @@ def spearman(a, b) -> float | None:
         raise InputError("inputs must be equal-length vectors")
     if len(a) < 2:
         raise InputError("need at least two observations")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise InputError("inputs must not hold NaN")
     ra, rb = _fractional_ranks(a), _fractional_ranks(b)
     ca, cb = ra - ra.mean(), rb - rb.mean()
     denom = np.sqrt((ca * ca).sum() * (cb * cb).sum())

@@ -138,7 +138,10 @@ class SamplePools:
 
     def updated(self, acquired_ids) -> "SamplePools":
         """Move acquired ids from the unlabeled pool into the labeled pool."""
-        acquired = frozenset(int(i) for i in acquired_ids)
+        ids = np.asarray(acquired_ids)
+        if ids.ndim != 1 or (ids.size and not np.issubdtype(ids.dtype, np.integer)):
+            raise InputError(f"acquired ids must be a 1-d array of integers, got {ids.dtype}")
+        acquired = frozenset(ids.tolist())
         if not acquired <= self.unlabeled:
             raise InputError("acquired ids must come from the unlabeled pool")
         return SamplePools(

@@ -80,18 +80,18 @@ def pseudo_label_batch(probs_weak: np.ndarray, tau: float) -> tuple[np.ndarray, 
 
 
 class _UnlabeledIterator:
-    """Epoch-shuffled stream over the unlabeled pool.
+    """Epoch-shuffled stream over positions 0..n-1 of the unlabeled pool.
 
-    Yields each step's ids as one or two chunks: a step that crosses an
-    epoch boundary finishes the old permutation first, then continues in a
-    fresh one. Each chunk lies within a single permutation and is
-    therefore free of duplicate ids.
+    Yields each step's positions as one or two chunks: a step that crosses
+    an epoch boundary finishes the old permutation first, then continues
+    in a fresh one. Each chunk lies within a single permutation and is
+    therefore free of duplicate positions.
     """
 
-    def __init__(self, ids: np.ndarray, rng: np.random.Generator):
-        self.ids = ids
+    def __init__(self, n: int, rng: np.random.Generator):
+        self.n = n
         self.rng = rng
-        self._perm = rng.permutation(ids)
+        self._perm = rng.permutation(n)
         self._cursor = 0
 
     def next_chunks(self, m: int) -> list[np.ndarray]:
@@ -99,7 +99,7 @@ class _UnlabeledIterator:
         while m > 0:
             remaining = len(self._perm) - self._cursor
             if remaining == 0:
-                self._perm = self.rng.permutation(self.ids)
+                self._perm = self.rng.permutation(self.n)
                 self._cursor = 0
                 remaining = len(self._perm)
             take = min(m, remaining)
@@ -145,17 +145,18 @@ def train_round(
 
     The first draw on rng seeds a separate generator for snapshot views,
     so the training stream's consumption is independent of the snapshot
-    cadence. Per step, in fixed rng order: labeled ids, unlabeled id
-    chunks, weak augmentation of the labeled batch, weak then strong
-    augmentation of the unlabeled batch. The supervised and unsupervised
-    gradients come from separate backward passes so that lambda_u = 0
-    reproduces a purely supervised run bit for bit on the same rng stream.
+    cadence. Per step, in fixed rng order: labeled ids, unlabeled
+    position chunks, weak augmentation of the labeled batch, weak then
+    strong augmentation of the unlabeled batch. The supervised and
+    unsupervised gradients come from separate backward passes so that
+    lambda_u = 0 reproduces a purely supervised run bit for bit on the
+    same rng stream.
 
     Pool snapshots record predictions on a fresh weak view, the same kind
     of view pseudo-labels are read from.
 
     event_sink, when given, receives (step, ids, probs_weak, probs_strong)
-    for every ingested chunk.
+    for every chunk, which the tracker ingests by position in the pool.
     """
     cfg.validate()
     if not pools.labeled or not pools.unlabeled:
@@ -174,25 +175,24 @@ def train_round(
     k = dataset.n_classes
     x_unlabeled_pool = dataset.x[unlabeled_ids]
     snap_rng = np.random.default_rng(int(rng.integers(2**63)))
-    iterator = _UnlabeledIterator(unlabeled_ids, rng)
+    iterator = _UnlabeledIterator(len(unlabeled_ids), rng)
 
     sup_losses = np.empty(cfg.steps_per_round)
     unsup_losses = np.empty(cfg.steps_per_round)
     masked_count = 0
-    n_events = 0
     snap_steps, snap_labels, snap_u, snap_mp = [], [], [], []
     optimizer = nn.SgdOptimizer(cfg.lr, cfg.momentum)
 
     for step in range(1, cfg.steps_per_round + 1):
         batch_lab = rng.choice(labeled_ids, size=cfg.batch_size, replace=True)
         chunks = iterator.next_chunks(mu_b)
-        batch_unl = np.concatenate(chunks)
+        x_unl = x_unlabeled_pool[np.concatenate(chunks)]
 
         x_lab = dataset.x[batch_lab]
         if cfg.weak_augment_labeled:
             x_lab = augmenter.weak_batch(x_lab, rng)
-        x_unl_weak = augmenter.weak_batch(dataset.x[batch_unl], rng)
-        x_unl_strong = augmenter.strong_batch(dataset.x[batch_unl], rng)
+        x_unl_weak = augmenter.weak_batch(x_unl, rng)
+        x_unl_strong = augmenter.strong_batch(x_unl, rng)
 
         sup_loss, sup_grads, _ = nn.loss_and_grads(
             params, x_lab, one_hot(dataset.y[batch_lab], k)
@@ -213,9 +213,8 @@ def train_round(
             sel = slice(offset, offset + len(chunk))
             tracker.ingest_batch(chunk, probs_weak[sel], probs_strong[sel])
             if event_sink is not None:
-                event_sink(step, chunk, probs_weak[sel], probs_strong[sel])
+                event_sink(step, unlabeled_ids[chunk], probs_weak[sel], probs_strong[sel])
             offset += len(chunk)
-        n_events += len(batch_unl)
         masked_count += int(mask.sum())
         sup_losses[step - 1] = sup_loss
         unsup_losses[step - 1] = unsup_loss
@@ -225,6 +224,8 @@ def train_round(
             labels, u_vals, mp = _pool_snapshot(
                 params, augmenter.weak_batch(x_unlabeled_pool, snap_rng)
             )
+            if not np.all(np.isfinite(u_vals)):
+                raise TrainingError(f"non-finite pool snapshot at step {step}", step=step)
             snap_steps.append(step)
             snap_labels.append(labels)
             snap_u.append(u_vals)
@@ -239,11 +240,12 @@ def train_round(
             uncertainty=np.stack(snap_u),
             max_prob=np.stack(snap_mp),
         )
+    n_events = cfg.steps_per_round * mu_b
     metrics = RoundMetrics(
         test_accuracy=evaluate_accuracy(params, dataset, pools.sorted_test()),
         supervised_loss=float(sup_losses.mean()),
         unsupervised_loss=float(unsup_losses.mean()),
-        mask_rate=masked_count / n_events if n_events else 0.0,
+        mask_rate=masked_count / n_events,
         series=series,
         n_events=n_events,
     )

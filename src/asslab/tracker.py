@@ -85,11 +85,19 @@ def load_snapshot_csv(path) -> TrackerSnapshot:
     return TrackerSnapshot(*read_table(path, SNAPSHOT_COLUMNS))
 
 
-class TrackerStore:
-    """Vectorized id -> (uncertainty EMA, inconsistency EMA) map.
+def _int_array(values, what: str) -> np.ndarray:
+    """values as a 1-d int64 array; TrackerError unless each is an integer."""
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and not np.issubdtype(a.dtype, np.integer)):
+        raise TrackerError(f"{what} must be a 1-d array of integers, got {a.dtype} {a.shape}")
+    return a.astype(np.int64, copy=False)
 
-    Holds exactly the current unlabeled pool; acquired ids are removed by
-    the caller between rounds. Single training loop ownership, no locking.
+
+class TrackerStore:
+    """(uncertainty, inconsistency) EMAs in (n, 2) arrays, row j for ids[j].
+
+    Holds exactly the current unlabeled pool, sorted; acquired ids are
+    removed by the caller between rounds. Single owner, no locking.
     """
 
     def __init__(
@@ -108,33 +116,20 @@ class TrackerStore:
             )
         if variance_mean not in ("post", "pre"):
             raise ConfigError(f"variance_mean must be 'post' or 'pre', got {variance_mean!r}")
-        ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
-        if len(np.unique(ids)) != len(ids):
+        ids = np.sort(_int_array(ids, "tracker ids"))
+        if np.any(ids[1:] == ids[:-1]):
             raise ConfigError("tracker ids must be unique")
         self.alpha = alpha
         self.c_u = c_u
         self.c_i = c_i
         self.variance_mean = variance_mean
         self.ids = ids
-        n = len(ids)
-        self._u_mean = np.zeros(n)
-        self._u_var = np.zeros(n)
-        self._i_mean = np.zeros(n)
-        self._i_var = np.zeros(n)
-        self._count = np.zeros(n, dtype=np.int64)
-
-    def _locate(self, ids: np.ndarray) -> np.ndarray:
-        n = len(self.ids)
-        pos = np.searchsorted(self.ids, ids)
-        bad = pos >= n
-        if n:
-            bad |= self.ids[np.minimum(pos, n - 1)] != ids
-        if np.any(bad):
-            raise TrackerError(f"unknown sample id {int(np.asarray(ids)[bad][0])}")
-        return pos
+        self._mean = np.zeros((len(ids), 2))
+        self._var = np.zeros((len(ids), 2))
+        self._count = np.zeros(len(ids), dtype=np.int64)
 
     def ingest_batch(
-        self, ids: np.ndarray, probs_weak: np.ndarray, probs_strong: np.ndarray
+        self, pos: np.ndarray, probs_weak: np.ndarray, probs_strong: np.ndarray
     ) -> None:
         """Fold one mini-batch of weak/strong prediction pairs into the streams.
 
@@ -143,70 +138,63 @@ class TrackerStore:
         bias correction; center is the updated mean ("post") or, for
         ablation, the previous one ("pre").
 
-        ids must be unique within the call: the EMA recurrence is
-        sequential per sample, and a fancy-indexed update would silently
-        keep only the last duplicate. Both views hold one row of class
-        probabilities per id.
+        pos holds positions in ids and must be unique within the call: the
+        EMA recurrence is sequential per sample, and a fancy-indexed update
+        would silently keep only the last duplicate. Both views hold one
+        row of class probabilities per position.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        pos = _int_array(pos, "positions")
         probs_weak = np.asarray(probs_weak, dtype=np.float64)
         probs_strong = np.asarray(probs_strong, dtype=np.float64)
         if (probs_weak.ndim != 2 or probs_weak.shape != probs_strong.shape
-                or probs_weak.shape[0] != len(ids) or probs_weak.shape[1] == 0):
+                or probs_weak.shape[0] != len(pos) or probs_weak.shape[1] == 0):
             raise TrackerError(
                 f"views of shape {probs_weak.shape} and {probs_strong.shape}"
-                f" for {len(ids)} ids; need (n_ids, n_classes) each"
+                f" for {len(pos)} positions; need (n_positions, n_classes) each"
             )
-        if len(np.unique(ids)) != len(ids):
-            raise TrackerError("duplicate sample ids within one ingest batch")
-        pos = self._locate(ids)
+        uniq = np.unique(pos)
+        if len(uniq) and (uniq[0] < 0 or uniq[-1] >= len(self.ids)):
+            raise TrackerError(f"positions {uniq[0]}..{uniq[-1]} outside [0, {len(self.ids)})")
+        if len(uniq) != len(pos):
+            dup = int(self.ids[np.argmax(np.bincount(pos) > 1)])
+            raise TrackerError(f"sample id {dup} twice in one ingest batch")
         # An inf or nan probability makes a non-finite statistic, refused
         # below; numpy's warning about it (inf + -inf) would come first.
         with np.errstate(invalid="ignore", over="ignore"):
-            u_vals = uncertainty_batch(probs_weak)
-            i_vals = inconsistency_batch(probs_weak, probs_strong)
-        finite = np.isfinite(u_vals) & np.isfinite(i_vals)
+            vals = np.stack([uncertainty_batch(probs_weak),
+                             inconsistency_batch(probs_weak, probs_strong)], axis=1)
+        finite = np.isfinite(vals).all(axis=1)
         if not np.all(finite):
             raise TrackerError(
-                f"non-finite statistics for sample id {int(ids[~finite][0])}"
+                f"non-finite statistics for sample id {int(self.ids[pos[~finite][0]])}"
             )
         a = self.alpha
-        for vals, means, variances in (
-            (u_vals, self._u_mean, self._u_var),
-            (i_vals, self._i_mean, self._i_var),
-        ):
-            old_mean = means[pos]
-            new_mean = a * vals + (1.0 - a) * old_mean
-            center = new_mean if self.variance_mean == "post" else old_mean
-            variances[pos] = a * (vals - center) ** 2 + (1.0 - a) * variances[pos]
-            means[pos] = new_mean
+        old_mean = self._mean[pos]
+        new_mean = a * vals + (1.0 - a) * old_mean
+        center = new_mean if self.variance_mean == "post" else old_mean
+        self._var[pos] = a * (vals - center) ** 2 + (1.0 - a) * self._var[pos]
+        self._mean[pos] = new_mean
         self._count[pos] += 1
 
     def remove(self, ids) -> None:
         """Drop acquired ids; the store then matches the shrunken pool."""
-        drop = self._locate(np.asarray(sorted(int(i) for i in ids), dtype=np.int64))
-        keep = np.ones(len(self.ids), dtype=bool)
-        keep[drop] = False
+        ids = _int_array(ids, "sample ids")
+        known = np.isin(ids, self.ids)
+        if not np.all(known):
+            raise TrackerError(f"unknown sample id {int(ids[~known][0])}")
+        keep = ~np.isin(self.ids, ids)
         self.ids = self.ids[keep]
-        self._u_mean = self._u_mean[keep]
-        self._u_var = self._u_var[keep]
-        self._i_mean = self._i_mean[keep]
-        self._i_var = self._i_var[keep]
+        self._mean = self._mean[keep]
+        self._var = self._var[keep]
         self._count = self._count[keep]
 
     def snapshot(self) -> TrackerSnapshot:
         """UCB of each stream, mean + c * sqrt(var) with the variance clamped
         at zero, and their product as the acquisition score."""
-        u_ucb = self._u_mean + self.c_u * np.sqrt(np.maximum(self._u_var, 0.0))
-        i_ucb = self._i_mean + self.c_i * np.sqrt(np.maximum(self._i_var, 0.0))
+        mean, var = self._mean.T.copy(), self._var.T.copy()
+        u_ucb, i_ucb = mean + [[self.c_u], [self.c_i]] * np.sqrt(np.maximum(var, 0.0))
         return TrackerSnapshot(
-            ids=self.ids.copy(),
-            u_mean=self._u_mean.copy(),
-            u_var=self._u_var.copy(),
-            u_ucb=u_ucb,
-            i_mean=self._i_mean.copy(),
-            i_var=self._i_var.copy(),
-            i_ucb=i_ucb,
-            score=u_ucb * i_ucb,
+            ids=self.ids.copy(), u_mean=mean[0], u_var=var[0], u_ucb=u_ucb,
+            i_mean=mean[1], i_var=var[1], i_ucb=i_ucb, score=u_ucb * i_ucb,
             counts=self._count.copy(),
         )

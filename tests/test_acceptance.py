@@ -107,7 +107,7 @@ class TestValueExamples:
         # Streaming mean/variance recurrence against hand-rolled values.
         store = TrackerStore([7], alpha=0.8)
         for pair in ([0.5, 0.5], [1.0, 0.0]):
-            store.ingest_batch([7], [pair], [pair])
+            store.ingest_batch([0], [pair], [pair])  # id 7 at position 0
         snap = store.snapshot()
         # u stream is [sqrt(.5), 0]; scale-invariant form of the [1, 0] example.
         r = math.sqrt(0.5)
@@ -117,7 +117,7 @@ class TestValueExamples:
         # Constant stream from zero: mean follows 1 - (1 - alpha)^t.
         store = TrackerStore([1], alpha=0.8)
         for _ in range(3):
-            store.ingest_batch([1], [[0.5, 0.5]], [[0.5, 0.5]])
+            store.ingest_batch([0], [[0.5, 0.5]], [[0.5, 0.5]])
         np.testing.assert_allclose(store.snapshot().u_mean[0], 0.992 * r, atol=1e-12)
 
         # Confidence bounds and final score of known streams. Sample 0 sees
@@ -159,7 +159,7 @@ class TestValueExamples:
             for _ in range(int(rng.integers(1, 30))):
                 pw = rng.dirichlet(np.ones(k))
                 ps = rng.dirichlet(np.ones(k))
-                store.ingest_batch([3], pw[None, :], ps[None, :])
+                store.ingest_batch([0], pw[None, :], ps[None, :])
                 events.append((pw.tolist(), ps.tolist()))
             u, i = replay(events)
             snap = store.snapshot()

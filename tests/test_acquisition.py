@@ -318,6 +318,25 @@ class TestDiverse:
         pos = _diverse(np.ones(6), np.ones((6, 2)), 4, np.random.default_rng(14))
         assert len(set(pos.tolist())) == 4
 
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_k_unique_positions(self, data):
+        # For every K <= n, including tied, constant and all-zero weighted
+        # embeddings, the picks are K distinct positions of the pool.
+        n, d = data.draw(st.integers(1, 25)), data.draw(st.integers(1, 4))
+        elements = data.draw(st.sampled_from([
+            st.integers(-2, 2).map(float),
+            st.floats(-1e3, 1e3),
+            st.just(1.0),  # constant embeddings
+        ]))
+        emb = data.draw(hnp.arrays(np.float64, (n, d), elements=elements))
+        scores = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 2.0])))
+        k = data.draw(st.integers(1, n))
+        pos = _diverse(scores, emb, k, np.random.default_rng(data.draw(st.integers(0, 99))))
+        assert len(pos) == k
+        assert len(set(pos.tolist())) == k
+        assert pos.min() >= 0 and pos.max() < n
+
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         emb = rng.normal(size=(40, 3))
@@ -336,13 +355,13 @@ class TestDispatcher:
         store = TrackerStore(self.pools.sorted_unlabeled())
         rng = np.random.default_rng(23)
         for _ in range(4):
-            ids = rng.choice(store.ids, size=30, replace=False)
+            pos = rng.choice(len(store.ids), size=30, replace=False)
             store.ingest_batch(
-                ids, rng.dirichlet(np.ones(2), size=30), rng.dirichlet(np.ones(2), size=30)
+                pos, rng.dirichlet(np.ones(2), size=30), rng.dirichlet(np.ones(2), size=30)
             )
         # Ensure full coverage so the scored strategies are valid.
         store.ingest_batch(
-            store.ids,
+            np.arange(len(store.ids)),
             rng.dirichlet(np.ones(2), size=len(store.ids)),
             rng.dirichlet(np.ones(2), size=len(store.ids)),
         )

@@ -128,6 +128,13 @@ class TestSpearman:
         with pytest.raises(InputError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_nan_rejected(self):
+        # A NaN would rank above every number and give a finite coefficient.
+        with pytest.raises(InputError):
+            spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InputError):
+            spearman([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0])
+
     def test_consecutive_series(self):
         u = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [3.0, 2.0, 1.0]])
         vals = consecutive_snapshot_spearman(make_series(np.zeros((3, 3), dtype=int), uncertainty=u))
@@ -295,3 +302,11 @@ class TestSeriesIo:
             )
         with pytest.raises(InputError):
             make_series(np.zeros((2, 3), dtype=int), steps=np.array([200, 100]))
+
+    @pytest.mark.parametrize("field", ["uncertainty", "max_prob"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_series_rejects_non_finite(self, field, value):
+        cells = np.full((2, 3), 0.5)
+        cells[1, 2] = value
+        with pytest.raises(InputError, match=field):
+            make_series(np.zeros((2, 3), dtype=int), **{field: cells})

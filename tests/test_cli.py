@@ -121,6 +121,11 @@ def _bad_float_cell(run):
                   lambda line: b",".join(line.split(b",")[:3] + [b"abc", b"0.5"]))
 
 
+def _nan_uncertainty(run):
+    _replace_line(run / "seed_0" / "snapshots_round0.csv", 1,
+                  lambda line: b",".join(line.split(b",")[:3] + [b"nan", b"0.5"]))
+
+
 def _truncated_scores(run):
     path = run / "seed_0" / "scores" / "round0.csv"
     text = path.read_bytes()
@@ -165,6 +170,7 @@ def _manifest(data):
 DAMAGES = {
     "analysis-is-a-file": _analysis_file,
     "bad-float-cell": _bad_float_cell,
+    "nan-uncertainty-cell": _nan_uncertainty,
     "truncated-scores": _truncated_scores,
     "short-rounds-row": _short_rounds_row,
     "duplicated-series-row": _duplicated_series_row,

@@ -273,6 +273,35 @@ class TestPools:
         with pytest.raises(InputError):
             pools.updated([bad])
 
+    def test_update_rejects_non_integer_ids(self):
+        _, pools = self.make()
+        first = min(pools.unlabeled)
+        for bad in ([first + 0.7], [float(first)], [[first]], [True]):
+            with pytest.raises(InputError):
+                pools.updated(bad)
+        for good in ([first], np.array([first], dtype=np.int32), range(first, first + 1), []):
+            assert pools.updated(good).labeled == pools.labeled | set(good)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_update_invariants(self, data):
+        # The pools stay disjoint, their union stays the same, and exactly
+        # the acquired ids move from unlabeled to labeled.
+        ids = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=40))
+        pool_of = data.draw(st.lists(st.sampled_from("lut"), min_size=len(ids),
+                                     max_size=len(ids)))
+        pools = SamplePools(*(frozenset(i for i, p in zip(ids, pool_of) if p == name)
+                              for name in "lut"))
+        acquired = data.draw(st.lists(st.sampled_from(sorted(pools.unlabeled)), unique=True)
+                             if pools.unlabeled else st.just([]))
+        after = pools.updated(np.asarray(acquired, dtype=np.int64))
+        assert not (after.labeled & after.unlabeled or after.labeled & after.test
+                    or after.unlabeled & after.test)
+        assert after.labeled | after.unlabeled | after.test == set(ids)
+        assert after.labeled - pools.labeled == set(acquired)
+        assert pools.unlabeled - after.unlabeled == set(acquired)
+        assert after.test == pools.test
+
     def test_pools_reject_overlap(self):
         with pytest.raises(InputError):
             SamplePools(labeled=frozenset({1}), unlabeled=frozenset({1}),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from asslab import nn
@@ -71,8 +73,7 @@ class TestPseudoLabel:
 
 class TestUnlabeledIterator:
     def test_epoch_coverage(self):
-        ids = np.arange(10, 50)
-        it = _UnlabeledIterator(ids, np.random.default_rng(1))
+        it = _UnlabeledIterator(40, np.random.default_rng(1))
         seen = []
         for _ in range(10):
             chunks = it.next_chunks(8)
@@ -80,13 +81,24 @@ class TestUnlabeledIterator:
             for c in chunks:
                 assert len(np.unique(c)) == len(c)
             seen.extend(np.concatenate(chunks).tolist())
-        # 80 draws over 40 ids = exactly two shuffled epochs.
-        counts = np.bincount(np.asarray(seen) - 10, minlength=40)
+        # 80 draws over 40 positions = exactly two shuffled epochs.
+        assert min(seen) >= 0
+        counts = np.bincount(np.asarray(seen), minlength=40)
         assert np.all(counts == 2)
 
+    @given(ids=st.lists(st.integers(-2**40, 2**40), unique=True, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_positions_index_the_id_permutation(self, ids, seed):
+        # Permuting positions and indexing ids with them draws the same
+        # stream as permuting the ids, so training by position changes no
+        # output.
+        ids = np.asarray(sorted(ids), dtype=np.int64)
+        by_pos, by_id = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(ids[by_pos.permutation(len(ids))], by_id.permutation(ids))
+        assert by_pos.bit_generator.state == by_id.bit_generator.state
+
     def test_boundary_split(self):
-        ids = np.arange(10)
-        it = _UnlabeledIterator(ids, np.random.default_rng(2))
+        it = _UnlabeledIterator(10, np.random.default_rng(2))
         it.next_chunks(7)
         chunks = it.next_chunks(7)  # crosses the epoch boundary at 10
         assert [len(c) for c in chunks] == [3, 4]
@@ -218,6 +230,8 @@ class TestTrainRound:
         snap = tracker.snapshot()
         pos = np.searchsorted(snap.ids, batch_unl)
         np.testing.assert_allclose(snap.u_mean[pos], 0.8 * u_ref, rtol=1e-12)
+        # The sink sees sample ids, not positions in the pool.
+        np.testing.assert_array_equal(np.concatenate([c[0] for c in captured]), batch_unl)
 
     def test_event_sink_receives_all_events(self):
         ds, pools = make_problem(size=120, n_init=8, n_test=20)
@@ -314,6 +328,16 @@ class TestTrainRound:
             run_once(cfg, ds, pools)
         assert isinstance(exc.value.step, int)
         assert 1 <= exc.value.step <= 50
+
+    def test_divergence_seen_first_by_a_snapshot(self):
+        # The last step's update overflows the weights; the pool snapshot
+        # right after it is the first to see that, and training fails there.
+        ds, pools = make_problem(size=120, n_init=8, n_test=20)
+        cfg = SslConfig(steps_per_round=1, batch_size=4, mu=2, lr=1e200,
+                        snapshot_interval=1, hidden_dims=[8])
+        with pytest.raises(TrainingError) as exc, np.errstate(all="ignore"):
+            run_once(cfg, ds, pools)
+        assert exc.value.step == 1
 
     def test_empty_test_pool_gives_nan(self):
         ds = standardize(generate(GeneratorSpec(size=120, noise=0.2), seed=0))

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from asslab.errors import ConfigError, TrackerError
+from asslab.ssl import _UnlabeledIterator
 from asslab.tracker import (
     TrackerStore,
     inconsistency_batch,
@@ -17,17 +20,19 @@ def random_dist(rng, k):
     return rng.dirichlet(np.ones(k))
 
 
-def stream(store, sample_id, pairs):
-    """Ingest (probs_weak, probs_strong) pairs for one sample, one step each."""
+def stream(store, pos, pairs):
+    """Ingest (probs_weak, probs_strong) pairs for the sample at one
+    position, one step each."""
     for pw, ps in pairs:
-        store.ingest_batch([sample_id], np.asarray([pw], float), np.asarray([ps], float))
+        store.ingest_batch([pos], np.asarray([pw], float), np.asarray([ps], float))
 
 
-def state(store, sample_id):
-    """(u_mean, u_var, i_mean, i_var, count) of one sample from a snapshot."""
+def state(store, pos):
+    """(u_mean, u_var, i_mean, i_var, count) of the sample at one position,
+    from a snapshot."""
     snap = store.snapshot()
-    j = int(np.searchsorted(snap.ids, sample_id))
-    return (snap.u_mean[j], snap.u_var[j], snap.i_mean[j], snap.i_var[j], snap.counts[j])
+    return (snap.u_mean[pos], snap.u_var[pos], snap.i_mean[pos], snap.i_var[pos],
+            snap.counts[pos])
 
 
 class TestUncertainty:
@@ -220,8 +225,11 @@ class TestUcbAndScore:
 
     def test_negative_var_clamped(self):
         store = TrackerStore([0], c_u=2.0, c_i=2.0)
-        store._u_mean[:], store._u_var[:] = 0.3, -1e-18
-        assert store.snapshot().u_ucb[0] == 0.3
+        store._mean[:, 0], store._var[:, 0] = 0.3, -1e-18
+        store._mean[:, 1], store._var[:, 1] = 0.2, -1e-18
+        snap = store.snapshot()
+        assert snap.u_ucb[0] == 0.3
+        assert snap.i_ucb[0] == 0.2
 
     def test_ucb_at_least_mean(self):
         rng = np.random.default_rng(9)
@@ -284,6 +292,8 @@ class TestTrackerStore:
         np.testing.assert_array_equal(store.snapshot().counts, [0, 0, 0, 7, 0, 0])
 
     def test_unknown_id(self):
+        # Ingest takes positions, so an unknown sample is a position past
+        # the pool; remove takes ids.
         store = self.make()
         p = np.array([[0.5, 0.5]])
         with pytest.raises(TrackerError):
@@ -325,6 +335,42 @@ class TestTrackerStore:
             np.testing.assert_allclose(snap.i_var[j], i_ref.var, atol=1e-12)
             assert snap.counts[j] == u_ref.count == i_ref.count
 
+    @settings(deadline=None)
+    @given(ids=st.sets(st.integers(0, 10**6), min_size=1, max_size=12),
+           m=st.integers(1, 15), steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           variance_mean=st.sampled_from(["post", "pre"]))
+    @example(ids={3, 10, 11, 40, 41}, m=3, steps=4, seed=0, variance_mean="post")
+    def test_iterator_chunks_match_offline_replay(self, ids, m, steps, seed, variance_mean):
+        # The training stream's chunks, ingested by position, against a
+        # per-id replay of the same log through the scalar references. A
+        # step splits into two chunks exactly when it crosses an epoch end.
+        rng = np.random.default_rng(seed)
+        store = TrackerStore(list(ids), variance_mean=variance_mean)
+        iterator = _UnlabeledIterator(len(ids), rng)
+        log, split = [], False
+        for _ in range(steps):
+            chunks = iterator.next_chunks(m)
+            split |= len(chunks) > 1
+            for chunk in chunks:
+                pw, ps = rng.dirichlet(np.ones(3), size=(2, len(chunk)))
+                store.ingest_batch(chunk, pw, ps)
+                log += zip(store.ids[chunk].tolist(), pw, ps)
+        assert split == (steps * m > len(ids) and len(ids) % m != 0)
+        snap = store.snapshot()
+        for j, sid in enumerate(snap.ids.tolist()):
+            u_ref, i_ref = oracles.EmaState(), oracles.EmaState()
+            for e_sid, pw, ps in log:
+                if e_sid == sid:
+                    u_ref = oracles.ema_update(u_ref, oracles.uncertainty(pw), 0.8,
+                                               variance_mean)
+                    i_ref = oracles.ema_update(i_ref, oracles.inconsistency(pw, ps), 0.8,
+                                               variance_mean)
+            np.testing.assert_allclose(
+                [snap.u_mean[j], snap.u_var[j], snap.i_mean[j], snap.i_var[j]],
+                [u_ref.mean, u_ref.var, i_ref.mean, i_ref.var], rtol=1e-12, atol=1e-15,
+            )
+            assert snap.counts[j] == u_ref.count
+
     def test_ingest_batch_matches_scalar(self):
         # Multi-row batches against per-sample scalar replays.
         rng = np.random.default_rng(10)
@@ -353,25 +399,43 @@ class TestTrackerStore:
     def test_ingest_batch_rejects_duplicates(self):
         store = self.make()
         P = np.full((2, 2), 0.5)
-        with pytest.raises(TrackerError):
+        with pytest.raises(TrackerError, match="sample id 1 twice"):
             store.ingest_batch(np.array([1, 1]), P, P)
 
-    @pytest.mark.parametrize("weak, strong", [
-        ([[0.9, 0.1]], [[0.5, 0.5]]),  # one row for two ids, once broadcast to both
-        ([[0.9, 0.1]] * 3, [[0.5, 0.5]] * 3),  # three rows for two ids
+    VIEW_CASES = [
+        ([[0.9, 0.1]], [[0.5, 0.5]]),  # one row for two positions, once broadcast to both
+        ([[0.9, 0.1]] * 3, [[0.5, 0.5]] * 3),  # three rows for two positions
         ([0.9, 0.1], [0.5, 0.5]),  # 1-d views
         ([[0.9, 0.1]] * 2, [[0.5, 0.3, 0.2]] * 2),  # views of different widths
         ([[0.9, 0.1]] * 2, [[0.5, 0.5]]),  # strong view one row short
         (np.zeros((2, 0)), np.zeros((2, 0))),  # no classes
         (np.full((2, 2, 1), 0.5), np.full((2, 2, 1), 0.5)),  # 3-d views
-    ])
-    def test_ingest_batch_checks_view_shapes(self, weak, strong):
+    ]
+    POSITION_CASES = [
+        [1, 6],  # one past the last of six positions
+        [-1, 3],  # negative
+        [3, 3],  # duplicate
+        [1.0, 3.0],  # floats, even integral ones
+        [1.5, 3.0],  # not integral
+        [[1, 3]],  # 2-d
+        [True, False],  # booleans are a mask, not positions
+    ]
+
+    @pytest.mark.parametrize(
+        "pos, weak, strong",
+        [([1, 3], weak, strong) for weak, strong in VIEW_CASES]
+        + [(pos, [[0.9, 0.1]] * 2, [[0.5, 0.5]] * 2) for pos in POSITION_CASES],
+        ids=[f"weak{i}-strong{i}" for i in range(len(VIEW_CASES))]
+        + [f"pos{i}" for i in range(len(POSITION_CASES))],
+    )
+    def test_ingest_batch_checks_view_shapes(self, pos, weak, strong):
         store = self.make()
         with pytest.raises(TrackerError):
-            store.ingest_batch([1, 3], weak, strong)
+            store.ingest_batch(pos, weak, strong)
         np.testing.assert_array_equal(store.snapshot().counts, np.zeros(6))
 
     def test_remove(self):
+        # Removing ids renumbers the positions of the samples kept.
         store = self.make(5)
         stream(store, 3, [([0.6, 0.4], [0.3, 0.7])])
         before = state(store, 3)
@@ -379,9 +443,23 @@ class TestTrackerStore:
         np.testing.assert_array_equal(store.ids, [0, 2, 4])
         np.testing.assert_array_equal(store.snapshot().ids, [0, 2, 4])
         with pytest.raises(TrackerError):
-            store.ingest_batch([1], [[0.5, 0.5]], [[0.5, 0.5]])
-        stream(store, 4, [([0.6, 0.4], [0.3, 0.7])])
-        assert state(store, 4) == before
+            store.ingest_batch([3], [[0.5, 0.5]], [[0.5, 0.5]])
+        stream(store, 1, [([0.6, 0.4], [0.3, 0.7])])  # id 2
+        assert state(store, 1) == before
+        np.testing.assert_array_equal(store.snapshot().counts, [0, 1, 0])
+
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(TrackerError):
+            TrackerStore([1.5, 2.7])
+        with pytest.raises(TrackerError):
+            TrackerStore([[1, 2]])
+        store = TrackerStore([0, 1])
+        with pytest.raises(TrackerError):
+            store.remove([0.5])
+        np.testing.assert_array_equal(store.ids, [0, 1])
+        for ids in ([5, 3], np.array([5, 3], dtype=np.int32), range(3, 7, 2)):
+            np.testing.assert_array_equal(TrackerStore(ids).ids, [3, 5])
+        assert TrackerStore([]).ids.dtype == np.int64
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
