@@ -53,7 +53,7 @@ from .data import (
 )
 from .errors import ConfigError, InputError, TrainingError
 from .ssl import SslConfig, train_round
-from .table import read_table, write_table
+from .table import format_rows, read_table, write_table
 from .tracker import TrackerSnapshot, TrackerStore, load_snapshot_csv
 
 # Named rng streams; each is an independent child of the experiment seed.
@@ -179,7 +179,9 @@ class ExperimentResult:
     reports: list[RoundReport]
     errors: list[dict]
     datasets: dict[int, Dataset]
-    events: dict[tuple[int, str], list]
+    # (seed, strategy) -> one event list per round the lane reached. Lanes
+    # that share a trained round share its list object.
+    events: dict[tuple[int, str], list[list]]
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -190,6 +192,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     distinct history (round 0's empty one included) is trained once, under
     either init_mode, and every lane with it acquires from that result.
     With carry_tracker each lane carries its own copy of the memo's tracker.
+    With log_events, events[(seed, strategy)] holds the memo's event list of
+    each round the lane reached, so lanes that share a round share its list.
 
     A lane that diverges during training is cut short: its completed
     rounds stay in the report list and the failure is recorded in the
@@ -247,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                         start = init_params if rand_init else trained
                         memo[history] = train(start, pools, tracker, round_index)
                     outcome, tracker, round_events = memo[history]
-                    lane_events.extend(round_events)
+                    lane_events.append(round_events)
                     if isinstance(outcome, TrainingError):
                         raise outcome  # recorded for this lane below
                     trained, metrics = outcome
@@ -293,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                     "step": e.step,
                     "message": str(e),
                 })
-            if lane_events:
+            if any(lane_events):
                 events[(seed, strategy)] = lane_events
     return ExperimentResult(
         reports=reports, errors=errors, datasets=datasets, events=events,
@@ -345,14 +349,25 @@ def _write_acquisitions_csv(path, reports: list[RoundReport]) -> None:
     ])
 
 
-def _write_events_csv(path, lane_events: list) -> None:
-    rounds, steps, ids, pw, ps = zip(*lane_events)
-    k = pw[0].shape[1]
-    sizes = [len(chunk) for chunk in ids]
+def _write_events_csv(path, lane_rounds: list[list], rows: dict[int, str]) -> None:
+    """Write a lane's events, formatting each round's list once per rows.
+
+    rows maps id(round_list) -> that round's CSV rows; emit passes one
+    dict to every lane it writes, so a round shared by lanes is formatted
+    once per emit call.
+    """
+    k = next(events for events in lane_rounds if events)[0][3].shape[1]
+    for events in lane_rounds:
+        if events and id(events) not in rows:
+            rounds, steps, ids, pw, ps = zip(*events)
+            sizes = [len(chunk) for chunk in ids]
+            rows[id(events)] = format_rows([
+                np.repeat(rounds, sizes), np.repeat(steps, sizes), np.concatenate(ids),
+                *np.concatenate(pw).T, *np.concatenate(ps).T,
+            ])
     write_table(
         path, ["round", "step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)],
-        [np.repeat(rounds, sizes), np.repeat(steps, sizes), np.concatenate(ids),
-         *np.concatenate(pw).T, *np.concatenate(ps).T],
+        "".join(rows.get(id(events), "") for events in lane_rounds),
     )
 
 
@@ -454,10 +469,12 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
             export_series(first_round.series, os.path.join(seed_dir, "snapshots_round0.csv"))
             round0[seed] = (first_round.series, first_round.tracker_snapshot)
 
-    for (seed, strategy), lane_events in result.events.items():
+    event_rows: dict[int, str] = {}  # for this call only; see _write_events_csv
+    for (seed, strategy), lane_rounds in result.events.items():
         seed_dir = _seed_dir(out_dir, seed)
         os.makedirs(seed_dir, exist_ok=True)
-        _write_events_csv(os.path.join(seed_dir, f"events_{strategy}.csv"), lane_events)
+        _write_events_csv(os.path.join(seed_dir, f"events_{strategy}.csv"), lane_rounds,
+                          event_rows)
 
     _write_analysis(out_dir, cfg, round0, {
         (r.strategy, r.seed): r.test_accuracy

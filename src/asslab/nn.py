@@ -227,11 +227,6 @@ class SgdOptimizer:
         return sgd_step(params, v, self.lr)
 
 
-def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Predicted class labels for a batch (argmax, ties to lowest index)."""
-    return np.argmax(forward_batch(params, x).probs, axis=1)
-
-
 def finite_diff_grads(
     params: ModelParams,
     inputs: np.ndarray,

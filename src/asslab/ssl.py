@@ -115,11 +115,19 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
-def evaluate_accuracy(params: nn.ModelParams, dataset: Dataset, ids: np.ndarray) -> float:
+def evaluate_accuracy(params: nn.ModelParams, dataset: Dataset, ids: np.ndarray,
+                      step: int) -> float:
+    """Accuracy on ids of the model after step; ties go to the lowest class.
+
+    Non-finite probabilities mean the last update diverged, which no loss
+    has seen yet, so they raise TrainingError at that step.
+    """
     if len(ids) == 0:
         return float("nan")
-    pred = nn.predict_batch(params, dataset.x[ids])
-    return float(np.mean(pred == dataset.y[ids]))
+    probs = nn.forward_batch(params, dataset.x[ids]).probs
+    if not np.all(np.isfinite(probs)):
+        raise TrainingError(f"non-finite test predictions after step {step}", step=step)
+    return float(np.mean(np.argmax(probs, axis=1) == dataset.y[ids]))
 
 
 def _pool_snapshot(params, x_pool):
@@ -242,7 +250,8 @@ def train_round(
         )
     n_events = cfg.steps_per_round * mu_b
     metrics = RoundMetrics(
-        test_accuracy=evaluate_accuracy(params, dataset, pools.sorted_test()),
+        test_accuracy=evaluate_accuracy(params, dataset, pools.sorted_test(),
+                                        cfg.steps_per_round),
         supervised_loss=float(sup_losses.mean()),
         unsupervised_loss=float(unsup_losses.mean()),
         mask_rate=masked_count / n_events,

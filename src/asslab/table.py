@@ -4,28 +4,45 @@ Rows end in CRLF, the csv module's default. Floats are written with repr,
 so every value reads back bit for bit; ints stay ints and None is an
 empty cell. The reader turns a malformed header, row or cell into an
 InputError, so a damaged run directory never surfaces as a traceback.
+
+format_rows writes the rows of all-numeric columns (int, uint or float
+arrays) with one "%r,...,%r\r\n" template instead of the csv module: %r
+of a Python int is its str and of a float its repr, which are the cells
+csv.writer prints for them, and numbers never need quoting. Any other
+column, bool arrays included, keeps csv.writer, its quoting and its empty
+cells for None.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
 from .errors import InputError
 
 
-def write_table(path, header, columns) -> None:
-    """Write header, then row i from the i-th entry of every column.
+def format_rows(columns) -> str:
+    """Row i from the i-th entry of every column, as CSV text.
 
     Columns are equal-length lists or 1-d arrays; arrays go through
     tolist(), so an int array prints ints and a float array repr floats.
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    numeric = all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns], strict=True)
+    if numeric:
+        return "".join(map((",".join(["%r"] * len(columns)) + "\r\n").__mod__, rows))
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+def write_table(path, header, columns) -> None:
+    """Write header, then the rows of columns, or text format_rows made."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(zip(*columns, strict=True))
+        csv.writer(f).writerow(header)
+        f.write(columns if isinstance(columns, str) else format_rows(columns))
 
 
 def read_table(path, header) -> list:

@@ -466,14 +466,18 @@ class TestInitModes:
                 if report.tracker_snapshot is not None:
                     np.testing.assert_array_equal(report.tracker_snapshot.counts, want_counts)
             lane = result.events[(3, strategy)]
-            replayed = [(k, *e) for k, (_, _, _, events) in enumerate(expected)
-                        for e in events]
-            assert len(lane) == len(replayed)
-            for (k, step, ids, pw, ps), want in zip(lane, replayed):
-                assert (k, step) == want[:2]
-                np.testing.assert_array_equal(ids, want[2])
-                np.testing.assert_array_equal(pw, want[3])
-                np.testing.assert_array_equal(ps, want[4])
+            assert len(lane) == len(expected) == cfg.rounds
+            for k, (round_events, (_, _, _, want_events)) in enumerate(zip(lane, expected)):
+                assert len(round_events) == len(want_events)
+                for (round_index, step, ids, pw, ps), want in zip(round_events, want_events):
+                    assert (round_index, step) == (k, want[0])
+                    np.testing.assert_array_equal(ids, want[1])
+                    np.testing.assert_array_equal(pw, want[2])
+                    np.testing.assert_array_equal(ps, want[3])
+        # Lanes with the same history hold the memo's one list of its events.
+        lanes = [result.events[(3, strategy)] for strategy in cfg.strategies]
+        assert all(lane[0] is lanes[0][0] for lane in lanes)
+        assert lanes[1][1] is lanes[3][1]  # entropy and margin share round 1
 
         round0 = []
         for strategy in cfg.strategies:
@@ -646,6 +650,48 @@ class TestEmit:
         assert len(lines) == 1 + 5 * 8  # steps * mu * batch_size
         probs = [sum(float(v) for v in line.split(",")[3:5]) for line in lines[1:]]
         np.testing.assert_allclose(probs, 1.0, rtol=1e-9)
+
+    def test_shared_rounds_formatted_once_per_emit(self, tmp_path, monkeypatch):
+        cfg = small_cfg(strategies=["ucb-product", "entropy", "random"], log_events=True,
+                        ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
+                                      hidden_dims=[8, 8], batch_size=4, mu=2))
+        result = run_experiment(cfg)
+        lanes = [result.events[(0, s)] for s in cfg.strategies]
+        # Round 0 is shared and every round 1 differs: 4 distinct rounds
+        # among the 6 lane-rounds.
+        assert len({id(events) for lane in lanes for events in lane}) == 4
+        formatted = []
+        format_rows = harness.format_rows
+
+        def counting(columns):
+            formatted.append(len(columns[0]))
+            return format_rows(columns)
+
+        monkeypatch.setattr(harness, "format_rows", counting)
+        out = tmp_path / "run"
+        emit(result, cfg, str(out))
+        assert formatted == [20 * 8] * 4
+        first = tree_bytes(out)
+        emit(result, cfg, str(out))
+        assert formatted == [20 * 8] * 8  # nothing is kept between calls
+        second = tree_bytes(out)
+        del first["manifest.json"], second["manifest.json"]  # hold the run's timings
+        assert second == first
+        for strategy in cfg.strategies:
+            lines = (out / "seed_0" / f"events_{strategy}.csv").read_text().splitlines()
+            assert len(lines) == 1 + cfg.rounds * 20 * 8
+            assert [line.split(",")[0] for line in lines[1::20 * 8]] == ["0", "1"]
+
+    def test_lane_failing_before_any_event_writes_no_events(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise TrainingError("diverged", step=1)
+
+        monkeypatch.setattr(harness, "train_round", failing)
+        out = tmp_path / "run"
+        result = run_and_emit(small_cfg(log_events=True), out_dir=str(out))
+        assert [(e["round"], e["step"]) for e in result.errors] == [(0, 1), (0, 1)]
+        assert result.events == {}
+        assert not list(out.glob("seed_*/events_*.csv"))
 
     def test_no_series_when_interval_exceeds_steps(self, tmp_path):
         out = tmp_path / "run"

@@ -339,6 +339,16 @@ class TestTrainRound:
             run_once(cfg, ds, pools)
         assert exc.value.step == 1
 
+    def test_divergence_seen_first_by_the_test_pass(self):
+        # The same overflowing last step with no snapshot after it: the
+        # weights stay finite but the test probabilities do not.
+        ds, pools = make_problem(size=120, n_init=8, n_test=20)
+        cfg = SslConfig(steps_per_round=1, batch_size=4, mu=2, lr=1e200,
+                        snapshot_interval=1000, hidden_dims=[8])
+        with pytest.raises(TrainingError) as exc, np.errstate(all="ignore"):
+            run_once(cfg, ds, pools)
+        assert exc.value.step == 1
+
     def test_empty_test_pool_gives_nan(self):
         ds = standardize(generate(GeneratorSpec(size=120, noise=0.2), seed=0))
         pools = split_pools(ds, n_init=8, n_test=0, seed=1)

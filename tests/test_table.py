@@ -1,6 +1,8 @@
 """The emitted CSV format: exact bytes per writer, exact round trips, one owner."""
 
 import ast
+import csv
+import io
 import math
 import pathlib
 import struct
@@ -23,6 +25,7 @@ from asslab.analysis import (
     write_ti_profile,
 )
 from asslab.data import Dataset, export_dataset, import_dataset
+from asslab.table import format_rows
 from asslab.tracker import TrackerSnapshot, load_snapshot_csv
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "asslab"
@@ -72,13 +75,14 @@ def write_acquisitions(path):
 
 def write_events(path):
     # The step-2 chunk wraps an epoch of the unlabeled iterator: ids 5, 0.
-    harness._write_events_csv(path, [
+    harness._write_events_csv(path, [[
         (0, 1, np.array([3, 4]), np.array([[0.1, 0.9], [1.0, 0.0]]),
          np.array([[0.5, 0.5], [SUBNORMAL, 1.0]])),
         (0, 2, np.array([5, 0]), np.array([[0.25, 0.75], [-0.0, 1.0]]),
          np.array([[0.3, 0.7], [0.2, 0.8]])),
+    ], [
         (1, 1, np.array([2]), np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]])),
-    ])
+    ]], {})
 
 
 def write_series(path):
@@ -299,6 +303,57 @@ class TestRoundTrip:
         assert list(back) == list(expected)
         assert [float_bits(v) for v in back.values()] == [
             float_bits(v) for v in expected.values()]
+
+
+def csv_writer_rows(columns):
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                                     for c in columns]))
+    return text.getvalue()
+
+
+# Values whose repr takes every form: nan, inf, -0.0, subnormals, and both
+# sides of the exponent forms at 1e-5 and 1e16.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-5, -1e-5, 0.0001, 1e16,
+               9999999999999998.0]
+NUMERIC_DTYPES = {
+    "int64": int64s,
+    "uint8": st.integers(0, 2**8 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+    "float32": st.floats(width=32) | st.sampled_from(EDGE_FLOATS + [1e-45, 3.4028235e38]),
+    "float64": st.floats() | st.sampled_from(EDGE_FLOATS + [SUBNORMAL, 1.7976931348623157e308]),
+}
+
+
+@st.composite
+def numeric_columns(draw):
+    n = draw(st.integers(0, 6))
+    return [np.array(draw(st.lists(NUMERIC_DTYPES[dtype], min_size=n, max_size=n)),
+                     dtype=dtype)
+            for dtype in draw(st.lists(st.sampled_from(sorted(NUMERIC_DTYPES)),
+                                       min_size=1, max_size=4))]
+
+
+class TestFormatRows:
+    @settings(deadline=None)
+    @given(numeric_columns())
+    def test_numeric_rows_match_csv_writer(self, columns):
+        assert format_rows(columns) == csv_writer_rows(columns)
+
+    @pytest.mark.parametrize("other", [
+        ["a,b", "c"], [None, 1.5], np.array([True, False]), ['say "hi"', ""],
+    ])
+    def test_other_columns_keep_csv_quoting(self, other):
+        columns = [np.array([1, 2]), np.array([0.5, -0.0]), other]
+        assert format_rows(columns) == csv_writer_rows(columns)
+        assert format_rows([other]) == csv_writer_rows([other])
+
+    def test_quoting_and_empty_cells(self):
+        assert format_rows([np.array([1, 2]), ["a,b", None]]) == '1,"a,b"\r\n2,\r\n'
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            format_rows([np.array([1, 2]), np.array([0.5])])
 
 
 def test_only_the_table_module_imports_csv():
