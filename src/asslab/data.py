@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DictConfig
 from .errors import ConfigError, InputError
-from .table import read_table, write_table
+from .table import write_table
 
 WEAK_SCALE = 0.05  # weak jitter sigma as a fraction of each feature's std
 STRONG_MULT = 4.0  # strong jitter sigma as a multiple of the weak one
@@ -47,28 +47,28 @@ class GeneratorSpec(DictConfig):
 
 @dataclass
 class Dataset:
-    """Point cloud where row index equals sample id (contiguous from 0)."""
+    """Labeled point cloud; a sample's id is its row index.
 
-    ids: np.ndarray  # (n,) int
+    Labels are the integer classes 0..k-1, each with at least one row, so the
+    class count is y.max() + 1.
+    """
+
     x: np.ndarray  # (n, d) float64
     y: np.ndarray  # (n,) int class labels
-    spec: GeneratorSpec | None = None
-    seed: int | None = None
 
     def __post_init__(self):
-        if not np.array_equal(self.ids, np.arange(len(self.ids))):
-            raise InputError("ids must be contiguous from 0 in row order")
-        if self.x.shape[0] != len(self.ids) or self.y.shape[0] != len(self.ids):
-            raise InputError("ids, x, y must agree on length")
-        k = self.n_classes
-        if np.any(self.y < 0) or np.any(self.y >= k):
-            raise InputError("labels out of range")
-        if len(np.unique(self.y)) != k:
+        if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
+            raise InputError(f"x {self.x.shape} and y {self.y.shape} must agree on length")
+        if self.n == 0:
+            raise InputError("dataset has no rows")
+        if self.y.dtype.kind not in "iu" or self.y.min() < 0:
+            raise InputError("labels must be nonnegative integers")
+        if len(np.unique(self.y)) != self.n_classes:
             raise InputError("every class must be nonempty")
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return len(self.y)
 
     @property
     def dim(self) -> int:
@@ -76,8 +76,6 @@ class Dataset:
 
     @property
     def n_classes(self) -> int:
-        if self.spec is not None:
-            return self.spec.n_classes
         return int(self.y.max()) + 1
 
 
@@ -113,7 +111,7 @@ def generate(spec: GeneratorSpec, seed: int) -> Dataset:
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     perm = rng.permutation(spec.size)
-    return Dataset(ids=np.arange(spec.size), x=x[perm], y=y[perm], spec=spec, seed=seed)
+    return Dataset(x=x[perm], y=y[perm])
 
 
 def standardize(dataset: Dataset) -> Dataset:
@@ -194,7 +192,7 @@ def split_pools(
         labeled = rest[:n_init]
     labeled_set = frozenset(int(i) for i in labeled)
     test_set = frozenset(int(i) for i in test)
-    unlabeled_set = frozenset(int(i) for i in dataset.ids) - labeled_set - test_set
+    unlabeled_set = frozenset(range(dataset.n)) - labeled_set - test_set
     return SamplePools(labeled=labeled_set, unlabeled=unlabeled_set, test=test_set)
 
 
@@ -236,16 +234,7 @@ class Augmenter:
         return out
 
 
-def _dataset_columns(dim: int) -> dict:
-    return {"id": int, **{f"x{j}": float for j in range(dim)}, "y": int}
-
-
 def export_dataset(dataset: Dataset, path) -> None:
-    """Write `id,x0,...,y` rows."""
-    write_table(path, _dataset_columns(dataset.dim), [dataset.ids, *dataset.x.T, dataset.y])
-
-
-def import_dataset(path) -> Dataset:
-    # Expect at least one x column, so an `id,y` header is rejected.
-    ids, *xs, y = read_table(path, lambda names: _dataset_columns(max(len(names) - 2, 1)))
-    return Dataset(ids=ids, x=np.stack(xs, axis=1), y=y)
+    """Write `id,x0,...,y` rows; id is the row index."""
+    write_table(path, ["id", *(f"x{j}" for j in range(dataset.dim)), "y"],
+                [np.arange(dataset.n), *dataset.x.T, dataset.y])

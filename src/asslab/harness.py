@@ -153,6 +153,15 @@ class ExperimentConfig(DictConfig):
                 f"final round would leave {last_unlabeled} unlabeled samples, "
                 f"below the unlabeled batch size {mu_b}"
             )
+        # The ucb-* scores need an event for every sample, and round 0,
+        # with the largest pool, covers it iff its draws span one epoch.
+        first_unlabeled = pool - self.n_init
+        draws = self.ssl.steps_per_round * mu_b
+        if draws < first_unlabeled and any(s.startswith("ucb-") for s in self.strategies):
+            raise ConfigError(
+                f"ucb-* strategies need every sample tracked, but round 0 draws {draws} "
+                f"unlabeled samples from a pool of {first_unlabeled}; raise steps_per_round"
+            )
 
 
 @dataclass
@@ -179,8 +188,9 @@ class ExperimentResult:
     reports: list[RoundReport]
     errors: list[dict]
     datasets: dict[int, Dataset]
-    # (seed, strategy) -> one event list per round the lane reached. Lanes
-    # that share a trained round share its list object.
+    # (seed, strategy) -> one list of (step, ids, probs_weak, probs_strong)
+    # per round the lane reached. Lanes that share a trained round share
+    # its list object.
     events: dict[tuple[int, str], list[list]]
 
 
@@ -230,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
 
         def train(start, pools, tracker, round_index):
             round_events: list = []
-            sink = _event_recorder(round_events, round_index) if cfg.log_events else None
+            sink = (lambda *event: round_events.append(event)) if cfg.log_events else None
             try:
                 outcome = train_round(start, pools, dataset, cfg.ssl, tracker,
                                       derive_rng(seed, TRAIN_STREAM, round_index),
@@ -314,15 +324,6 @@ def _new_tracker(cfg: ExperimentConfig, pools) -> TrackerStore:
     )
 
 
-def _event_recorder(store: list, round_index: int):
-    def sink(step, ids, probs_weak, probs_strong):
-        store.append((
-            round_index, int(step), np.asarray(ids, dtype=np.int64).copy(),
-            probs_weak.copy(), probs_strong.copy(),
-        ))
-    return sink
-
-
 def _seed_dir(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, f"seed_{seed}")
 
@@ -352,17 +353,18 @@ def _write_acquisitions_csv(path, reports: list[RoundReport]) -> None:
 def _write_events_csv(path, lane_rounds: list[list], rows: dict[int, str]) -> None:
     """Write a lane's events, formatting each round's list once per rows.
 
-    rows maps id(round_list) -> that round's CSV rows; emit passes one
-    dict to every lane it writes, so a round shared by lanes is formatted
-    once per emit call.
+    lane_rounds[i] holds round i's (step, ids, probs_weak, probs_strong)
+    events. rows maps id(round_list) -> that round's CSV rows; emit passes
+    one dict to every lane it writes, so a round shared by lanes, which
+    sits at the same index in each, is formatted once per emit call.
     """
-    k = next(events for events in lane_rounds if events)[0][3].shape[1]
-    for events in lane_rounds:
+    k = next(events for events in lane_rounds if events)[0][2].shape[1]
+    for round_index, events in enumerate(lane_rounds):
         if events and id(events) not in rows:
-            rounds, steps, ids, pw, ps = zip(*events)
+            steps, ids, pw, ps = zip(*events)
             sizes = [len(chunk) for chunk in ids]
             rows[id(events)] = format_rows([
-                np.repeat(rounds, sizes), np.repeat(steps, sizes), np.concatenate(ids),
+                np.full(sum(sizes), round_index), np.repeat(steps, sizes), np.concatenate(ids),
                 *np.concatenate(pw).T, *np.concatenate(ps).T,
             ])
     write_table(

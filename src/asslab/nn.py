@@ -127,52 +127,56 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
     return ForwardResult(logits=logits, probs=softmax(logits), embedding=post[-1])
 
 
-def _as_batch(inputs, targets, weights):
+def _as_batch(params, inputs, labels, weights):
     x = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or t.ndim != 2:
-        raise InputError("inputs and targets must be 2-d (batch) arrays")
+    y = np.asarray(labels)
+    if x.ndim != 2:
+        raise InputError("inputs must be a 2-d (batch) array")
     if x.shape[0] == 0:
         raise InputError("empty batch")
-    if t.shape[0] != x.shape[0]:
-        raise InputError("inputs and targets disagree on batch size")
+    if x.shape[1] != params.input_dim:
+        raise InputError(
+            f"input dim {x.shape[1]} does not match network input dim {params.input_dim}"
+        )
+    if (y.shape != (x.shape[0],) or y.dtype.kind not in "iu"
+            or y.min() < 0 or y.max() >= params.n_classes):
+        raise InputError(f"labels must be one integer in [0, {params.n_classes}) per row")
     if weights is None:
         w = np.ones(x.shape[0])
     else:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (x.shape[0],):
             raise InputError("weights must be one scalar per batch row")
-    return x, t, w
+    return x, y, w
 
 
 def loss_and_grads(
     params: ModelParams,
     inputs: np.ndarray,
-    targets: np.ndarray,
+    labels: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> tuple[float, Gradients, np.ndarray]:
     """Weighted mean cross-entropy over a batch, with exact gradients.
 
-    loss = (1/N) * sum_j weights[j] * CE(targets[j], probs[j]), where
-    targets are probability distributions (one-hot or soft). Returns
-    (loss, gradients, probs).
+    loss = -(1/N) * sum_j weights[j] * log probs[j, labels[j]], where labels
+    holds one integer class in [0, n_classes) per row. Returns (loss,
+    gradients, probs); probs is not modified afterwards.
     """
-    x, t, w = _as_batch(inputs, targets, weights)
-    if x.shape[1] != params.input_dim:
-        raise InputError(
-            f"input dim {x.shape[1]} does not match network input dim {params.input_dim}"
-        )
+    x, y, w = _as_batch(params, inputs, labels, weights)
     n = x.shape[0]
+    rows = np.arange(n)
     forward_counter.add(n)
     logits, pre, post = _forward_cached(params, x)
     probs = softmax(logits)
 
     logp = logits - logits.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = float(np.sum(w * -(t * logp).sum(axis=1)) / n)
+    loss = float(np.sum(w * -logp[rows, y]) / n)
 
-    # d loss / d logits = (w/N) * (p - t), then standard backprop.
-    dlogits = (w / n)[:, None] * (probs - t)
+    # d loss / d logits = (w/N) * (p - onehot(y)), then standard backprop.
+    dlogits = probs.copy()
+    dlogits[rows, y] -= 1.0
+    dlogits *= (w / n)[:, None]
     gw = [np.empty(0)] * params.n_layers
     gb = [np.empty(0)] * params.n_layers
     gw[-1] = dlogits.T @ post[-1]
@@ -230,7 +234,7 @@ class SgdOptimizer:
 def finite_diff_grads(
     params: ModelParams,
     inputs: np.ndarray,
-    targets: np.ndarray,
+    labels: np.ndarray,
     weights: np.ndarray | None = None,
     step: float = 1e-6,
 ) -> Gradients:
@@ -241,7 +245,7 @@ def finite_diff_grads(
     """
 
     def loss_with(p: ModelParams) -> float:
-        return loss_and_grads(p, inputs, targets, weights)[0]
+        return loss_and_grads(p, inputs, labels, weights)[0]
 
     gw, gb = [], []
     for li in range(params.n_layers):
@@ -286,11 +290,13 @@ def run_gradient_check(
     """Check analytic vs finite-difference gradients on random nets/batches.
 
     Returns the per-instance max relative errors. Architectures, weights,
-    inputs, soft targets, and positive per-example weights are all drawn
-    at random from the given seed.
+    inputs, class labels, and positive per-example weights are all drawn
+    at random from the given seed, which must be nonnegative.
     """
     if n_instances < 1:
         raise InputError(f"n_instances must be at least 1, got {n_instances}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(n_instances):
@@ -308,9 +314,9 @@ def run_gradient_check(
             _, pre, _ = _forward_cached(params, x)
             if all(np.min(np.abs(z)) > 1e-3 for z in pre) if pre else True:
                 break
-        t = rng.dirichlet(np.ones(k), size=n)
+        y = rng.integers(0, k, size=n)
         w = rng.uniform(0.2, 2.0, size=n)
-        analytic = loss_and_grads(params, x, t, w)[1]
-        numeric = finite_diff_grads(params, x, t, w, step=step)
+        analytic = loss_and_grads(params, x, y, w)[1]
+        numeric = finite_diff_grads(params, x, y, w, step=step)
         errors.append(gradient_relative_error(analytic, numeric))
     return errors

@@ -109,12 +109,6 @@ class _UnlabeledIterator:
         return chunks
 
 
-def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    t = np.zeros((len(labels), k))
-    t[np.arange(len(labels)), labels] = 1.0
-    return t
-
-
 def evaluate_accuracy(params: nn.ModelParams, dataset: Dataset, ids: np.ndarray,
                       step: int) -> float:
     """Accuracy on ids of the model after step; ties go to the lowest class.
@@ -165,6 +159,8 @@ def train_round(
 
     event_sink, when given, receives (step, ids, probs_weak, probs_strong)
     for every chunk, which the tracker ingests by position in the pool.
+    The arrays are new every step and never written afterwards, so a sink
+    may keep them without copying.
     """
     cfg.validate()
     if not pools.labeled or not pools.unlabeled:
@@ -180,7 +176,6 @@ def train_round(
         raise ConfigError("tracker ids must match the unlabeled pool")
     if augmenter is None:
         augmenter = Augmenter.for_data(dataset.x)
-    k = dataset.n_classes
     x_unlabeled_pool = dataset.x[unlabeled_ids]
     snap_rng = np.random.default_rng(int(rng.integers(2**63)))
     iterator = _UnlabeledIterator(len(unlabeled_ids), rng)
@@ -202,13 +197,11 @@ def train_round(
         x_unl_weak = augmenter.weak_batch(x_unl, rng)
         x_unl_strong = augmenter.strong_batch(x_unl, rng)
 
-        sup_loss, sup_grads, _ = nn.loss_and_grads(
-            params, x_lab, one_hot(dataset.y[batch_lab], k)
-        )
+        sup_loss, sup_grads, _ = nn.loss_and_grads(params, x_lab, dataset.y[batch_lab])
         probs_weak = nn.forward_batch(params, x_unl_weak).probs
         pl, mask = pseudo_label_batch(probs_weak, cfg.tau)
         unsup_loss, unsup_grads, probs_strong = nn.loss_and_grads(
-            params, x_unl_strong, one_hot(pl, k), weights=mask
+            params, x_unl_strong, pl, weights=mask
         )
         grads = sup_grads.add_scaled(unsup_grads, cfg.lambda_u)
 

@@ -48,10 +48,9 @@ def write_table(path, header, columns) -> None:
 def read_table(path, header) -> list:
     """The columns of a table written by write_table.
 
-    header maps each column name, in order, to int, float or str; it may
-    instead be a function from the file's header row to that mapping.
-    Int and float columns come back as int64 and float64 arrays, str
-    columns as lists.
+    header maps each column name, in order, to int, float or str; a file
+    whose header row differs raises InputError. Int and float columns come
+    back as int64 and float64 arrays, str columns as lists.
     """
     try:
         with open(path, newline="") as f:
@@ -61,14 +60,13 @@ def read_table(path, header) -> list:
     if not rows:
         raise InputError(f"{path}: empty file")
     names, *rows = rows
-    types = header(names) if callable(header) else header
-    if names != list(types):
+    if names != list(header):
         raise InputError(f"{path}: unexpected header {names!r}")
     for i, row in enumerate(rows, start=1):
         if len(row) != len(names):
             raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(names)}")
     columns = []
-    for (name, kind), cells in zip(types.items(), zip(*rows) if rows else [()] * len(names)):
+    for (name, kind), cells in zip(header.items(), zip(*rows) if rows else [()] * len(names)):
         try:
             columns.append(list(cells) if kind is str else np.fromiter(map(kind, cells), kind))
         except (ValueError, OverflowError) as e:

@@ -1,9 +1,12 @@
-"""Scalar reference implementations the vectorized code is tested against.
+"""Reference implementations the production code is tested against.
 
-Each follows its definition one sample at a time, in plain Python except
-for the per-sample matrix products of the forward pass, and imports
-nothing from asslab, so a mistake in the vectorized code cannot also hide
-in its reference.
+The scalar references follow their definitions one sample at a time, in
+plain Python except for the per-sample matrix products of the forward
+pass. soft_target_loss_and_grads is the cross-entropy formula for any
+target distribution, which integer labels replaced. None of them imports
+anything from asslab, so a mistake in the production code cannot also
+hide in its reference. import_dataset, the reader of dataset.csv that
+only tests need, is the one exception: it builds an asslab Dataset.
 """
 
 import math
@@ -111,3 +114,58 @@ def round_robin(labels, n: int) -> list[int]:
                 picked.append(queues[c][turn])
         turn += 1
     return picked
+
+
+def soft_target_loss_and_grads(params, x, targets, weights):
+    """(loss, (weight grads, bias grads), probs) of the weighted mean
+    cross-entropy against target distributions, one row per sample.
+
+    loss = (1/N) * sum_j weights[j] * -sum_c targets[j, c] * log probs[j, c];
+    d loss / d logits = (weights / N) * (probs - targets), then backprop.
+    """
+    pre, post = [], [x]
+    a = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w.T + b
+        a = np.maximum(z, 0.0)
+        pre.append(z)
+        post.append(a)
+    logits = a @ params.weights[-1].T + params.biases[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    n = x.shape[0]
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    loss = float(np.sum(weights * -(targets * logp).sum(axis=1)) / n)
+    dlogits = (weights / n)[:, None] * (probs - targets)
+    n_layers = len(params.weights)
+    gw, gb = [None] * n_layers, [None] * n_layers
+    gw[-1] = dlogits.T @ post[-1]
+    gb[-1] = dlogits.sum(axis=0)
+    da = dlogits @ params.weights[-1]
+    for i in range(n_layers - 2, -1, -1):
+        dz = da * (pre[i] > 0)
+        gw[i] = dz.T @ post[i]
+        gb[i] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ params.weights[i]
+    return loss, (gw, gb), probs
+
+
+def import_dataset(path):
+    """Read a dataset.csv written by asslab.data.export_dataset."""
+    import csv
+
+    from asslab.data import Dataset
+    from asslab.errors import InputError
+    from asslab.table import read_table
+
+    with open(path, newline="") as f:
+        names = next(csv.reader(f), [])
+    # Expect at least one x column, so an `id,y` header is rejected.
+    dim = max(len(names) - 2, 1)
+    ids, *xs, y = read_table(path, {"id": int, **{f"x{j}": float for j in range(dim)}, "y": int})
+    if not np.array_equal(ids, np.arange(len(ids))):
+        raise InputError(f"{path}: ids must count up from 0 in row order")
+    return Dataset(x=np.stack(xs, axis=1), y=y)

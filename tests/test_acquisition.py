@@ -95,7 +95,7 @@ def request(strategy, k, unlabeled=None, snapshot=None, prob_rows=None, rng=None
     rows = prob_rows if prob_rows is not None else np.full((n, 2), 0.5)
     return AcquisitionRequest(
         strategy=strategy, k=k, snapshot=snapshot, params=probs_model(rows),
-        dataset=Dataset(ids=np.arange(n), x=np.eye(n), y=np.zeros(n, dtype=np.int64)),
+        dataset=Dataset(x=np.eye(n), y=np.zeros(n, dtype=np.int64)),
         pools=SamplePools(labeled=frozenset(range(n)) - unlabeled, unlabeled=unlabeled,
                           test=frozenset()),
         rng=np.random.default_rng(0) if rng is None else rng,

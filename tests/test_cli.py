@@ -244,8 +244,17 @@ def _out_is_a_file(tmp_path):
             "--out", str(tmp_path / "out")]
 
 
+def _ucb_round0_too_short(tmp_path):
+    # 5 steps of 64 draws cannot visit round 0's 1,480 unlabeled samples.
+    (tmp_path / "cfg.json").write_text(
+        '{"seeds": [0], "rounds": 1, "ssl": {"steps_per_round": 5}}')
+    return ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+
+
 BAD_INPUTS = {
     "gradcheck-zero-instances": lambda tmp_path: ["gradcheck", "--instances", "0"],
+    "gradcheck-negative-seed": lambda tmp_path: ["gradcheck", "--seed", "-1"],
+    "ucb-round0-too-short": _ucb_round0_too_short,
     "config-is-a-directory": _config_directory,
     "config-not-utf8": _config_not_utf8,
     "out-is-a-file": _out_is_a_file,

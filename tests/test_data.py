@@ -15,7 +15,6 @@ from asslab.data import (
     SamplePools,
     export_dataset,
     generate,
-    import_dataset,
     split_pools,
     standardize,
 )
@@ -23,11 +22,7 @@ from asslab.errors import ConfigError, InputError
 
 
 def dataset_equal(a, b):
-    return (
-        np.array_equal(a.ids, b.ids)
-        and np.array_equal(a.x, b.x)
-        and np.array_equal(a.y, b.y)
-    )
+    return np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 class TestGenerate:
@@ -48,7 +43,7 @@ class TestGenerate:
         n_init = data.draw(st.integers(k, n - 1))
         n_test = data.draw(st.integers(0, n - n_init - 1))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        ds = Dataset(ids=np.arange(n), x=np.zeros((n, 2)), y=np.asarray(labels))
+        ds = Dataset(x=np.zeros((n, 2)), y=np.asarray(labels))
         pools = split_pools(ds, n_init=n_init, n_test=n_test, seed=seed)
         rest = np.random.default_rng(seed).permutation(n)[n_test:]
         picks = oracles.round_robin(ds.y[rest].tolist(), n_init)
@@ -84,9 +79,15 @@ class TestGenerate:
         counts = np.bincount(generate(spec, seed=2).y)
         assert counts.tolist() == [34, 34, 33]
 
-    def test_ids_contiguous(self):
+    def test_ids_contiguous(self, tmp_path):
+        # A sample's id is its row index: the pools and the exported id
+        # column both count 0..n-1.
         ds = generate(GeneratorSpec(size=50, noise=0.1), seed=4)
-        np.testing.assert_array_equal(ds.ids, np.arange(50))
+        pools = split_pools(ds, n_init=4, n_test=10, seed=0)
+        assert pools.labeled | pools.unlabeled | pools.test == set(range(50))
+        export_dataset(ds, tmp_path / "d.csv")
+        rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(50))
 
     def test_rings_radii(self):
         spec = GeneratorSpec(kind="concentric-rings", size=90, n_classes=3, noise=0.0,
@@ -123,12 +124,31 @@ class TestGenerate:
 
     def test_standardize_constant_dim(self):
         ds = Dataset(
-            ids=np.arange(4),
             x=np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]),
             y=np.array([0, 1, 0, 1]),
         )
         std = standardize(ds)
         np.testing.assert_array_equal(std.x[:, 0], np.zeros(4))
+
+
+class TestDataset:
+    @pytest.mark.parametrize("kind,k", [("two-moons", 2), ("gaussian-blobs", 5),
+                                        ("concentric-rings", 3)])
+    def test_class_count_matches_spec(self, kind, k):
+        ds = generate(GeneratorSpec(kind=kind, size=50, n_classes=k), seed=0)
+        assert (ds.n, ds.dim, ds.n_classes) == (50, 2, k)
+
+    @pytest.mark.parametrize("x,y", [
+        (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),  # no rows
+        (np.zeros((3, 2)), np.array([0, -1, 1])),  # negative label
+        (np.zeros((2, 2)), np.array([0.0, 1.0])),  # float labels
+        (np.zeros((3, 2)), np.array([0, 2, 0])),  # class 1 missing
+        (np.zeros((3, 2)), np.array([0, 1])),  # mismatched lengths
+        (np.zeros((2, 2)), np.array([[0], [1]])),  # 2-d labels
+    ], ids=["empty", "negative", "float", "missing-class", "mismatched", "2-d-labels"])
+    def test_invalid_rejected(self, x, y):
+        with pytest.raises(InputError):
+            Dataset(x=x, y=y)
 
 
 class TestSpecRoundTrip:
@@ -319,11 +339,11 @@ class TestCsvRoundTrip:
         ds = standardize(generate(GeneratorSpec(size=60, noise=0.2), seed=18))
         path = tmp_path / "data.csv"
         export_dataset(ds, path)
-        back = import_dataset(path)
+        back = oracles.import_dataset(path)
         assert dataset_equal(ds, back)
 
     def test_import_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InputError):
-            import_dataset(path)
+            oracles.import_dataset(path)

@@ -170,6 +170,29 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("steps,ok", [(25, True), (24, False)])
+    def test_ucb_needs_round0_to_visit_every_sample(self, monkeypatch, steps, ok):
+        # Round 0's pool is 200 - 40 - 10 = 150 samples and each step draws
+        # 3 * 2 = 6, so 25 steps visit every sample and 24 leave some out.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_round(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_round", counting)
+        ssl = SslConfig(steps_per_round=steps, batch_size=2, mu=3, snapshot_interval=10,
+                        hidden_dims=[4])
+        cfg = small_cfg(rounds=1, ssl=ssl, strategies=["random", "ucb-product"])
+        if ok:
+            assert run_experiment(cfg).errors == []
+            assert len(calls) == 1
+        else:
+            with pytest.raises(ConfigError, match="ucb"):
+                run_experiment(cfg)
+            assert calls == []
+            small_cfg(rounds=1, ssl=ssl, strategies=["random", "coreset"]).validate()
+
     def test_bad_lists(self):
         with pytest.raises(ConfigError):
             small_cfg(seeds=[]).validate()
@@ -467,10 +490,10 @@ class TestInitModes:
                     np.testing.assert_array_equal(report.tracker_snapshot.counts, want_counts)
             lane = result.events[(3, strategy)]
             assert len(lane) == len(expected) == cfg.rounds
-            for k, (round_events, (_, _, _, want_events)) in enumerate(zip(lane, expected)):
+            for round_events, (_, _, _, want_events) in zip(lane, expected):
                 assert len(round_events) == len(want_events)
-                for (round_index, step, ids, pw, ps), want in zip(round_events, want_events):
-                    assert (round_index, step) == (k, want[0])
+                for (step, ids, pw, ps), want in zip(round_events, want_events):
+                    assert step == want[0]
                     np.testing.assert_array_equal(ids, want[1])
                     np.testing.assert_array_equal(pw, want[2])
                     np.testing.assert_array_equal(ps, want[3])

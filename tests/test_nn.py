@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from asslab.errors import InputError, InternalError
@@ -19,14 +21,19 @@ from asslab.nn import (
 )
 
 
-def backward(params, x, t, w=None):
-    return loss_and_grads(params, x, t, w)[1]
+def backward(params, x, y, w=None):
+    return loss_and_grads(params, x, y, w)[1]
 
 
 def one_hot(labels, k):
     t = np.zeros((len(labels), k))
     t[np.arange(len(labels)), labels] = 1.0
     return t
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
 
 
 class TestForward:
@@ -92,43 +99,78 @@ class TestForward:
 
 
 class TestBackward:
-    def test_target_equals_output_zero_grad(self):
+    @settings(deadline=None)
+    @given(k=st.integers(2, 5), n=st.integers(1, 6), n_hidden=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1), masked=st.booleans())
+    def test_labels_match_one_hot_formula(self, k, n, n_hidden, seed, masked):
+        # The same loss, gradients and probs, bit for bit, as the formula
+        # for target distributions fed the one-hot of each label.
+        rng = np.random.default_rng(seed)
+        d_in = int(rng.integers(1, 4))
+        params = init_params([d_in] + [int(rng.integers(2, 6))] * n_hidden + [k], rng)
+        x = rng.normal(scale=3.0, size=(n, d_in))
+        y = rng.integers(0, k, size=n)
+        w = rng.uniform(0.0, 2.0, size=n)
+        if masked:  # zero weights, as for rows below the pseudo-label threshold
+            w[rng.random(n) < 0.5] = 0.0
+        loss, grads, probs = loss_and_grads(params, x, y, w)
+        want_loss, (want_gw, want_gb), want_probs = oracles.soft_target_loss_and_grads(
+            params, x, one_hot(y, k), w)
+        assert bits(loss) == bits(want_loss)
+        assert bits(probs) == bits(want_probs)
+        for got, want in zip(grads.weights + grads.biases, want_gw + want_gb):
+            assert bits(got) == bits(want)
+
+    def test_probs_not_modified_by_the_gradient(self):
         rng = np.random.default_rng(3)
         params = init_params([3, 5, 4], rng)
-        x = rng.normal(size=(2, 3))
-        probs = forward_batch(params, x).probs
-        grads = backward(params, x, probs)
-        # CE gradient at the logits is p - t, exactly zero here.
-        np.testing.assert_array_equal(grads.weights[-1], np.zeros_like(params.weights[-1]))
-        np.testing.assert_array_equal(grads.biases[-1], np.zeros_like(params.biases[-1]))
+        x = rng.normal(size=(4, 3))
+        _, _, probs = loss_and_grads(params, x, np.array([0, 3, 1, 3]))
+        np.testing.assert_array_equal(probs, forward_batch(params, x).probs)
 
     def test_weight_scaling_linearity(self):
         rng = np.random.default_rng(4)
         params = init_params([2, 6, 3], rng)
         x = rng.normal(size=(5, 2))
-        t = one_hot(rng.integers(0, 3, size=5), 3)
+        y = rng.integers(0, 3, size=5)
         w = rng.uniform(0.5, 1.5, size=5)
-        g1 = backward(params, x, t, w)
-        g2 = backward(params, x, t, 2.0 * w)
+        g1 = backward(params, x, y, w)
+        g2 = backward(params, x, y, 2.0 * w)
         for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
             np.testing.assert_array_equal(2.0 * a, b)
 
     def test_empty_batch(self):
         params = init_params([2, 3], np.random.default_rng(0))
         with pytest.raises(InputError):
-            backward(params, np.zeros((0, 2)), np.zeros((0, 3)))
+            backward(params, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, -1]),  # would wrap to the last class under fancy indexing
+        np.array([0, 3]),  # one past the last of 3 classes
+        np.array([0.0, 1.0]),  # floats, even integral ones
+        np.array([[0], [1]]),  # 2-d
+        np.array([0, 1, 2]),  # one label too many
+        np.array([True, False]),
+    ], ids=["negative", "out-of-range", "float", "2-d", "wrong-length", "bool"])
+    def test_bad_labels_rejected(self, labels):
+        params = init_params([2, 4, 3], np.random.default_rng(0))
+        with pytest.raises(InputError):
+            loss_and_grads(params, np.zeros((2, 2)), labels)
 
     def test_matches_finite_differences(self):
         errors = run_gradient_check(n_instances=20, seed=7)
         assert len(errors) == 20
         assert max(errors) < 1e-6
 
+    def test_gradient_check_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed"):
+            run_gradient_check(n_instances=1, seed=-1)
+
     def test_loss_value_onehot(self):
-        # Uniform predictions against any one-hot target give loss ln(k).
+        # Uniform predictions give loss ln(k) whatever the labels.
         params = ModelParams([np.zeros((4, 2))], [np.zeros(4)])
         x = np.zeros((3, 2))
-        t = one_hot([0, 2, 3], 4)
-        loss, _, probs = loss_and_grads(params, x, t)
+        loss, _, probs = loss_and_grads(params, x, np.array([0, 2, 3]))
         np.testing.assert_allclose(loss, np.log(4.0), rtol=1e-12)
         np.testing.assert_allclose(probs, np.full((3, 4), 0.25))
 
@@ -137,7 +179,7 @@ class TestSgd:
     def test_lr_zero_no_change(self):
         rng = np.random.default_rng(5)
         params = init_params([2, 4, 3], rng)
-        grads = backward(params, rng.normal(size=(3, 2)), one_hot([0, 1, 2], 3))
+        grads = backward(params, rng.normal(size=(3, 2)), np.array([0, 1, 2]))
         after = sgd_step(params, grads, 0.0)
         for a, b in zip(params.weights + params.biases, after.weights + after.biases):
             np.testing.assert_array_equal(a, b)
@@ -200,9 +242,9 @@ class TestDeterminism:
             rng = np.random.default_rng(11)
             params = init_params([2, 8, 3], rng)
             x = rng.normal(size=(6, 2))
-            t = one_hot(rng.integers(0, 3, size=6), 3)
+            y = rng.integers(0, 3, size=6)
             for _ in range(10):
-                params = sgd_step(params, backward(params, x, t), 0.05)
+                params = sgd_step(params, backward(params, x, y), 0.05)
             return params
 
         a, b = run(), run()
@@ -223,7 +265,7 @@ class TestGradientOracle:
         # f(w) = CE on a single linear unit has a closed-form gradient.
         params = ModelParams([np.array([[0.5], [-0.2]])], [np.zeros(2)])
         x = np.array([[1.0]])
-        t = np.array([[1.0, 0.0]])
-        fd = finite_diff_grads(params, x, t)
-        an = backward(params, x, t)
+        y = np.array([0])
+        fd = finite_diff_grads(params, x, y)
+        an = backward(params, x, y)
         assert gradient_relative_error(an, fd) < 1e-6

@@ -1,4 +1,9 @@
+import ast
+import pathlib
+
 import asslab
+
+SRC = pathlib.Path(asslab.__file__).resolve().parent
 
 
 def test_all_is_pinned():
@@ -16,3 +21,16 @@ def test_all_is_pinned():
         "ti_uncertainty_profile", "tracker", "train_round",
     ]
     assert all(hasattr(asslab, name) for name in asslab.__all__)
+
+
+def test_every_definition_is_used_by_the_package():
+    # A top-level function or class that nothing in src/ refers to, and
+    # that is not public, serves only the tests and belongs with them.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used and node.name not in asslab.__all__]
+    assert unused == []

@@ -12,7 +12,6 @@ from asslab.errors import ConfigError, TrainingError
 from asslab.ssl import (
     SslConfig,
     _UnlabeledIterator,
-    one_hot,
     pseudo_label_batch,
     train_round,
 )
@@ -166,9 +165,7 @@ class TestTrainRound:
             x_lab = aug.weak_batch(ds.x[batch_lab], rng)
             aug.weak_batch(ds.x[batch_unl], rng)
             aug.strong_batch(ds.x[batch_unl], rng)
-            _, grads, _ = nn.loss_and_grads(
-                params, x_lab, one_hot(ds.y[batch_lab], ds.n_classes)
-            )
+            _, grads, _ = nn.loss_and_grads(params, x_lab, ds.y[batch_lab])
             params = optimizer.step(params, grads)
         for a, b in zip(out.weights + out.biases, params.weights + params.biases):
             np.testing.assert_array_equal(a, b)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from asslab import harness
 from asslab.acquisition import STRATEGIES
 from asslab.analysis import (
@@ -24,7 +25,7 @@ from asslab.analysis import (
     write_spearman_series,
     write_ti_profile,
 )
-from asslab.data import Dataset, export_dataset, import_dataset
+from asslab.data import Dataset, export_dataset
 from asslab.table import format_rows
 from asslab.tracker import TrackerSnapshot, load_snapshot_csv
 
@@ -74,14 +75,15 @@ def write_acquisitions(path):
 
 
 def write_events(path):
-    # The step-2 chunk wraps an epoch of the unlabeled iterator: ids 5, 0.
+    # One list per round, in round order. The step-2 chunk wraps an epoch
+    # of the unlabeled iterator: ids 5, 0.
     harness._write_events_csv(path, [[
-        (0, 1, np.array([3, 4]), np.array([[0.1, 0.9], [1.0, 0.0]]),
+        (1, np.array([3, 4]), np.array([[0.1, 0.9], [1.0, 0.0]]),
          np.array([[0.5, 0.5], [SUBNORMAL, 1.0]])),
-        (0, 2, np.array([5, 0]), np.array([[0.25, 0.75], [-0.0, 1.0]]),
+        (2, np.array([5, 0]), np.array([[0.25, 0.75], [-0.0, 1.0]]),
          np.array([[0.3, 0.7], [0.2, 0.8]])),
     ], [
-        (1, 1, np.array([2]), np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]])),
+        (1, np.array([2]), np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]])),
     ]], {})
 
 
@@ -105,7 +107,7 @@ def write_snapshot(path):
 
 def write_dataset(path):
     export_dataset(Dataset(
-        ids=np.arange(3), x=np.array([[0.1, -0.0], [SUBNORMAL, 1.0], [2.5, -3.0]]),
+        x=np.array([[0.1, -0.0], [SUBNORMAL, 1.0], [2.5, -3.0]]),
         y=np.array([1, 0, 1]),
     ), path)
 
@@ -245,7 +247,7 @@ def datasets(draw):
     d = draw(st.integers(1, 3))
     x = draw(st.lists(st.lists(finite, min_size=d, max_size=d),
                       min_size=len(y), max_size=len(y)))
-    return Dataset(ids=np.arange(len(y)), x=np.array(x, dtype=np.float64),
+    return Dataset(x=np.array(x, dtype=np.float64),
                    y=np.array(y, dtype=np.int64))
 
 
@@ -287,8 +289,8 @@ class TestRoundTrip:
     def test_dataset(self, tmp_path_factory, ds):
         path = tmp_path_factory.mktemp("data") / "d.csv"
         export_dataset(ds, path)
-        back = import_dataset(path)
-        for name in ("ids", "x", "y"):
+        back = oracles.import_dataset(path)
+        for name in ("x", "y"):
             assert_bits_equal(getattr(back, name), getattr(ds, name))
 
     @settings(deadline=None)
