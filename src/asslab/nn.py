@@ -141,9 +141,8 @@ def _as_batch(params, inputs, labels, weights):
     if (y.shape != (x.shape[0],) or y.dtype.kind not in "iu"
             or y.min() < 0 or y.max() >= params.n_classes):
         raise InputError(f"labels must be one integer in [0, {params.n_classes}) per row")
-    if weights is None:
-        w = np.ones(x.shape[0])
-    else:
+    w = None
+    if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (x.shape[0],):
             raise InputError("weights must be one scalar per batch row")
@@ -167,16 +166,18 @@ def loss_and_grads(
     rows = np.arange(n)
     forward_counter.add(n)
     logits, pre, post = _forward_cached(params, x)
-    probs = softmax(logits)
-
-    logp = logits - logits.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = float(np.sum(w * -logp[rows, y]) / n)
+    # One log-softmax: the same shift, exp and row sums as softmax(logits).
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
+    nll = -(shifted[rows, y] - np.log(total[:, 0]))
+    loss = float(np.sum(nll if w is None else w * nll) / n)
 
     # d loss / d logits = (w/N) * (p - onehot(y)), then standard backprop.
     dlogits = probs.copy()
     dlogits[rows, y] -= 1.0
-    dlogits *= (w / n)[:, None]
+    dlogits *= 1.0 / n if w is None else (w / n)[:, None]
     gw = [np.empty(0)] * params.n_layers
     gb = [np.empty(0)] * params.n_layers
     gw[-1] = dlogits.T @ post[-1]
@@ -211,8 +212,10 @@ class SgdOptimizer:
     """Plain SGD; momentum is available but defaults off."""
 
     def __init__(self, lr: float, momentum: float = 0.0):
-        if lr <= 0:
-            raise InputError("learning rate must be positive")
+        if not 0.0 < lr < np.inf:
+            raise InputError(f"learning rate must be positive and finite, got {lr}")
+        if not 0.0 <= momentum < 1.0:
+            raise InputError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
         self._velocity: Gradients | None = None

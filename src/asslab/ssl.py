@@ -3,9 +3,10 @@
 Each step draws a labeled batch and an epoch-shuffled unlabeled batch,
 weakly augments both, pseudo-labels confident weak-view predictions, and
 penalizes strong-view disagreement with those pseudo-labels. Every
-unlabeled appearance feeds one weak/strong prediction pair to the tracker
-before the parameter update, and periodic snapshots of the whole unlabeled
-pool are collected for post-hoc analysis.
+unlabeled appearance yields one weak/strong prediction pair, made before
+that step's parameter update; the tracker folds in each epoch's pairs at
+once when the epoch ends, and the rest when the round ends. Periodic
+snapshots of the whole unlabeled pool are collected for post-hoc analysis.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ def _pool_snapshot(params, x_pool):
     )
 
 
+def _ingest_epoch(tracker: TrackerStore, chunks: list[tuple]) -> None:
+    """One ingest_batch call for the (positions, probs_weak, probs_strong)
+    chunks of one epoch."""
+    tracker.ingest_batch(*(np.concatenate(parts) for parts in zip(*chunks)))
+
+
 def train_round(
     params: nn.ModelParams,
     pools: SamplePools,
@@ -157,10 +164,18 @@ def train_round(
     Pool snapshots record predictions on a fresh weak view, the same kind
     of view pseudo-labels are read from.
 
+    The tracker ingests the prediction pairs by position in the pool, one
+    call per epoch of the unlabeled stream: each epoch's chunks are kept
+    and folded in together once its permutation is used up, and a partial
+    last epoch when the round ends. Nothing reads the tracker during a
+    round, and a position appears once per epoch, so every sample gets the
+    same EMA updates in the same order as with one call per step. A
+    non-finite statistic raises TrackerError when its epoch is folded in,
+    not at its step.
+
     event_sink, when given, receives (step, ids, probs_weak, probs_strong)
-    for every chunk, which the tracker ingests by position in the pool.
-    The arrays are new every step and never written afterwards, so a sink
-    may keep them without copying.
+    for every chunk, as the step makes it. The arrays are new every step
+    and never written afterwards, so a sink may keep them without copying.
     """
     cfg.validate()
     if not pools.labeled or not pools.unlabeled:
@@ -185,11 +200,15 @@ def train_round(
     masked_count = 0
     snap_steps, snap_labels, snap_u, snap_mp = [], [], [], []
     optimizer = nn.SgdOptimizer(cfg.lr, cfg.momentum)
+    epoch: list[tuple] = []  # (positions, probs_weak, probs_strong) per chunk
+    epoch_rows = 0
 
     for step in range(1, cfg.steps_per_round + 1):
-        batch_lab = rng.choice(labeled_ids, size=cfg.batch_size, replace=True)
+        # Same values and generator state as rng.choice(labeled_ids, ...,
+        # replace=True), without its argument handling.
+        batch_lab = labeled_ids[rng.integers(0, len(labeled_ids), size=cfg.batch_size)]
         chunks = iterator.next_chunks(mu_b)
-        x_unl = x_unlabeled_pool[np.concatenate(chunks)]
+        x_unl = x_unlabeled_pool[chunks[0] if len(chunks) == 1 else np.concatenate(chunks)]
 
         x_lab = dataset.x[batch_lab]
         if cfg.weak_augment_labeled:
@@ -212,10 +231,14 @@ def train_round(
         offset = 0
         for chunk in chunks:
             sel = slice(offset, offset + len(chunk))
-            tracker.ingest_batch(chunk, probs_weak[sel], probs_strong[sel])
+            epoch.append((chunk, probs_weak[sel], probs_strong[sel]))
             if event_sink is not None:
                 event_sink(step, unlabeled_ids[chunk], probs_weak[sel], probs_strong[sel])
             offset += len(chunk)
+            epoch_rows += len(chunk)
+            if epoch_rows == len(unlabeled_ids):
+                _ingest_epoch(tracker, epoch)
+                epoch, epoch_rows = [], 0
         masked_count += int(mask.sum())
         sup_losses[step - 1] = sup_loss
         unsup_losses[step - 1] = unsup_loss
@@ -232,6 +255,8 @@ def train_round(
             snap_u.append(u_vals)
             snap_mp.append(mp)
 
+    if epoch:
+        _ingest_epoch(tracker, epoch)
     series = None
     if snap_steps:
         series = SnapshotSeries(

@@ -28,10 +28,10 @@ def uncertainty_batch(probs: np.ndarray) -> np.ndarray:
     Zero exactly when the prediction is one-hot, growing as confidence
     drops. Ties in the argmax resolve to the lowest index.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    one_hot = np.zeros_like(p)
-    one_hot[np.arange(p.shape[0]), np.argmax(p, axis=1)] = 1.0
-    return np.linalg.norm(p - one_hot, axis=1)
+    d = np.array(probs, dtype=np.float64)
+    d[np.arange(d.shape[0]), np.argmax(d, axis=1)] -= 1.0
+    # np.linalg.norm's own formula for one axis, so the bits match it.
+    return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
 def inconsistency_batch(probs_w: np.ndarray, probs_s: np.ndarray) -> np.ndarray:
@@ -42,10 +42,9 @@ def inconsistency_batch(probs_w: np.ndarray, probs_s: np.ndarray) -> np.ndarray:
     """
     pw = np.asarray(probs_w, dtype=np.float64)
     ps = np.asarray(probs_s, dtype=np.float64)
-    log_w = np.log(np.maximum(pw, EPS_PROB))
-    log_s = np.log(np.maximum(ps, EPS_PROB))
-    kl_ws = ((pw * (log_w - log_s)).sum(axis=1))
-    kl_sw = ((ps * (log_s - log_w)).sum(axis=1))
+    d = np.log(np.maximum(pw, EPS_PROB)) - np.log(np.maximum(ps, EPS_PROB))
+    kl_ws = (pw * d).sum(axis=1)
+    kl_sw = (ps * -d).sum(axis=1)
     return 0.5 * (kl_ws + kl_sw)
 
 
@@ -160,9 +159,10 @@ class TrackerStore:
             raise TrackerError(f"sample id {dup} twice in one ingest batch")
         # An inf or nan probability makes a non-finite statistic, refused
         # below; numpy's warning about it (inf + -inf) would come first.
+        vals = np.empty((len(pos), 2))
         with np.errstate(invalid="ignore", over="ignore"):
-            vals = np.stack([uncertainty_batch(probs_weak),
-                             inconsistency_batch(probs_weak, probs_strong)], axis=1)
+            vals[:, 0] = uncertainty_batch(probs_weak)
+            vals[:, 1] = inconsistency_batch(probs_weak, probs_strong)
         finite = np.isfinite(vals).all(axis=1)
         if not np.all(finite):
             raise TrackerError(

@@ -3,9 +3,12 @@
 The scalar references follow their definitions one sample at a time, in
 plain Python except for the per-sample matrix products of the forward
 pass. soft_target_loss_and_grads is the cross-entropy formula for any
-target distribution, which integer labels replaced. None of them imports
-anything from asslab, so a mistake in the production code cannot also
-hide in its reference. import_dataset, the reader of dataset.csv that
+target distribution, which integer labels replaced. uncertainty_norm and
+inconsistency_two_logs are the tracker's batch statistics as first
+written, the one-hot difference through np.linalg.norm and one log
+difference per KL term; the tracker must match them bit for bit. None of
+them imports anything from asslab, so a mistake in the production code
+cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
 """
 
@@ -39,6 +42,25 @@ def inconsistency(probs_w, probs_s) -> float:
     pw = [float(v) for v in probs_w]
     ps = [float(v) for v in probs_s]
     return 0.5 * (kl(pw, ps) + kl(ps, pw))
+
+
+def uncertainty_norm(probs) -> np.ndarray:
+    """Per-row L2 distance to the one-hot of the argmax, via np.linalg.norm."""
+    p = np.asarray(probs, dtype=np.float64)
+    one_hot = np.zeros_like(p)
+    one_hot[np.arange(p.shape[0]), np.argmax(p, axis=1)] = 1.0
+    return np.linalg.norm(p - one_hot, axis=1)
+
+
+def inconsistency_two_logs(probs_w, probs_s) -> np.ndarray:
+    """Per-row symmetrized KL, each direction with its own log difference."""
+    pw = np.asarray(probs_w, dtype=np.float64)
+    ps = np.asarray(probs_s, dtype=np.float64)
+    log_w = np.log(np.maximum(pw, EPS_PROB))
+    log_s = np.log(np.maximum(ps, EPS_PROB))
+    kl_ws = ((pw * (log_w - log_s)).sum(axis=1))
+    kl_sw = ((ps * (log_s - log_w)).sum(axis=1))
+    return 0.5 * (kl_ws + kl_sw)
 
 
 @dataclass

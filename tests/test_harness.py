@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -739,6 +740,73 @@ class TestEmit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["errors"]) == 1
         assert manifest["completed_rounds"] == 0
+
+
+def golden_cfg() -> ExperimentConfig:
+    """Two rounds of ucb-product and coreset with a carried tracker and the
+    event log; 64 draws per step from pools of 150 and 145, so steps cross
+    epoch boundaries and round 1 starts from a filled tracker."""
+    return small_cfg(
+        strategies=["ucb-product", "coreset"], log_events=True,
+        ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8],
+                      carry_tracker=True),
+    )
+
+
+def tree_sha256(root) -> dict[str, str]:
+    """{relative path: sha256} of every file under root. The manifest is
+    hashed without its timings, its out_dir and the versions of the
+    environment that wrote it, re-serialized the way emit writes it."""
+    out = {}
+    for rel, raw in tree_bytes(root).items():
+        if rel == "manifest.json":
+            doc = json.loads(raw)
+            for key in ("nondeterministic", "package_version", "python_version",
+                        "numpy_version"):
+                doc.pop(key)
+            doc["config"].pop("out_dir")
+            raw = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        out[rel.replace(os.sep, "/")] = hashlib.sha256(raw).hexdigest()
+    return out
+
+
+# Pinned from the code before the tracker folded each epoch's events in one
+# call. Floating-point bytes depend on the numpy and BLAS build; the pin holds
+# for the one the tier-1 suite runs on.
+GOLDEN_SHA256 = {
+    "analysis/pairwise_matrix.csv":
+        "569353813130d4714e30ab9e24d7daba8003a6f79ed01754ae1aec7aa3bad22d",
+    "analysis/pseudo_ratio_seed0.csv":
+        "ef7f5627f4beaa57470b54f1c53933643bcb303fe2a78a0ab4c9adccb0ef6562",
+    "analysis/spearman_series_seed0.csv":
+        "580495f905ad0dbf3a2db38315126b2a0756e4f0cdb9bff4e7fe18c0622f34fa",
+    "analysis/ti_profile_seed0.csv":
+        "36728489ee122a4888a775a01d64d75f0110048b7f5f365bdf5ff2d4787edc3c",
+    "manifest.json":
+        "8aa535d8cb1e82e8547a2d429c5f808a242e5f2e5b10d05a2b7a2122dc9d2bdd",
+    "rounds.csv":
+        "b15d4e358bd0cbecc5a89f8a47770917032079201fb5e909746bd85ba827cc42",
+    "seed_0/acquisitions.csv":
+        "3fa84ab5dbcebe52c90b8ef879d08770f4b93c2727383ed3abfe49993fa4e574",
+    "seed_0/dataset.csv":
+        "cec684ffca6d5561db6c814dcda5d56f3568c20c67922f8cd96752ab546e5775",
+    "seed_0/events_coreset.csv":
+        "203fc4069d02719288e53d3e5335456e2b75e52923ffa6b6d70c64667f827878",
+    "seed_0/events_ucb-product.csv":
+        "e5fc1b96464b343e476cfa0480aa91029ba0c9668fcd227414ce41de121521e5",
+    "seed_0/scores/round0.csv":
+        "89895d7c0ac283ebfb6e4520f89ab56a1ec480fee43a17b08d41ac9eb2395119",
+    "seed_0/scores/round1.csv":
+        "5d66ead25fe4e23df4f68c553c0966a5d352ccda412a0407fc0ee58bd26d14d0",
+    "seed_0/snapshots_round0.csv":
+        "64a344199c27dadba8eab4b59bf3d47b63dd3986cf751c2f422c1a46cb816456",
+}
+
+
+class TestGoldenDigest:
+    def test_tiny_sweep_bytes_pinned(self, tmp_path):
+        run_and_emit(golden_cfg(), out_dir=str(tmp_path / "run"))
+        assert tree_sha256(tmp_path / "run") == GOLDEN_SHA256
 
 
 class TestAnalyzeDir:

@@ -219,6 +219,16 @@ class TestSgd:
         with pytest.raises(InputError):
             SgdOptimizer(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_optimizer_rejects_non_finite_lr(self, lr):
+        with pytest.raises(InputError, match="learning rate"):
+            SgdOptimizer(lr=lr)
+
+    @pytest.mark.parametrize("momentum", [1.0, 1.5, -2.0, -1e-12, np.nan, np.inf])
+    def test_optimizer_rejects_bad_momentum(self, momentum):
+        with pytest.raises(InputError, match="momentum"):
+            SgdOptimizer(lr=0.1, momentum=momentum)
+
 
 class TestDeterminism:
     def test_init_deterministic(self):

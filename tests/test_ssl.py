@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -101,6 +102,66 @@ class TestUnlabeledIterator:
         it.next_chunks(7)
         chunks = it.next_chunks(7)  # crosses the epoch boundary at 10
         assert [len(c) for c in chunks] == [3, 4]
+
+
+class TestLabeledDraw:
+    @given(ids=st.lists(st.integers(-2**40, 2**40), unique=True, min_size=1, max_size=60),
+           size=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    def test_integers_index_the_id_choice(self, ids, size, seed):
+        # Indexing the labeled ids with drawn integers gives the same batch
+        # and leaves the generator where rng.choice(..., replace=True) does.
+        ids = np.asarray(sorted(ids), dtype=np.int64)
+        by_pos, by_id = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(ids[by_pos.integers(0, len(ids), size=size)],
+                                      by_id.choice(ids, size=size, replace=True))
+        assert by_pos.bit_generator.state == by_id.bit_generator.state
+
+
+class TestEpochFold:
+    """train_round folds each epoch of the unlabeled stream into the
+    tracker in one call. Replaying its event stream chunk by chunk into
+    another store must give the same state bit for bit."""
+
+    # 120 - 8 - 20 = 92 unlabeled samples, drawn 8 per step: step 12 crosses
+    # the first epoch's end, step 23 ends the second exactly.
+    @pytest.mark.parametrize("steps,variance_mean,carried", [
+        (30, "post", False),  # ends mid-epoch
+        (12, "post", False),  # its last step crosses an epoch end
+        (23, "post", False),  # ends exactly at an epoch end
+        (30, "post", True),
+        (30, "pre", False),
+        (12, "pre", True),
+    ])
+    def test_replayed_events_match_the_trained_store(self, monkeypatch, steps,
+                                                      variance_mean, carried):
+        ds, pools = make_problem(size=120, n_init=8, n_test=20)
+        cfg = SslConfig(steps_per_round=steps, batch_size=4, mu=2,
+                        snapshot_interval=10, hidden_dims=[8])
+        ids = pools.sorted_unlabeled()
+        tracker = TrackerStore(ids, variance_mean=variance_mean)
+        if carried:
+            train_round(fresh_params(cfg, ds, seed=1), pools, ds, cfg, tracker,
+                        np.random.default_rng(2))
+        replay = copy.deepcopy(tracker)
+
+        calls = []
+        ingest = TrackerStore.ingest_batch
+
+        def counting(store, *args):
+            calls.append(store)
+            return ingest(store, *args)
+
+        monkeypatch.setattr(TrackerStore, "ingest_batch", counting)
+        events = []
+        train_round(fresh_params(cfg, ds), pools, ds, cfg, tracker,
+                    np.random.default_rng(3), event_sink=lambda *e: events.append(e))
+        assert len(calls) == math.ceil(steps * 8 / len(ids))  # epochs touched
+        assert all(store is tracker for store in calls)
+
+        for _, chunk_ids, pw, ps in events:
+            replay.ingest_batch(np.searchsorted(ids, chunk_ids), pw, ps)
+        for name in ("_mean", "_var", "_count"):
+            assert getattr(tracker, name).tobytes() == getattr(replay, name).tobytes()
 
 
 class TestConfig:

@@ -9,6 +9,7 @@ import oracles
 from asslab.errors import ConfigError, TrackerError
 from asslab.ssl import _UnlabeledIterator
 from asslab.tracker import (
+    EPS_PROB,
     TrackerStore,
     inconsistency_batch,
     load_snapshot_csv,
@@ -110,6 +111,51 @@ class TestInconsistency:
             [oracles.inconsistency(p, q) for p, q in zip(P, Q)],
             rtol=1e-12,
         )
+
+
+SPECIAL_PROBS = [0.0, EPS_PROB / 2, EPS_PROB, 2 * EPS_PROB, 1e-300, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def prob_rows(draw, n: int, k: int) -> np.ndarray:
+    """n rows of k entries in [0, 1]: free, normalized or one-hot, with
+    special values that make argmax ties, exact zeros and EPS_PROB floors."""
+    value = st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_PROBS))
+    rows = np.zeros((n, k))
+    for row in rows:
+        kind = draw(st.sampled_from(["free", "normalized", "one-hot"]))
+        if kind == "one-hot":
+            row[draw(st.integers(0, k - 1))] = 1.0
+        else:
+            row[:] = draw(st.lists(value, min_size=k, max_size=k))
+            if kind == "normalized" and row.sum() > 0:
+                row /= row.sum()
+    return rows
+
+
+@st.composite
+def prob_batches(draw, views: int) -> list[np.ndarray]:
+    n, k = draw(st.integers(0, 8)), draw(st.integers(1, 5))
+    return [draw(prob_rows(n, k)) for _ in range(views)]
+
+
+class TestBatchStatisticBits:
+    """The batch statistics against their first vectorized form, bit for bit."""
+
+    @given(batch=prob_batches(views=1))
+    @example(batch=[np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
+    @example(batch=[np.array([[EPS_PROB, 1.0 - EPS_PROB], [0.25, 0.25]])])
+    def test_uncertainty_matches_norm_form(self, batch):
+        (p,) = batch
+        assert uncertainty_batch(p).tobytes() == oracles.uncertainty_norm(p).tobytes()
+
+    @given(batch=prob_batches(views=2))
+    @example(batch=[np.array([[1.0, 0.0], [EPS_PROB / 2, 1.0]]),
+                    np.array([[0.0, 1.0], [EPS_PROB, 1.0]])])
+    def test_inconsistency_matches_two_log_form(self, batch):
+        pw, ps = batch
+        assert (inconsistency_batch(pw, ps).tobytes()
+                == oracles.inconsistency_two_logs(pw, ps).tobytes())
 
 
 class TestEmaUpdate:
