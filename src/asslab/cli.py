@@ -4,26 +4,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
-from .errors import AsslabError, ConfigError, InputError
+from .config import read_json
+from .errors import AsslabError
 from .harness import ExperimentConfig, analyze_dir, run_and_emit
 from .nn import run_gradient_check
 
 
 def load_config_file(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
-    except OSError as e:  # a directory, or unreadable
-        raise InputError(f"cannot read config file {path}: {e}") from None
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(read_json(path, "config file"))
 
 
 def _print_progress(report) -> None:

@@ -1,23 +1,24 @@
 """One (de)serializer and type check for the config dataclasses.
 
-Configs arrive as JSON-shaped dicts (a config file, a manifest) or are
-built in Python. Either way validate() checks every field against its
-annotation before the class's own range checks: an int field takes an
-integer but not a bool, a float field takes a finite int or float but not
-a bool, bool and str fields take only their own type, a list field takes
-a list whose elements are checked the same way, and a nested config
-section takes its config class. Values are kept as given, so an int in a
-float field stays an int and serializes back unchanged.
+Configs arrive as JSON-shaped dicts (a config file, a manifest, each read
+by read_json) or are built in Python. Either way validate() checks every
+field against its annotation before the class's own range checks: an int
+field takes an integer but not a bool, a float field takes a finite int or
+float but not a bool, bool and str fields take only their own type, a list
+field takes a list whose elements are checked the same way, and a nested
+config section takes its config class. Values are kept as given, so an int
+in a float field stays an int and serializes back unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import typing
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 _NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 _type_hints = functools.cache(typing.get_type_hints)
@@ -39,6 +40,22 @@ class DictConfig:
         """Raise ConfigError unless every field, nested sections included,
         has its annotated type and passes its class's range checks."""
         _check(type(self), self, "")
+
+
+def read_json(path: str, what: str):
+    """The JSON document at path; InputError if it cannot be read or parsed.
+
+    what names the file in the messages, e.g. "config file".
+    """
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except OSError as e:  # a directory, or unreadable
+        raise InputError(f"cannot read {what} {path}: {e}") from None
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputError(f"{what} {path} is not valid JSON: {e}") from None
 
 
 def _decode(tp, value, key: str):

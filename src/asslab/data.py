@@ -84,10 +84,16 @@ def _balanced_counts(size: int, k: int) -> list[int]:
     return [base + (1 if c < extra else 0) for c in range(k)]
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def generate(spec: GeneratorSpec, seed: int) -> Dataset:
     """Sample a balanced labeled dataset; rows are shuffled after generation."""
     spec.validate()
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     counts = _balanced_counts(spec.size, spec.n_classes)
     xs, ys = [], []
     for c, n_c in enumerate(counts):
@@ -140,6 +146,8 @@ class SamplePools:
         if ids.ndim != 1 or (ids.size and not np.issubdtype(ids.dtype, np.integer)):
             raise InputError(f"acquired ids must be a 1-d array of integers, got {ids.dtype}")
         acquired = frozenset(ids.tolist())
+        if len(acquired) != ids.size:
+            raise InputError("acquired ids must be unique")
         if not acquired <= self.unlabeled:
             raise InputError("acquired ids must come from the unlabeled pool")
         return SamplePools(
@@ -178,7 +186,7 @@ def split_pools(
         raise ConfigError(f"n_init {n_init} below class count {k}")
     if n_test < 0:
         raise ConfigError("n_test must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     perm = rng.permutation(dataset.n)
     test = perm[:n_test]
     rest = perm[n_test:]

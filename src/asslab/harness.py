@@ -41,7 +41,7 @@ from .analysis import (
     write_spearman_series,
     write_ti_profile,
 )
-from .config import DictConfig
+from .config import DictConfig, read_json
 from .data import (
     Augmenter,
     Dataset,
@@ -79,6 +79,8 @@ PSEUDO_RATIO_METRICS = ("u_ucb", "i_ucb")
 
 def derive_seed_sequence(seed: int, stream: int, *extra: int) -> np.random.SeedSequence:
     key = (int(stream),) + tuple(int(e) for e in extra)
+    if int(seed) < 0 or min(key) < 0:
+        raise InputError(f"seed and streams must be nonnegative, got {seed} and {key}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
@@ -99,7 +101,7 @@ class TrackerParams(DictConfig):
 
     def _check_ranges(self):
         # TrackerStore revalidates; constructing one surfaces errors early.
-        TrackerStore([], self.alpha, self.c_u, self.c_i, self.variance_mean)
+        TrackerStore([], **self.to_dict())
 
 
 @dataclass
@@ -197,13 +199,33 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run every (seed, strategy) lane of the configured sweep.
 
-    Each round is looked up in a per-seed memo keyed by the lane's
-    history, the sorted ids it acquired in each earlier round, so every
-    distinct history (round 0's empty one included) is trained once, under
-    either init_mode, and every lane with it acquires from that result.
-    With carry_tracker each lane carries its own copy of the memo's tracker.
-    With log_events, events[(seed, strategy)] holds the memo's event list of
-    each round the lane reached, so lanes that share a round share its list.
+    Seeds share nothing: _run_seed runs each alone, and their results are
+    joined in config order. Reports, and the calls to progress (when given,
+    with each RoundReport as it is made), come seed-major, then lane-major.
+    """
+    cfg.validate()
+    seeds = [_run_seed(cfg, seed, progress) for seed in cfg.seeds]
+    return ExperimentResult(
+        reports=[r for s in seeds for r in s.reports],
+        errors=[e for s in seeds for e in s.errors],
+        datasets={k: v for s in seeds for k, v in s.datasets.items()},
+        events={k: v for s in seeds for k, v in s.events.items()},
+    )
+
+
+def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
+    """Run every strategy's lane of one seed and return that seed's result.
+
+    Everything the lanes share lives here and nowhere else, so seeds share
+    nothing: the dataset, the pool split, the augmenter, the init params
+    and the memo of trained rounds. Each round is looked up in the memo by
+    the lane's history, the sorted ids it acquired in each earlier round,
+    so every distinct history (round 0's empty one included) is trained
+    once, under either init_mode, and every lane with it acquires from that
+    result. With carry_tracker each lane carries its own copy of the memo's
+    tracker. With log_events, events[(seed, strategy)] holds the memo's
+    event list of each round the lane reached, so lanes that share a round
+    share its list.
 
     A lane that diverges during training is cut short: its completed
     rounds stay in the report list and the failure is recorded in the
@@ -212,116 +234,90 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
 
     Only the first strategy's reports carry artifacts: every round its
     tracker snapshot, round 0 also its snapshot series. emit writes
-    whatever the reports carry.
-
-    progress, when given, is called with each finished RoundReport, in
+    whatever the reports carry. progress is called with each report, in
     lane-major order.
     """
-    cfg.validate()
-    reports: list[RoundReport] = []
-    errors: list[dict] = []
-    datasets: dict[int, Dataset] = {}
-    events: dict[tuple[int, str], list] = {}
+    dataset = standardize(generate(cfg.dataset, derive_seed(seed, DATA_STREAM)))
+    pools0 = split_pools(
+        dataset, cfg.n_init, cfg.n_test, derive_seed(seed, SPLIT_STREAM),
+        stratify=cfg.stratify_init,
+    )
+    augmenter = Augmenter.for_data(dataset.x)
+    dims = [dataset.dim, *cfg.ssl.hidden_dims, dataset.n_classes]
+    init_params = nn.init_params(dims, derive_rng(seed, INIT_STREAM))
     rand_init = cfg.ssl.init_mode == "rand_init"
     carry = cfg.ssl.carry_tracker
+    result = ExperimentResult(reports=[], errors=[], datasets={seed: dataset}, events={})
+    memo: dict[tuple, tuple] = {}  # history -> (outcome, tracker, events)
 
-    for seed in cfg.seeds:
-        dataset = standardize(generate(cfg.dataset, derive_seed(seed, DATA_STREAM)))
-        datasets[seed] = dataset
-        pools0 = split_pools(
-            dataset, cfg.n_init, cfg.n_test, derive_seed(seed, SPLIT_STREAM),
-            stratify=cfg.stratify_init,
-        )
-        augmenter = Augmenter.for_data(dataset.x)
-        dims = [dataset.dim, *cfg.ssl.hidden_dims, dataset.n_classes]
-        init_params = nn.init_params(dims, derive_rng(seed, INIT_STREAM))
-
-        memo: dict[tuple, tuple] = {}  # history -> (outcome, tracker, events)
-
-        def train(start, pools, tracker, round_index):
-            round_events: list = []
-            sink = (lambda *event: round_events.append(event)) if cfg.log_events else None
-            try:
-                outcome = train_round(start, pools, dataset, cfg.ssl, tracker,
-                                      derive_rng(seed, TRAIN_STREAM, round_index),
-                                      augmenter=augmenter, event_sink=sink)
-            except TrainingError as e:
-                outcome = e
-            return outcome, tracker, round_events
-
-        for si, strategy in enumerate(cfg.strategies):
-            pools, trained, tracker, history = pools0, init_params, None, ()
-            keep_artifacts = si == 0
-            lane_events: list = []
-            try:
-                for round_index in range(cfg.rounds):
-                    if history not in memo:
-                        if tracker is None or not carry:
-                            tracker = _new_tracker(cfg, pools)
-                        start = init_params if rand_init else trained
-                        memo[history] = train(start, pools, tracker, round_index)
-                    outcome, tracker, round_events = memo[history]
-                    lane_events.append(round_events)
-                    if isinstance(outcome, TrainingError):
-                        raise outcome  # recorded for this lane below
-                    trained, metrics = outcome
-                    if carry:  # remove() and later ingests write into the store
-                        tracker = copy.deepcopy(tracker)
-                    snapshot = tracker.snapshot()
-                    acq_rng = derive_rng(seed, ACQUIRE_STREAM, round_index, si)
-                    t0 = time.perf_counter()
-                    ids, scores = acquire(AcquisitionRequest(
-                        strategy, cfg.acquire_k, snapshot, trained, dataset,
-                        pools, acq_rng,
-                    ))
-                    seconds = time.perf_counter() - t0
-                    pools = pools.updated(ids)
-                    if carry:
-                        tracker.remove(ids)
-                    history += (tuple(sorted(ids.tolist())),)
-                    report = RoundReport(
-                        seed=seed,
-                        strategy=strategy,
-                        round_index=round_index,
-                        test_accuracy=metrics.test_accuracy,
-                        supervised_loss=metrics.supervised_loss,
-                        unsupervised_loss=metrics.unsupervised_loss,
-                        mask_rate=metrics.mask_rate,
-                        n_events=metrics.n_events,
-                        n_labeled_after=len(pools.labeled),
-                        acquired_ids=ids,
-                        acquisition_scores=scores,
-                        acquisition_seconds=seconds,
-                        params=trained,
-                        series=metrics.series if keep_artifacts and round_index == 0 else None,
-                        tracker_snapshot=snapshot if keep_artifacts else None,
-                    )
-                    reports.append(report)
-                    if progress is not None:
-                        progress(report)
-            except TrainingError as e:
-                errors.append({
-                    "seed": seed,
-                    "strategy": strategy,
-                    "round": round_index,
-                    "step": e.step,
-                    "message": str(e),
-                })
-            if any(lane_events):
-                events[(seed, strategy)] = lane_events
-    return ExperimentResult(
-        reports=reports, errors=errors, datasets=datasets, events=events,
-    )
-
-
-def _new_tracker(cfg: ExperimentConfig, pools) -> TrackerStore:
-    return TrackerStore(
-        pools.sorted_unlabeled(),
-        alpha=cfg.tracker.alpha,
-        c_u=cfg.tracker.c_u,
-        c_i=cfg.tracker.c_i,
-        variance_mean=cfg.tracker.variance_mean,
-    )
+    for si, strategy in enumerate(cfg.strategies):
+        pools, trained, tracker, history = pools0, init_params, None, ()
+        keep_artifacts = si == 0
+        lane_events: list = []
+        try:
+            for round_index in range(cfg.rounds):
+                if history not in memo:
+                    if tracker is None or not carry:
+                        tracker = TrackerStore(pools.sorted_unlabeled(), **cfg.tracker.to_dict())
+                    round_events: list = []
+                    sink = (lambda *event: round_events.append(event)) if cfg.log_events else None
+                    try:
+                        outcome = train_round(
+                            init_params if rand_init else trained, pools, dataset, cfg.ssl,
+                            tracker, derive_rng(seed, TRAIN_STREAM, round_index),
+                            augmenter=augmenter, event_sink=sink)
+                    except TrainingError as e:
+                        outcome = e
+                    memo[history] = outcome, tracker, round_events
+                outcome, tracker, round_events = memo[history]
+                lane_events.append(round_events)
+                if isinstance(outcome, TrainingError):
+                    raise outcome  # recorded for this lane below
+                trained, metrics = outcome
+                if carry:  # remove() and later ingests write into the store
+                    tracker = copy.deepcopy(tracker)
+                snapshot = tracker.snapshot()
+                acq_rng = derive_rng(seed, ACQUIRE_STREAM, round_index, si)
+                t0 = time.perf_counter()
+                ids, scores = acquire(AcquisitionRequest(
+                    strategy, cfg.acquire_k, snapshot, trained, dataset, pools, acq_rng,
+                ))
+                seconds = time.perf_counter() - t0
+                pools = pools.updated(ids)
+                if carry:
+                    tracker.remove(ids)
+                history += (tuple(sorted(ids.tolist())),)
+                report = RoundReport(
+                    seed=seed,
+                    strategy=strategy,
+                    round_index=round_index,
+                    test_accuracy=metrics.test_accuracy,
+                    supervised_loss=metrics.supervised_loss,
+                    unsupervised_loss=metrics.unsupervised_loss,
+                    mask_rate=metrics.mask_rate,
+                    n_events=metrics.n_events,
+                    n_labeled_after=len(pools.labeled),
+                    acquired_ids=ids,
+                    acquisition_scores=scores,
+                    acquisition_seconds=seconds,
+                    params=trained,
+                    series=metrics.series if keep_artifacts and round_index == 0 else None,
+                    tracker_snapshot=snapshot if keep_artifacts else None,
+                )
+                result.reports.append(report)
+                if progress is not None:
+                    progress(report)
+        except TrainingError as e:
+            result.errors.append({
+                "seed": seed,
+                "strategy": strategy,
+                "round": round_index,
+                "step": e.step,
+                "message": str(e),
+            })
+        if any(lane_events):
+            result.events[(seed, strategy)] = lane_events
+    return result
 
 
 def _seed_dir(out_dir: str, seed: int) -> str:
@@ -521,13 +517,7 @@ def run_and_emit(cfg: ExperimentConfig, out_dir: str | None = None,
 
 def load_manifest(in_dir: str) -> dict:
     path = os.path.join(in_dir, "manifest.json")
-    if not os.path.exists(path):
-        raise InputError(f"no manifest.json under {in_dir!r}")
-    with open(path) as f:
-        try:
-            manifest = json.load(f)
-        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-            raise InputError(f"{path} is not valid JSON: {e}") from None
+    manifest = read_json(path, "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise InputError(f"{path} has no \"config\" object")
     return manifest

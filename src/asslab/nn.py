@@ -73,7 +73,6 @@ class Gradients:
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray
     probs: np.ndarray
     embedding: np.ndarray
 
@@ -86,6 +85,8 @@ def init_params(layer_dims: list[int], rng: np.random.Generator) -> ModelParams:
     """
     if len(layer_dims) < 2:
         raise InputError("need at least an input and an output dimension")
+    if min(layer_dims) < 1:
+        raise InputError(f"every layer width must be at least 1, got {list(layer_dims)}")
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -124,7 +125,7 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
         )
     forward_counter.add(x.shape[0])
     logits, _, post = _forward_cached(params, x)
-    return ForwardResult(logits=logits, probs=softmax(logits), embedding=post[-1])
+    return ForwardResult(probs=softmax(logits), embedding=post[-1])
 
 
 def _as_batch(params, inputs, labels, weights):

@@ -4,7 +4,8 @@ import shutil
 
 import pytest
 
-from asslab.cli import main
+from asslab.cli import load_config_file, main
+from asslab.errors import InputError
 
 
 def write_config(path, **overrides):
@@ -59,6 +60,12 @@ class TestRunCommand:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_unparsable_config_is_an_input_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        with pytest.raises(InputError, match="not valid JSON"):
+            load_config_file(str(bad))
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json", typo_key=1)
@@ -161,6 +168,11 @@ def _scores_of_other_samples(run):
     path.write_bytes(text + b",".join([str(int(last[0]) + 1).encode()] + last[1:]) + b"\r\n")
 
 
+def _manifest_directory(run):
+    os.remove(run / "manifest.json")
+    os.mkdir(run / "manifest.json")
+
+
 def _manifest(data):
     def damage(run):
         (run / "manifest.json").write_bytes(data)
@@ -180,6 +192,7 @@ DAMAGES = {
     "manifest-not-utf8": _manifest(b"\xff\xfe"),
     "manifest-empty-object": _manifest(b"{}"),
     "manifest-not-object": _manifest(b"[1]"),
+    "manifest-is-a-directory": _manifest_directory,
 }
 
 

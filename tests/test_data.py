@@ -111,6 +111,10 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(size=100, noise=math.nan), seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            generate(GeneratorSpec(size=100), seed=-1)
+
     def test_moons_need_two_classes(self):
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(kind="two-moons", size=100, n_classes=3), seed=0)
@@ -277,6 +281,11 @@ class TestPools:
         with pytest.raises(ConfigError):
             split_pools(ds, n_init=2, n_test=5, seed=0)
 
+    def test_negative_seed_rejected(self):
+        ds, _ = self.make()
+        with pytest.raises(InputError, match="nonnegative"):
+            split_pools(ds, n_init=8, n_test=20, seed=-1)
+
     def test_update_identities(self):
         ds, pools = self.make()
         acquired = sorted(pools.unlabeled)[:5]
@@ -292,6 +301,12 @@ class TestPools:
         bad = next(iter(pools.labeled))
         with pytest.raises(InputError):
             pools.updated([bad])
+
+    def test_update_rejects_duplicate_ids(self):
+        _, pools = self.make()
+        first = min(pools.unlabeled)
+        with pytest.raises(InputError, match="unique"):
+            pools.updated(np.array([first, first]))
 
     def test_update_rejects_non_integer_ids(self):
         _, pools = self.make()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -130,6 +131,13 @@ class TestSeedDerivation:
     def test_derive_seed_deterministic(self):
         assert derive_seed(5, 2) == derive_seed(5, 2)
         assert derive_seed(5, 2) != derive_seed(5, 3)
+
+    @pytest.mark.parametrize("args", [(-1, 0), (0, -1), (0, harness.ACQUIRE_STREAM, 0, -1)])
+    def test_negative_seed_or_stream_rejected(self, args):
+        with pytest.raises(InputError, match="nonnegative"):
+            derive_rng(*args)
+        with pytest.raises(InputError, match="nonnegative"):
+            derive_seed(*args)
 
 
 class TestExperimentConfig:
@@ -393,6 +401,76 @@ class TestRunExperiment:
         assert len(steps) == 1 and None not in steps
         for err in result.errors:
             assert err["seed"] == 0 and err["round"] == 0
+
+
+def exact(value):
+    """A value's exact content, for == between runs: arrays by bytes,
+    dataclasses, lists and tuples item by item; timings left out."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            (f.name, exact(getattr(value, f.name))) for f in dataclasses.fields(value)
+            if f.name != "acquisition_seconds")
+    if isinstance(value, (list, tuple)):
+        return tuple(exact(v) for v in value)
+    return value
+
+
+class TestSeedIndependence:
+    """A seed's results do not depend on which other seeds run, or in what
+    order, or on another seed failing: the contract that running seeds in
+    separate processes relies on."""
+
+    A, B = 4, 9
+
+    def cfg(self, seeds):
+        return small_cfg(
+            strategies=["ucb-product", "coreset", "random"], seeds=seeds, log_events=True,
+            ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8],
+                          carry_tracker=True),
+        )
+
+    def seed_view(self, result, seed):
+        return exact((
+            [r for r in result.reports if r.seed == seed],
+            [e for e in result.errors if e["seed"] == seed],
+            sorted(((k, v) for k, v in result.events.items() if k[0] == seed),
+                   key=lambda item: item[0][1]),
+            result.datasets[seed],
+        ))
+
+    def test_seed_results_do_not_depend_on_other_seeds(self):
+        alone = run_experiment(self.cfg([self.B]))
+        expected = self.seed_view(alone, self.B)
+        assert alone.reports and alone.events
+        for seeds in ([self.A, self.B], [self.B, self.A]):
+            cfg = self.cfg(seeds)
+            seen = []
+            result = run_experiment(cfg, progress=seen.append)
+            assert self.seed_view(result, self.B) == expected
+            # progress arrives seed-major, then lane-major, then by round
+            assert [(r.seed, r.strategy, r.round_index) for r in seen] == [
+                (seed, s, k) for seed in seeds for s in cfg.strategies
+                for k in range(cfg.rounds)]
+            assert all(a is b for a, b in zip(seen, result.reports))
+            assert len(seen) == len(result.reports)
+
+    def test_failing_seed_leaves_the_other_unchanged(self, monkeypatch):
+        expected = self.seed_view(run_experiment(self.cfg([self.B])), self.B)
+        cfg = self.cfg([self.A, self.B])
+        x_a = standardize(generate(cfg.dataset, derive_seed(self.A, harness.DATA_STREAM))).x
+
+        def failing(start, pools, dataset, *args, **kwargs):
+            if np.array_equal(dataset.x, x_a) and len(pools.labeled) > cfg.n_init:
+                raise TrainingError("forced", step=1)  # seed A after round 0
+            return train_round(start, pools, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_round", failing)
+        for seeds in ([self.A, self.B], [self.B, self.A]):
+            result = run_experiment(self.cfg(seeds))
+            assert [(e["seed"], e["round"]) for e in result.errors] == [(self.A, 1)] * 3
+            assert self.seed_view(result, self.B) == expected
 
 
 class TestInitModes:
@@ -848,4 +926,9 @@ class TestAnalyzeDir:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InputError):
+            analyze_dir(str(tmp_path))
+
+    def test_manifest_is_a_directory(self, tmp_path):
+        (tmp_path / "manifest.json").mkdir()
+        with pytest.raises(InputError, match="cannot read manifest"):
             analyze_dir(str(tmp_path))

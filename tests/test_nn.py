@@ -98,6 +98,13 @@ class TestForward:
         assert forward_counter.count - before == 6
 
 
+class TestInitParams:
+    @pytest.mark.parametrize("dims", [[2, -1, 2], [2, 0, 2], [0, 3], [2, 3, 0]])
+    def test_width_below_one_rejected(self, dims):
+        with pytest.raises(InputError, match="at least 1"):
+            init_params(dims, np.random.default_rng(0))
+
+
 class TestBackward:
     @settings(deadline=None)
     @given(k=st.integers(2, 5), n=st.integers(1, 6), n_hidden=st.integers(0, 2),
