@@ -22,7 +22,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -236,6 +236,13 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
     tracker snapshot, round 0 also its snapshot series. emit writes
     whatever the reports carry. progress is called with each report, in
     lane-major order.
+
+    Only round 0's snapshot series is kept, so every later round trains
+    with no pool snapshots. train_round draws its snapshot rng either way,
+    so nothing else moves. A later-round divergence that a snapshot would
+    have seen first is seen by the next step's loss or the test pass, so
+    its error's step and message (and the manifest's errors) can differ
+    from a run that snapshots every round.
     """
     dataset = standardize(generate(cfg.dataset, derive_seed(seed, DATA_STREAM)))
     pools0 = split_pools(
@@ -247,6 +254,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
     init_params = nn.init_params(dims, derive_rng(seed, INIT_STREAM))
     rand_init = cfg.ssl.init_mode == "rand_init"
     carry = cfg.ssl.carry_tracker
+    # A snapshot interval past the round's last step takes no snapshots.
+    later_ssl = replace(cfg.ssl, snapshot_interval=cfg.ssl.steps_per_round + 1)
     result = ExperimentResult(reports=[], errors=[], datasets={seed: dataset}, events={})
     memo: dict[tuple, tuple] = {}  # history -> (outcome, tracker, events)
 
@@ -263,7 +272,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                     sink = (lambda *event: round_events.append(event)) if cfg.log_events else None
                     try:
                         outcome = train_round(
-                            init_params if rand_init else trained, pools, dataset, cfg.ssl,
+                            init_params if rand_init else trained, pools, dataset,
+                            later_ssl if history else cfg.ssl,
                             tracker, derive_rng(seed, TRAIN_STREAM, round_index),
                             augmenter=augmenter, event_sink=sink)
                     except TrainingError as e:
@@ -432,7 +442,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
 
     rounds.csv, per-seed acquisition logs, the round-0 snapshot series
     and per-round score snapshots of the reports that carry them (the
-    first strategy's, see run_experiment), derived analysis CSVs, and
+    first strategy's, see _run_seed), derived analysis CSVs, and
     manifest.json. Every file except the manifest is a pure
     function of the config, so reruns are byte-identical. An out_dir
     whose manifest records a different config raises InputError, since

@@ -6,7 +6,9 @@ penalizes strong-view disagreement with those pseudo-labels. Every
 unlabeled appearance yields one weak/strong prediction pair, made before
 that step's parameter update; the tracker folds in each epoch's pairs at
 once when the epoch ends, and the rest when the round ends. Periodic
-snapshots of the whole unlabeled pool are collected for post-hoc analysis.
+snapshots of the whole unlabeled pool are collected for post-hoc analysis;
+the harness asks for them in round 0 only, the one round whose series it
+emits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class SslConfig(DictConfig):
     lr: float = 0.03
     momentum: float = 0.0
     init_mode: str = "rand_init"  # fresh fixed weights vs carry per round
-    snapshot_interval: int = 200
+    snapshot_interval: int = 200  # a sweep uses it for round 0's series only
     hidden_dims: list[int] = field(default_factory=lambda: [64, 64])
     weak_augment_labeled: bool = True
     carry_tracker: bool = False  # keep tracker streams across rounds

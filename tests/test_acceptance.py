@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from asslab import harness, nn
+from asslab import harness, nn, ssl
 from asslab.acquisition import AcquisitionRequest, _coreset, acquire
 from asslab.analysis import (
     consecutive_snapshot_spearman,
@@ -74,20 +74,26 @@ def default_sweep(tmp_path_factory):
     """The full default benchmark: 7 strategies x 5 seeds x 5 rounds, emitted."""
     out_dir = str(tmp_path_factory.mktemp("default_sweep"))
     cfg = dataclasses.replace(ExperimentConfig(), out_dir=out_dir)
-    trained = []
+    trained, snapshots = [], []
+    pool_snapshot = ssl._pool_snapshot
 
     def counting(*args, **kwargs):
         trained.append(1)
         return train_round(*args, **kwargs)
 
+    def counting_snapshot(*args):
+        snapshots.append(1)
+        return pool_snapshot(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "train_round", counting)
+        mp.setattr(ssl, "_pool_snapshot", counting_snapshot)
         t0 = time.perf_counter()
         result = run_and_emit(cfg)
         elapsed = time.perf_counter() - t0
     assert not result.errors, f"sweep diverged: {result.errors}"
     return {"cfg": cfg, "result": result, "out_dir": out_dir, "seconds": elapsed,
-            "trained_rounds": len(trained)}
+            "trained_rounds": len(trained), "pool_snapshots": len(snapshots)}
 
 
 class TestValueExamples:
@@ -417,8 +423,13 @@ class TestRuntime:
         seconds = default_sweep["seconds"]
         n = len(default_sweep["result"].reports)
         trained = default_sweep["trained_rounds"]
+        snapshots = default_sweep["pool_snapshots"]
         report("benchmark-runtime", seconds < 600.0,
                f"7 strategies x 5 seeds x 5 rounds = {n} lane-rounds, "
-               f"{trained} trained, in {seconds:.0f}s")
+               f"{trained} trained, {snapshots} pool snapshots, in {seconds:.0f}s")
         assert n == 7 * 5 * 5
+        # Only each seed's round 0 snapshots the pool: 2000 // 200 = 10 times.
+        cfg = default_sweep["cfg"]
+        assert snapshots == len(cfg.seeds) * (
+            cfg.ssl.steps_per_round // cfg.ssl.snapshot_interval) == 50
         assert seconds < 600.0

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from asslab import harness, nn
+from asslab import harness, nn, ssl
 from asslab.acquisition import STRATEGIES, AcquisitionRequest, acquire
 from asslab.data import Augmenter, GeneratorSpec, generate, split_pools, standardize
 from asslab.errors import ConfigError, InputError, TrainingError
@@ -385,6 +385,45 @@ class TestRunExperiment:
         # Some later round is shared, or this would only test round 0.
         assert len(histories) < 1 + len(cfg.strategies) * (cfg.rounds - 1)
         assert len(calls) == len(histories)
+
+    @pytest.mark.parametrize("carry", [False, True])
+    @pytest.mark.parametrize("init_mode", ["rand_init", "con_init"])
+    def test_only_round0_snapshots_the_pool(self, monkeypatch, init_mode, carry):
+        cfg = small_cfg(
+            strategies=["ucb-product", "entropy", "random"], rounds=3, log_events=True,
+            ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8],
+                          init_mode=init_mode, carry_tracker=carry),
+        )
+        trainings = []  # [is round 0, pool snapshots taken] per train_round call
+        pool_snapshot = ssl._pool_snapshot
+
+        def counting_snapshot(*args):
+            trainings[-1][1] += 1
+            return pool_snapshot(*args)
+
+        def counting(start, pools, dataset, ssl_cfg, *args, **kwargs):
+            trainings.append([len(pools.labeled) == cfg.n_init, 0])
+            return train_round(start, pools, dataset, ssl_cfg, *args, **kwargs)
+
+        def every_round(start, pools, dataset, _, *args, **kwargs):
+            return counting(start, pools, dataset, cfg.ssl, *args, **kwargs)
+
+        def run(train):
+            trainings.clear()
+            monkeypatch.setattr(harness, "train_round", train)
+            result = run_experiment(cfg)
+            assert result.reports and result.events
+            return exact((result.reports, result.errors, sorted(result.events.items())))
+
+        monkeypatch.setattr(ssl, "_pool_snapshot", counting_snapshot)
+        per_round = cfg.ssl.steps_per_round // cfg.ssl.snapshot_interval
+        got = run(counting)
+        assert trainings == [[True, per_round]] + [[False, 0]] * (len(trainings) - 1)
+        assert len(trainings) > 1
+        # Snapshots only observe: taking them in every round, at the
+        # sweep's own interval, changes no report, error or event.
+        assert run(every_round) == got
+        assert trainings == [[True, per_round]] + [[False, per_round]] * (len(trainings) - 1)
 
     def test_divergence_recorded_with_partial_results(self):
         cfg = small_cfg(
