@@ -19,6 +19,8 @@ from .table import write_table
 
 WEAK_SCALE = 0.05  # weak jitter sigma as a fraction of each feature's std
 STRONG_MULT = 4.0  # strong jitter sigma as a multiple of the weak one
+BLOB_RADIUS = 5.0  # gaussian-blobs centers sit on a circle of this radius
+RING_SPACING = 2.0  # concentric-rings ring c has radius (c + 1) * RING_SPACING
 
 GENERATOR_KINDS = ("gaussian-blobs", "two-moons", "concentric-rings")
 
@@ -29,8 +31,6 @@ class GeneratorSpec(DictConfig):
     size: int = 2000
     n_classes: int = 2
     noise: float = 0.25  # enough class overlap that uncertainty rankings differ
-    blob_radius: float = 5.0  # blob centers sit on a circle of this radius
-    ring_spacing: float = 2.0  # ring c has radius (c + 1) * spacing
 
     def _check_ranges(self):
         if self.kind not in GENERATOR_KINDS:
@@ -99,7 +99,7 @@ def generate(spec: GeneratorSpec, seed: int) -> Dataset:
     for c, n_c in enumerate(counts):
         if spec.kind == "gaussian-blobs":
             theta = 2.0 * np.pi * c / spec.n_classes
-            pts = np.tile(spec.blob_radius * np.array([np.cos(theta), np.sin(theta)]), (n_c, 1))
+            pts = np.tile(BLOB_RADIUS * np.array([np.cos(theta), np.sin(theta)]), (n_c, 1))
         elif spec.kind == "two-moons":
             t = rng.uniform(0.0, np.pi, size=n_c)
             if c == 0:
@@ -107,7 +107,7 @@ def generate(spec: GeneratorSpec, seed: int) -> Dataset:
             else:
                 pts = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
         else:  # concentric-rings
-            radius = (c + 1) * spec.ring_spacing
+            radius = (c + 1) * RING_SPACING
             theta = rng.uniform(0.0, 2.0 * np.pi, size=n_c)
             pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
         if spec.noise > 0:

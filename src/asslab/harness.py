@@ -97,7 +97,6 @@ class TrackerParams(DictConfig):
     alpha: float = 0.8
     c_u: float = 0.5
     c_i: float = 2.0
-    variance_mean: str = "post"
 
     def _check_ranges(self):
         # TrackerStore revalidates; constructing one surfaces errors early.
@@ -117,7 +116,6 @@ class ExperimentConfig(DictConfig):
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     out_dir: str = "runs/default"
     stratify_init: bool = True
-    export_datasets: bool = True
     log_events: bool = False
 
     def _check_ranges(self):
@@ -431,22 +429,32 @@ def _write_analysis(
         }))
 
 
+def _recorded_config(cfg: ExperimentConfig) -> dict:
+    """cfg as manifest.json records it: every field but out_dir, so the
+    same run written to two directories has the same bytes."""
+    recorded = cfg.to_dict()
+    del recorded["out_dir"]
+    return recorded
+
+
 def _check_out_dir(cfg: ExperimentConfig, out_dir: str) -> None:
     if (os.path.exists(os.path.join(out_dir, "manifest.json"))
-            and load_manifest(out_dir)["config"] != cfg.to_dict()):
+            and load_manifest(out_dir)["config"] != _recorded_config(cfg)):
         raise InputError(f"{out_dir} holds the run of a different config")
 
 
 def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     """Write the run's artifact tree.
 
-    rounds.csv, per-seed acquisition logs, the round-0 snapshot series
-    and per-round score snapshots of the reports that carry them (the
-    first strategy's, see _run_seed), derived analysis CSVs, and
-    manifest.json. Every file except the manifest is a pure
-    function of the config, so reruns are byte-identical. An out_dir
-    whose manifest records a different config raises InputError, since
-    the files of that run would stay beside the new ones.
+    rounds.csv, per-seed datasets and acquisition logs, the round-0
+    snapshot series and per-round score snapshots of the reports that
+    carry them (the first strategy's, see _run_seed), derived analysis
+    CSVs, and manifest.json. Every file is a pure function of the config,
+    so reruns are byte-identical, except the manifest's versions and its
+    "nondeterministic" key. The manifest records no path, so the same run
+    has the same bytes in any out_dir. An out_dir whose manifest records
+    a different config raises InputError, since the files of that run
+    would stay beside the new ones.
     """
     _check_out_dir(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -461,7 +469,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
         seed_dir = _seed_dir(out_dir, seed)
         os.makedirs(seed_dir, exist_ok=True)
         _write_acquisitions_csv(os.path.join(seed_dir, "acquisitions.csv"), seed_reports)
-        if cfg.export_datasets and seed in result.datasets:
+        if seed in result.datasets:
             export_dataset(result.datasets[seed], os.path.join(seed_dir, "dataset.csv"))
 
         scored = [r for r in seed_reports if r.tracker_snapshot is not None]
@@ -490,12 +498,10 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     })
 
     manifest = {
-        "config": cfg.to_dict(),
+        "config": _recorded_config(cfg),
         "package_version": _package_version(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "seeds": list(cfg.seeds),
-        "strategies": list(cfg.strategies),
         "completed_rounds": len(result.reports),
         "errors": result.errors,
         "nondeterministic": {

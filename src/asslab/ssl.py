@@ -39,7 +39,6 @@ class SslConfig(DictConfig):
     init_mode: str = "rand_init"  # fresh fixed weights vs carry per round
     snapshot_interval: int = 200  # a sweep uses it for round 0's series only
     hidden_dims: list[int] = field(default_factory=lambda: [64, 64])
-    weak_augment_labeled: bool = True
     carry_tracker: bool = False  # keep tracker streams across rounds
 
     def _check_ranges(self):
@@ -212,9 +211,7 @@ def train_round(
         chunks = iterator.next_chunks(mu_b)
         x_unl = x_unlabeled_pool[chunks[0] if len(chunks) == 1 else np.concatenate(chunks)]
 
-        x_lab = dataset.x[batch_lab]
-        if cfg.weak_augment_labeled:
-            x_lab = augmenter.weak_batch(x_lab, rng)
+        x_lab = augmenter.weak_batch(dataset.x[batch_lab], rng)
         x_unl_weak = augmenter.weak_batch(x_unl, rng)
         x_unl_strong = augmenter.strong_batch(x_unl, rng)
 

@@ -105,7 +105,6 @@ class TrackerStore:
         alpha: float = 0.8,
         c_u: float = 0.5,
         c_i: float = 2.0,
-        variance_mean: str = "post",
     ):
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
@@ -113,15 +112,12 @@ class TrackerStore:
             raise ConfigError(
                 f"confidence multipliers must be finite and nonnegative, got {c_u}, {c_i}"
             )
-        if variance_mean not in ("post", "pre"):
-            raise ConfigError(f"variance_mean must be 'post' or 'pre', got {variance_mean!r}")
         ids = np.sort(_int_array(ids, "tracker ids"))
         if np.any(ids[1:] == ids[:-1]):
             raise ConfigError("tracker ids must be unique")
         self.alpha = alpha
         self.c_u = c_u
         self.c_i = c_i
-        self.variance_mean = variance_mean
         self.ids = ids
         self._mean = np.zeros((len(ids), 2))
         self._var = np.zeros((len(ids), 2))
@@ -133,9 +129,8 @@ class TrackerStore:
         """Fold one mini-batch of weak/strong prediction pairs into the streams.
 
         Each stream follows mean' = alpha*value + (1-alpha)*mean, then
-        var' = alpha*(value - center)^2 + (1-alpha)*var, from zero with no
-        bias correction; center is the updated mean ("post") or, for
-        ablation, the previous one ("pre").
+        var' = alpha*(value - mean')^2 + (1-alpha)*var, from zero with no
+        bias correction.
 
         pos holds positions in ids and must be unique within the call: the
         EMA recurrence is sequential per sample, and a fancy-indexed update
@@ -169,11 +164,9 @@ class TrackerStore:
                 f"non-finite statistics for sample id {int(self.ids[pos[~finite][0]])}"
             )
         a = self.alpha
-        old_mean = self._mean[pos]
-        new_mean = a * vals + (1.0 - a) * old_mean
-        center = new_mean if self.variance_mean == "post" else old_mean
-        self._var[pos] = a * (vals - center) ** 2 + (1.0 - a) * self._var[pos]
-        self._mean[pos] = new_mean
+        mean = a * vals + (1.0 - a) * self._mean[pos]
+        self._var[pos] = a * (vals - mean) ** 2 + (1.0 - a) * self._var[pos]
+        self._mean[pos] = mean
         self._count[pos] += 1
 
     def remove(self, ids) -> None:

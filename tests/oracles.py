@@ -72,14 +72,11 @@ class EmaState:
     count: int = 0
 
 
-def ema_update(state: EmaState, value: float, alpha: float,
-               variance_mean: str = "post") -> EmaState:
+def ema_update(state: EmaState, value: float, alpha: float) -> EmaState:
     """mean' = alpha*value + (1-alpha)*mean, then
-    var' = alpha*(value - center)^2 + (1-alpha)*var, where center is mean'
-    ("post") or mean ("pre")."""
+    var' = alpha*(value - mean')^2 + (1-alpha)*var."""
     new_mean = alpha * value + (1.0 - alpha) * state.mean
-    center = {"post": new_mean, "pre": state.mean}[variance_mean]
-    new_var = alpha * (value - center) ** 2 + (1.0 - alpha) * state.var
+    new_var = alpha * (value - new_mean) ** 2 + (1.0 - alpha) * state.var
     return EmaState(mean=new_mean, var=new_var, count=state.count + 1)
 
 

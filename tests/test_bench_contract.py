@@ -1,15 +1,19 @@
 """The names the benchmark in bench/ reaches into asslab by.
 
 bench/layers.py wraps functions at the place their callers look them up,
-and bench/child.py reads a few module attributes directly. A renamed
-function or a new train_round parameter would otherwise only show up as
-a failed traced benchmark run. bench/ is imported and read, never changed.
+bench/child.py reads a few module attributes directly, and both read
+fields of the config that bench/workloads.py builds. A renamed function,
+a new train_round parameter or a retired config field would otherwise
+only show up as a failed benchmark run. bench/ is imported and read,
+never changed.
 """
 
 import ast
+import functools
 import importlib.util
 import inspect
 import pathlib
+import sys
 
 import pytest
 
@@ -19,12 +23,27 @@ from asslab import ssl
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclass fields are resolved
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 @pytest.fixture(scope="module")
 def layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("layers")
+
+
+@pytest.fixture(scope="module")
+def workload_configs(tmp_path_factory):
+    workloads = _load("workloads").WORKLOADS
+    out = tmp_path_factory.mktemp("bench")
+    return {name: w.config(0, str(out / name)) for name, w in workloads.items()}
 
 
 def test_every_hook_is_defined_where_it_is_looked_up(layers):
@@ -55,4 +74,40 @@ def test_names_read_by_the_child_exist():
             ("harness", "DATA_STREAM"), ("harness", "SPLIT_STREAM")} <= read
     missing = [f"{module}.{name}" for module, name in sorted(read)
                if not hasattr(getattr(asslab, module), name)]
+    assert missing == []
+
+
+def test_every_workload_config_validates(workload_configs):
+    assert sorted(workload_configs) == ["sweep-small-batch", "wide-carry-events"]
+    for cfg in workload_configs.values():
+        cfg.validate()
+
+
+def _cfg_chains(path) -> set[str]:
+    """Every attribute chain read off a name cfg in the file, e.g. "ssl.mu"."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        names, value = [], node
+        while isinstance(value, ast.Attribute):
+            names.append(value.attr)
+            value = value.value
+        if names and isinstance(value, ast.Name) and value.id == "cfg":
+            chains.add(".".join(reversed(names)))
+    return chains
+
+
+def _has_chain(obj, chain: str) -> bool:
+    try:
+        functools.reduce(getattr, chain.split("."), obj)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_config_fields_read_by_the_bench_exist(workload_configs):
+    chains = _cfg_chains(BENCH / "child.py") | _cfg_chains(BENCH / "layers.py")
+    assert {"stratify_init", "dataset.n_classes", "ssl.steps_per_round", "ssl.mu"} <= chains
+    missing = [f"{name}: cfg.{chain}" for name, cfg in sorted(workload_configs.items())
+               for chain in sorted(chains)
+               if not _has_chain(cfg, chain)]
     assert missing == []

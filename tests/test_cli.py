@@ -42,7 +42,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seeds"] == [7]
+        assert manifest["config"]["seeds"] == [7]
         assert os.path.isdir(out / "seed_7")
 
     def test_out_defaults_to_config(self, tmp_path):
@@ -173,6 +173,14 @@ def _manifest_directory(run):
     os.mkdir(run / "manifest.json")
 
 
+def _manifest_retired_key(run):
+    # The manifest of a run from before export_datasets became a constant.
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["export_datasets"] = True
+    path.write_text(json.dumps(manifest))
+
+
 def _manifest(data):
     def damage(run):
         (run / "manifest.json").write_bytes(data)
@@ -193,6 +201,7 @@ DAMAGES = {
     "manifest-empty-object": _manifest(b"{}"),
     "manifest-not-object": _manifest(b"[1]"),
     "manifest-is-a-directory": _manifest_directory,
+    "manifest-retired-key": _manifest_retired_key,
 }
 
 
@@ -227,6 +236,23 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_run_dir_with_a_retired_key_exits_2(self, tiny_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        _manifest_retired_key(run)
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "export_datasets" in err
+        assert "Traceback" not in err
+        # tiny_run's own config, refused because the manifest records more.
+        config = write_config(tmp_path / "cfg.json")
+        assert main(["run", "--config", str(config), "--out", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "different config" in captured.err
+        assert "Traceback" not in captured.err
+        assert "round 0" not in captured.out  # refused before any training
 
     def test_analyze_missing_dir(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path / "missing")]) == 2

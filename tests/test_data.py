@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 
 from asslab.data import (
+    RING_SPACING,
     Augmenter,
     Dataset,
     GeneratorSpec,
@@ -90,12 +91,11 @@ class TestGenerate:
         assert [int(row.split(",")[0]) for row in rows] == list(range(50))
 
     def test_rings_radii(self):
-        spec = GeneratorSpec(kind="concentric-rings", size=90, n_classes=3, noise=0.0,
-                             ring_spacing=2.0)
+        spec = GeneratorSpec(kind="concentric-rings", size=90, n_classes=3, noise=0.0)
         ds = generate(spec, seed=5)
         r = np.linalg.norm(ds.x, axis=1)
         for c in range(3):
-            np.testing.assert_allclose(r[ds.y == c], (c + 1) * 2.0, rtol=1e-12)
+            np.testing.assert_allclose(r[ds.y == c], (c + 1) * RING_SPACING, rtol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

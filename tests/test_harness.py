@@ -48,7 +48,7 @@ MISTYPED = [
     {"ssl": {"lr": math.nan}},
     {"ssl": {"lr": True}},
     {"ssl": {"steps_per_round": 2.5}},
-    {"ssl": {"weak_augment_labeled": "yes"}},
+    {"ssl": {"carry_tracker": "yes"}},
     {"ssl": {"init_mode": None}},
     {"tracker": {"c_u": math.inf}},
     {"tracker": "post"},
@@ -214,6 +214,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_cfg(strategies=["oracle"]).validate()
 
+    @pytest.mark.parametrize("key, retired", [
+        ("export_datasets", {"export_datasets": True}),
+        ("blob_radius", {"dataset": {"blob_radius": 5.0}}),
+        ("ring_spacing", {"dataset": {"ring_spacing": 2.0}}),
+        ("weak_augment_labeled", {"ssl": {"weak_augment_labeled": True}}),
+        ("variance_mean", {"tracker": {"variance_mean": "post"}}),
+    ])
+    def test_retired_keys_are_unknown(self, key, retired):
+        # A config or manifest written before these became constants names
+        # a key that no longer exists, even at its old default.
+        with pytest.raises(ConfigError, match=f"unknown .*{key}"):
+            ExperimentConfig.from_dict(retired)
+
     @pytest.mark.parametrize("override", MISTYPED)
     def test_typed_fields(self, override):
         d = ExperimentConfig().to_dict()
@@ -252,21 +265,20 @@ class TestExperimentConfig:
         # Manifests embed this dict, and analyze_dir reads old run
         # directories back through from_dict.
         assert json.dumps(ExperimentConfig().to_dict(), sort_keys=True) == (
-            '{"acquire_k": 20, "dataset": {"blob_radius": 5.0, "kind": "two-moons", '
-            '"n_classes": 2, "noise": 0.25, "ring_spacing": 2.0, "size": 2000}, '
-            '"export_datasets": true, "log_events": false, "n_init": 20, "n_test": 500, '
+            '{"acquire_k": 20, "dataset": {"kind": "two-moons", "n_classes": 2, '
+            '"noise": 0.25, "size": 2000}, '
+            '"log_events": false, "n_init": 20, "n_test": 500, '
             '"out_dir": "runs/default", "rounds": 5, "seeds": [0, 1, 2, 3, 4], '
             '"ssl": {"batch_size": 16, "carry_tracker": false, "hidden_dims": [64, 64], '
             '"init_mode": "rand_init", "lambda_u": 1.0, "lr": 0.03, "momentum": 0.0, '
-            '"mu": 4, "snapshot_interval": 200, "steps_per_round": 2000, "tau": 0.95, '
-            '"weak_augment_labeled": true}, '
+            '"mu": 4, "snapshot_interval": 200, "steps_per_round": 2000, "tau": 0.95}, '
             '"strategies": ["random", "entropy", "margin", "snapshot-el2n", "coreset", '
             '"ucb-product", "ucb-product-div"], "stratify_init": true, '
-            '"tracker": {"alpha": 0.8, "c_i": 2.0, "c_u": 0.5, "variance_mean": "post"}}'
+            '"tracker": {"alpha": 0.8, "c_i": 2.0, "c_u": 0.5}}'
         )
 
     def test_tracker_params_round_trip(self):
-        params = TrackerParams(alpha=0.5, c_u=1.0, c_i=0.0, variance_mean="pre")
+        params = TrackerParams(alpha=0.5, c_u=1.0, c_i=0.0)
         assert TrackerParams.from_dict(params.to_dict()) == params
         with pytest.raises(ConfigError):
             TrackerParams.from_dict({"alpha": 0.5, "beta": 1.0})
@@ -533,7 +545,6 @@ class TestInitModes:
                 tracker = TrackerStore(
                     pools.sorted_unlabeled(), alpha=cfg.tracker.alpha,
                     c_u=cfg.tracker.c_u, c_i=cfg.tracker.c_i,
-                    variance_mean=cfg.tracker.variance_mean,
                 )
             events = []
             carried, _ = train_round(
@@ -756,13 +767,32 @@ class TestEmit:
         cfg = small_cfg()
         run_and_emit(cfg, out_dir=str(out))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert ExperimentConfig.from_dict(manifest["config"]) == cfg
-        assert manifest["seeds"] == cfg.seeds
+        assert "out_dir" not in manifest["config"]
+        assert ExperimentConfig.from_dict(manifest["config"]) == dataclasses.replace(
+            cfg, out_dir=ExperimentConfig().out_dir)
+        assert manifest["config"]["seeds"] == cfg.seeds
+        assert "seeds" not in manifest and "strategies" not in manifest
         assert manifest["completed_rounds"] == len(cfg.strategies) * cfg.rounds
         assert manifest["errors"] == []
         timings = manifest["nondeterministic"]["acquisition_seconds"]
         assert len(timings) == len(cfg.strategies) * cfg.rounds
         assert all(t["seconds"] >= 0 for t in timings)
+
+    def test_manifest_records_no_path(self, tmp_path):
+        # The same result emitted into two directories, each its config's
+        # out_dir, gives the same manifest bytes but for the timings.
+        cfg = small_cfg()
+        result = run_experiment(cfg)
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            emit(result, dataclasses.replace(cfg, out_dir=str(out)), str(out))
+            raw = (out / "manifest.json").read_bytes()
+            assert str(tmp_path).encode() not in raw
+            doc = json.loads(raw)
+            del doc["nondeterministic"]
+            manifests.append(doc)
+        assert manifests[0] == manifests[1]
 
     def test_no_timestamps_outside_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -872,8 +902,8 @@ def golden_cfg() -> ExperimentConfig:
 
 def tree_sha256(root) -> dict[str, str]:
     """{relative path: sha256} of every file under root. The manifest is
-    hashed without its timings, its out_dir and the versions of the
-    environment that wrote it, re-serialized the way emit writes it."""
+    hashed without its timings and the versions of the environment that
+    wrote it, re-serialized the way emit writes it. It records no path."""
     out = {}
     for rel, raw in tree_bytes(root).items():
         if rel == "manifest.json":
@@ -881,15 +911,17 @@ def tree_sha256(root) -> dict[str, str]:
             for key in ("nondeterministic", "package_version", "python_version",
                         "numpy_version"):
                 doc.pop(key)
-            doc["config"].pop("out_dir")
+            assert "out_dir" not in doc["config"]
             raw = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
         out[rel.replace(os.sep, "/")] = hashlib.sha256(raw).hexdigest()
     return out
 
 
 # Pinned from the code before the tracker folded each epoch's events in one
-# call. Floating-point bytes depend on the numpy and BLAS build; the pin holds
-# for the one the tier-1 suite runs on.
+# call; manifest.json re-pinned when it stopped recording out_dir, the
+# top-level seeds and strategies, and five config keys that became
+# constants at their defaults. Floating-point bytes depend on the numpy and
+# BLAS build; the pin holds for the one the tier-1 suite runs on.
 GOLDEN_SHA256 = {
     "analysis/pairwise_matrix.csv":
         "569353813130d4714e30ab9e24d7daba8003a6f79ed01754ae1aec7aa3bad22d",
@@ -900,7 +932,7 @@ GOLDEN_SHA256 = {
     "analysis/ti_profile_seed0.csv":
         "36728489ee122a4888a775a01d64d75f0110048b7f5f365bdf5ff2d4787edc3c",
     "manifest.json":
-        "8aa535d8cb1e82e8547a2d429c5f808a242e5f2e5b10d05a2b7a2122dc9d2bdd",
+        "f861cc998b945d09c86dc29e9ae243f3c8173a22fe748551e1a36dc176e3465e",
     "rounds.csv":
         "b15d4e358bd0cbecc5a89f8a47770917032079201fb5e909746bd85ba827cc42",
     "seed_0/acquisitions.csv":

@@ -189,13 +189,6 @@ class TestEmaUpdate:
         np.testing.assert_allclose(u_mean, 0.16 * math.sqrt(0.5), rtol=1e-12)
         np.testing.assert_allclose(u_var, 0.026880 * 0.5, rtol=1e-12)
 
-    def test_pre_mean_variant(self):
-        store = TrackerStore([0], alpha=0.8, variance_mean="pre")
-        stream(store, 0, [self.HALF])
-        u_mean, u_var = state(store, 0)[:2]
-        np.testing.assert_allclose(u_mean, 0.8 * math.sqrt(0.5), rtol=1e-12)
-        np.testing.assert_allclose(u_var, 0.8 * 0.5, rtol=1e-12)
-
     def test_monotone_response(self):
         # The mean rises exactly when the new value exceeds it.
         rng = np.random.default_rng(6)
@@ -352,14 +345,13 @@ class TestTrackerStore:
         with pytest.raises(TrackerError):
             empty.remove([3])
 
-    @pytest.mark.parametrize("variance_mean", ["post", "pre"])
-    def test_streaming_matches_offline_replay(self, variance_mean):
+    def test_streaming_matches_offline_replay(self):
         # Replay a random event log through the store, then recompute every
         # sample's final state directly from the log with the scalar
         # reference recurrences; both must agree to 1e-12.
         rng = np.random.default_rng(9)
         ids = list(range(10))
-        store = TrackerStore(ids, alpha=0.8, c_u=0.5, c_i=2.0, variance_mean=variance_mean)
+        store = TrackerStore(ids, alpha=0.8, c_u=0.5, c_i=2.0)
         log = []
         for _ in range(300):
             sid = int(rng.integers(0, 10))
@@ -371,10 +363,8 @@ class TestTrackerStore:
             u_ref, i_ref = oracles.EmaState(), oracles.EmaState()
             for e_sid, pw, ps in log:
                 if e_sid == sid:
-                    u_ref = oracles.ema_update(u_ref, oracles.uncertainty(pw), 0.8,
-                                               variance_mean)
-                    i_ref = oracles.ema_update(i_ref, oracles.inconsistency(pw, ps), 0.8,
-                                               variance_mean)
+                    u_ref = oracles.ema_update(u_ref, oracles.uncertainty(pw), 0.8)
+                    i_ref = oracles.ema_update(i_ref, oracles.inconsistency(pw, ps), 0.8)
             np.testing.assert_allclose(snap.u_mean[j], u_ref.mean, atol=1e-12)
             np.testing.assert_allclose(snap.u_var[j], u_ref.var, atol=1e-12)
             np.testing.assert_allclose(snap.i_mean[j], i_ref.mean, atol=1e-12)
@@ -383,15 +373,14 @@ class TestTrackerStore:
 
     @settings(deadline=None)
     @given(ids=st.sets(st.integers(0, 10**6), min_size=1, max_size=12),
-           m=st.integers(1, 15), steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-           variance_mean=st.sampled_from(["post", "pre"]))
-    @example(ids={3, 10, 11, 40, 41}, m=3, steps=4, seed=0, variance_mean="post")
-    def test_iterator_chunks_match_offline_replay(self, ids, m, steps, seed, variance_mean):
+           m=st.integers(1, 15), steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @example(ids={3, 10, 11, 40, 41}, m=3, steps=4, seed=0)
+    def test_iterator_chunks_match_offline_replay(self, ids, m, steps, seed):
         # The training stream's chunks, ingested by position, against a
         # per-id replay of the same log through the scalar references. A
         # step splits into two chunks exactly when it crosses an epoch end.
         rng = np.random.default_rng(seed)
-        store = TrackerStore(list(ids), variance_mean=variance_mean)
+        store = TrackerStore(list(ids))
         iterator = _UnlabeledIterator(len(ids), rng)
         log, split = [], False
         for _ in range(steps):
@@ -407,10 +396,8 @@ class TestTrackerStore:
             u_ref, i_ref = oracles.EmaState(), oracles.EmaState()
             for e_sid, pw, ps in log:
                 if e_sid == sid:
-                    u_ref = oracles.ema_update(u_ref, oracles.uncertainty(pw), 0.8,
-                                               variance_mean)
-                    i_ref = oracles.ema_update(i_ref, oracles.inconsistency(pw, ps), 0.8,
-                                               variance_mean)
+                    u_ref = oracles.ema_update(u_ref, oracles.uncertainty(pw), 0.8)
+                    i_ref = oracles.ema_update(i_ref, oracles.inconsistency(pw, ps), 0.8)
             np.testing.assert_allclose(
                 [snap.u_mean[j], snap.u_var[j], snap.i_mean[j], snap.i_var[j]],
                 [u_ref.mean, u_ref.var, i_ref.mean, i_ref.var], rtol=1e-12, atol=1e-15,
