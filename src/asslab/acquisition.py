@@ -44,6 +44,11 @@ def _margin(probs: np.ndarray) -> np.ndarray:
     return top2[:, 0] - top2[:, 1]
 
 
+# Pool rows per distance block: 512 KB of float64 at width 256, within
+# one core's L2, and few enough blocks that per-call overhead stays small.
+_BLOCK_ROWS = 256
+
+
 def _coreset(
     emb: np.ndarray, labeled_emb: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -52,36 +57,59 @@ def _coreset(
     Coverage is the labeled set plus everything picked so far; distance is
     Euclidean in embedding space. Returns positions in greedy pick order,
     ties to the lower position, with each pick's covering distance at
-    selection time.
+    selection time. Distances are computed a block of pool rows at a time
+    into one reused buffer, with the same bits as np.linalg.norm.
     """
-    min_dist = np.full(len(emb), np.inf)
+    n = len(emb)
+    block = np.empty((min(n, _BLOCK_ROWS), emb.shape[1]))
+    block_dist = np.empty(len(block))
+
+    def fold(row: np.ndarray, cover: np.ndarray, root: bool) -> None:
+        # cover = min(cover, squared distance to row, or its sqrt with root)
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            b, d = block[: hi - lo], block_dist[: hi - lo]
+            np.subtract(emb[lo:hi], row, out=b)
+            np.multiply(b, b, out=b)
+            np.add.reduce(b, axis=1, out=d)
+            if root:
+                np.sqrt(d, out=d)
+            np.minimum(cover[lo:hi], d, out=cover[lo:hi])
+
+    # The labeled pass keeps squared distances and takes one sqrt at the
+    # end: sqrt is monotone and correctly rounded, so sqrt(min) == min(sqrt).
+    min_dist = np.full(n, np.inf)
     for row in labeled_emb:
-        min_dist = np.minimum(min_dist, np.linalg.norm(emb - row, axis=1))
+        fold(row, min_dist, root=False)
+    np.sqrt(min_dist, out=min_dist)
     picked, dists = [], []
     for _ in range(k):
         best = int(np.argmax(min_dist))  # the first maximum
         picked.append(best)
         dists.append(min_dist[best])
-        min_dist = np.minimum(min_dist, np.linalg.norm(emb - emb[best], axis=1))
+        fold(emb[best], min_dist, root=True)
         min_dist[best] = -np.inf
     return np.asarray(picked), np.asarray(dists)
 
 
-def _dsq_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # Gram trick; clip tiny negatives from cancellation.
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _dsq_to_centers(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (n, len(centers)); sq_norms is (points**2).sum(axis=1)."""
+    # Gram trick; clip tiny negatives from cancellation. Doubling the
+    # centers, not the points, rounds the same exact products 2*p*c, so
+    # the bits match 2.0 * points @ centers.T without a pool-sized copy.
+    d2 = points @ (2.0 * centers).T
+    np.subtract(sq_norms[:, None], d2, out=d2)
+    d2 += (centers**2).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_seed(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = len(points)
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
-    d2 = _dsq_to_centers(points, centers[:1]).min(axis=1)
+    d2 = _dsq_to_centers(points, sq_norms, centers[:1]).min(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -89,7 +117,7 @@ def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.integers(n))  # all points coincide with centers
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _dsq_to_centers(points, centers[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _dsq_to_centers(points, sq_norms, centers[j : j + 1])[:, 0])
     return centers
 
 
@@ -97,14 +125,17 @@ LLOYD_MAX_ITER = 100
 LLOYD_TOL = 1e-8  # stop once no centroid moves farther than this
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _lloyd(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
     for _ in range(LLOYD_MAX_ITER):
-        assign = _dsq_to_centers(points, centers).argmin(axis=1)
+        assign = _dsq_to_centers(points, sq_norms, centers).argmin(axis=1)
+        # A stable sort by cluster lists each cluster's members in position
+        # order, the rows (and so the mean's bits) of points[assign == j].
+        members = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign[members], np.arange(len(centers) + 1))
         new_centers = centers.copy()  # empty cluster keeps its old centroid
-        for j in range(len(centers)):
-            members = points[assign == j]
-            if len(members):
-                new_centers[j] = members.mean(axis=0)
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                new_centers[j] = points[members[lo:hi]].mean(axis=0)
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         if shift < LLOYD_TOL:
@@ -126,9 +157,10 @@ def _diverse(
     """
     n = len(emb)
     weighted = score[:, None] * emb
-    centers = _lloyd(weighted, _kmeanspp_seed(weighted, k, rng))
+    sq_norms = (weighted**2).sum(axis=1)
+    centers = _lloyd(weighted, sq_norms, _kmeanspp_seed(weighted, sq_norms, k, rng))
     # A stable argsort on distance breaks ties toward the lower position.
-    d2 = _dsq_to_centers(weighted, centers)
+    d2 = _dsq_to_centers(weighted, sq_norms, centers)
     nearest_order = [np.argsort(d2[:, j], kind="stable") for j in range(k)]
     used = np.zeros(n, dtype=bool)
     picked: list[int] = []

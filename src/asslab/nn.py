@@ -103,29 +103,47 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _forward(params: ModelParams, x: np.ndarray, relu) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, penultimate activation) of a batch.
+
+    relu(z) turns each hidden layer's pre-activation z, a fresh array it
+    may overwrite, into that layer's output.
+    """
+    a = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w.T
+        z += b
+        a = relu(z)
+    logits = a @ params.weights[-1].T
+    logits += params.biases[-1]
+    return logits, a
+
+
 def _forward_cached(params: ModelParams, x: np.ndarray):
     """Forward pass over a batch, keeping every layer's pre/post activations."""
     pre, post = [], [x]
-    a = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0)
+
+    def relu(z):
         pre.append(z)
-        post.append(a)
-    logits = a @ params.weights[-1].T + params.biases[-1]
-    return logits, pre, post
+        post.append(np.maximum(z, 0.0))
+        return post[-1]
+
+    return _forward(params, x, relu)[0], pre, post
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
-    """Forward a (n, input_dim) batch; embedding is the penultimate activation."""
+    """Forward a (n, input_dim) batch; embedding is the penultimate activation.
+
+    Only the layer being computed stays alive: the ReLU runs in place.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise InputError(
             f"input shape {x.shape} does not match network input dim {params.input_dim}"
         )
     forward_counter.add(x.shape[0])
-    logits, _, post = _forward_cached(params, x)
-    return ForwardResult(probs=softmax(logits), embedding=post[-1])
+    logits, embedding = _forward(params, x, lambda z: np.maximum(z, 0.0, out=z))
+    return ForwardResult(probs=softmax(logits), embedding=embedding)
 
 
 def _as_batch(params, inputs, labels, weights):

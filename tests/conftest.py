@@ -1,6 +1,7 @@
 """Shared pytest hooks and fixtures for the test suite."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,27 @@ def forward_rows(monkeypatch):
 
     monkeypatch.setattr(nn, "forward_batch", counting)
     return rows
+
+
+@pytest.fixture
+def peak_bytes():
+    """peak_bytes(fn, *args): the most memory tracemalloc saw allocated
+    while fn(*args) ran (numpy buffers included), above what was live
+    when it started."""
+
+    def measure(fn, *args):
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

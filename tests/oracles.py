@@ -6,7 +6,11 @@ pass. soft_target_loss_and_grads is the cross-entropy formula for any
 target distribution, which integer labels replaced. uncertainty_norm and
 inconsistency_two_logs are the tracker's batch statistics as first
 written, the one-hot difference through np.linalg.norm and one log
-difference per KL term; the tracker must match them bit for bit. None of
+difference per KL term; the tracker must match them bit for bit.
+dsq_to_centers, kmeanspp_seed and lloyd are diversity acquisition's
+k-means as first written, recomputing the points' squared norms in every
+distance call and selecting each cluster with a boolean mask; the
+acquisition module must match them bit for bit. None of
 them imports anything from asslab, so a mistake in the production code
 cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
@@ -116,6 +120,50 @@ def forward(params, x) -> tuple[list[float], np.ndarray]:
     e = [math.exp(v - top) for v in logits]
     total = sum(e)
     return [v / total for v in e], a
+
+
+def dsq_to_centers(points, centers) -> np.ndarray:
+    """(n, len(centers)) squared distances by the Gram trick, clipped at 0."""
+    d2 = (
+        (points**2).sum(axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + (centers**2).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def kmeanspp_seed(points, k: int, rng) -> np.ndarray:
+    """k centers by D^2 sampling; uniform draws once every distance is 0."""
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = dsq_to_centers(points, centers[:1]).min(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, dsq_to_centers(points, centers[j : j + 1])[:, 0])
+    return centers
+
+
+def lloyd(points, centers, max_iter: int, tol: float) -> np.ndarray:
+    """Lloyd refinement; an empty cluster keeps its centroid, and the loop
+    stops once no centroid moves farther than tol."""
+    for _ in range(max_iter):
+        assign = dsq_to_centers(points, centers).argmin(axis=1)
+        new_centers = centers.copy()
+        for j in range(len(centers)):
+            members = points[assign == j]
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers
 
 
 def round_robin(labels, n: int) -> list[int]:

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from asslab import nn
+import oracles
+from asslab import acquisition, nn
 from asslab.acquisition import (
     STRATEGIES,
     AcquisitionRequest,
@@ -282,6 +283,63 @@ class TestCoreset:
         assert dists.tobytes() == ref_dists.tobytes()  # bit for bit
         assert len(set(got.tolist())) == k
 
+    @settings(deadline=None)
+    @given(coreset_cases(), st.sampled_from(["below", "equal", "above"]), st.integers(1, 40))
+    @example((np.ones((6, 3)), np.ones((2, 3)), 6), "above", 4)  # all-equal rows
+    @example((np.ones((6, 3)), np.zeros((0, 3)), 3), "equal", 1)
+    @example((np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.zeros((1, 1)), 4), "above", 1)
+    def test_blocks_match_broadcast_form(self, case, side, offset):
+        # Any block size gives the broadcast form's picks and distances bit
+        # for bit, with the pool below, equal to or above one block.
+        emb, labeled, k = case
+        n = len(emb)
+        block_rows = {"below": n + offset, "equal": n, "above": max(1, n - offset)}[side]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_BLOCK_ROWS", block_rows)
+            got, dists = _coreset(emb, labeled, k)
+        ref, ref_dists = broadcast_coreset(emb, labeled, k)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()
+
+    def test_pool_of_several_default_blocks(self):
+        rng = np.random.default_rng(19)
+        n = 2 * acquisition._BLOCK_ROWS + 3
+        emb = np.maximum(rng.normal(size=(n, 16)), 0.0)
+        labeled = np.maximum(rng.normal(size=(5, 16)), 0.0)
+        got, dists = _coreset(emb, labeled, 12)
+        ref, ref_dists = broadcast_coreset(emb, labeled, 12)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()
+
+    def test_peak_memory_below_two_megabytes(self, peak_bytes):
+        # A pool-sized difference array alone would be 8 MB.
+        rng = np.random.default_rng(20)
+        emb = rng.normal(size=(4000, 256))
+        labeled = rng.normal(size=(40, 256))
+        assert peak_bytes(_coreset, emb, labeled, 10) < 2_000_000
+
+
+ORACLE_KMEANS = {
+    "_dsq_to_centers": lambda points, sq_norms, centers: oracles.dsq_to_centers(points, centers),
+    "_kmeanspp_seed": lambda points, sq_norms, k, rng: oracles.kmeanspp_seed(points, k, rng),
+    "_lloyd": lambda points, sq_norms, centers: oracles.lloyd(
+        points, centers, acquisition.LLOYD_MAX_ITER, acquisition.LLOYD_TOL),
+}
+
+
+@st.composite
+def diverse_cases(draw):
+    """(scores, emb, k): tied, duplicated or real embeddings, 1 <= k <= n."""
+    n, d = draw(st.integers(1, 25)), draw(st.integers(1, 4))
+    elements = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.floats(-1e3, 1e3),
+        st.just(1.0),  # every point the same
+    ]))
+    emb = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    scores = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 2.0, 0.3])))
+    return scores, emb, draw(st.one_of(st.just(n), st.integers(1, n)))
+
 
 class TestDiverse:
     def test_k1_nearest_to_weighted_mean(self):
@@ -336,6 +394,33 @@ class TestDiverse:
         assert len(pos) == k
         assert len(set(pos.tolist())) == k
         assert pos.min() >= 0 and pos.max() < n
+
+    @settings(deadline=None)
+    @given(diverse_cases(), st.integers(0, 99))
+    # Two places, three centers: the third center repeats one of the
+    # others, so its cluster is empty.
+    @example((np.ones(6), np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3), 3), 0)
+    @example((np.ones(6), np.ones((6, 2)), 4), 1)  # every point the same
+    @example((np.linspace(0.5, 1.0, 5), np.arange(10.0).reshape(5, 2), 5), 2)  # k = n
+    @example((np.zeros(7), np.arange(14.0).reshape(7, 2), 3), 3)  # all-zero scores
+    def test_matches_kmeans_oracle(self, case, seed):
+        # Centres and picks equal, bit for bit, those of the k-means that
+        # recomputes norms per call and masks each cluster.
+        scores, emb, k = case
+        weighted = scores[:, None] * emb
+        sq_norms = (weighted**2).sum(axis=1)
+        centers = acquisition._lloyd(weighted, sq_norms, acquisition._kmeanspp_seed(
+            weighted, sq_norms, k, np.random.default_rng(seed)))
+        want = oracles.lloyd(
+            weighted, oracles.kmeanspp_seed(weighted, k, np.random.default_rng(seed)),
+            acquisition.LLOYD_MAX_ITER, acquisition.LLOYD_TOL)
+        assert centers.tobytes() == want.tobytes()
+        got = _diverse(scores, emb, k, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            for name, oracle in ORACLE_KMEANS.items():
+                mp.setattr(acquisition, name, oracle)
+            want_picks = _diverse(scores, emb, k, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want_picks)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

@@ -9,6 +9,7 @@ from asslab.nn import (
     Gradients,
     ModelParams,
     SgdOptimizer,
+    _forward_cached,
     finite_diff_grads,
     forward_batch,
     forward_counter,
@@ -89,6 +90,31 @@ class TestForward:
             probs, embedding = oracles.forward(params, xs[i])
             np.testing.assert_allclose(res.probs[i], probs, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(res.embedding[i], embedding, rtol=1e-12, atol=1e-15)
+
+    @settings(deadline=None)
+    @given(n_hidden=st.integers(0, 3), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cached_forward(self, n_hidden, n, seed):
+        # The in-place pass gives the training forward's bits and writes
+        # neither its input nor the params.
+        rng = np.random.default_rng(seed)
+        dims = [int(rng.integers(1, 5))] + [int(rng.integers(1, 40))] * n_hidden
+        params = init_params(dims + [int(rng.integers(2, 5))], rng)
+        params.biases = [rng.normal(size=b.shape) for b in params.biases]
+        x = rng.normal(scale=3.0, size=(n, dims[0]))
+        x_before, params_before = x.copy(), params.copy()
+        res = forward_batch(params, x)
+        assert bits(x) == bits(x_before)
+        for got, want in zip(params.weights + params.biases,
+                             params_before.weights + params_before.biases):
+            assert bits(got) == bits(want)
+        logits, _, post = _forward_cached(params, x)
+        assert bits(res.probs) == bits(softmax(logits))
+        assert bits(res.embedding) == bits(post[-1])
+
+    def test_peak_memory_below_three_activations(self, peak_bytes):
+        params = init_params([2, 256, 256, 3], np.random.default_rng(5))
+        x = np.random.default_rng(6).normal(size=(4000, 2))
+        assert peak_bytes(forward_batch, params, x) < 3 * 4000 * 256 * 8
 
     def test_forward_counter(self):
         params = init_params([2, 3], np.random.default_rng(0))
