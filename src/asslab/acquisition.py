@@ -87,8 +87,9 @@ def _coreset(
         best = int(np.argmax(min_dist))  # the first maximum
         picked.append(best)
         dists.append(min_dist[best])
-        fold(emb[best], min_dist, root=True)
-        min_dist[best] = -np.inf
+        if len(picked) < k:  # no pick reads the coverage of the last one
+            fold(emb[best], min_dist, root=True)
+            min_dist[best] = -np.inf
     return np.asarray(picked), np.asarray(dists)
 
 
@@ -155,28 +156,41 @@ def _diverse(
     unused sample, cycling in centroid order. The fill ends only for
     K <= len(emb), which acquire checks.
     """
-    n = len(emb)
     weighted = score[:, None] * emb
     sq_norms = (weighted**2).sum(axis=1)
     centers = _lloyd(weighted, sq_norms, _kmeanspp_seed(weighted, sq_norms, k, rng))
-    # A stable argsort on distance breaks ties toward the lower position.
-    d2 = _dsq_to_centers(weighted, sq_norms, centers)
-    nearest_order = [np.argsort(d2[:, j], kind="stable") for j in range(k)]
+    return _nearest_picks(_dsq_to_centers(weighted, sq_norms, centers), k)
+
+
+def _nearest_picks(d2: np.ndarray, k: int) -> np.ndarray:
+    """One pool position per column of the (n, k) distances d2, see _diverse.
+
+    Ties go to the lower position. A column's first candidate is its
+    stable argsort's first entry: the first smallest, NaN sorting last
+    (where argmin would return the first NaN). A column is argsorted only
+    when the fill reaches it; most fills end before any is.
+    """
+    n = len(d2)
     used = np.zeros(n, dtype=bool)
     picked: list[int] = []
     for j in range(k):
-        cand = int(nearest_order[j][0])
+        real = np.flatnonzero(~np.isnan(d2[:, j]))
+        cand = int(real[np.argmin(d2[real, j])]) if len(real) else 0
         if not used[cand]:
             used[cand] = True
             picked.append(cand)
+    orders: dict[int, np.ndarray] = {}
     cursors = [0] * k
     j = 0
     while len(picked) < k:
-        order_j = nearest_order[j % k]
-        while cursors[j % k] < n and used[order_j[cursors[j % k]]]:
-            cursors[j % k] += 1
-        if cursors[j % k] < n:
-            cand = int(order_j[cursors[j % k]])
+        c = j % k
+        if c not in orders:
+            orders[c] = np.argsort(d2[:, c], kind="stable")
+        order_c = orders[c]
+        while cursors[c] < n and used[order_c[cursors[c]]]:
+            cursors[c] += 1
+        if cursors[c] < n:
+            cand = int(order_c[cursors[c]])
             used[cand] = True
             picked.append(cand)
         j += 1

@@ -11,7 +11,8 @@ strategy position, so one strategy's consumption never perturbs another's.
 Every emitted CSV is written, and read back, by the table module, which
 owns the format: CRLF rows, repr floats, empty cells for None. The CSVs
 contain no timestamps; wall clocks and creation times live only in
-manifest.json.
+manifest.json. Every file, the manifest included, is written through
+table.atomic_open, so an interrupted emit leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .data import (
 )
 from .errors import ConfigError, InputError, TrainingError
 from .ssl import SslConfig, train_round
-from .table import format_rows, read_table, write_table
+from .table import atomic_open, format_rows, header_line, read_table, row_blocks, write_table
 from .tracker import TrackerSnapshot, TrackerStore, load_snapshot_csv
 
 # Named rng streams; each is an independent child of the experiment seed.
@@ -73,6 +74,7 @@ ROUNDS_FIELDS = [  # the RoundReport attribute behind each rounds.csv column
     "unsupervised_loss", "mask_rate", "n_events", "n_labeled_after",
 ]
 ACQUISITION_COLUMNS = ["round", "strategy", "rank", "sample_id", "score"]
+COPY_BYTES = 1 << 16  # read size when a lane copies another lane's shared rounds
 PSEUDO_RATIO_FRACS = (0.01, 0.05, 0.1)
 PSEUDO_RATIO_METRICS = ("u_ucb", "i_ucb")
 
@@ -354,27 +356,67 @@ def _write_acquisitions_csv(path, reports: list[RoundReport]) -> None:
     ])
 
 
-def _write_events_csv(path, lane_rounds: list[list], rows: dict[int, str]) -> None:
-    """Write a lane's events, formatting each round's list once per rows.
+def _event_blocks(round_index: int, events: list):
+    """Round round_index's event rows as columns, one block of rows at a time.
+
+    Each block concatenates only the step chunks that overlap it, so no
+    column longer than a block and two chunks is ever built.
+    """
+    if not events:
+        return
+    steps, ids, pw, ps = zip(*events)
+    sizes = np.array([len(chunk) for chunk in ids])
+    starts = np.cumsum(sizes) - sizes
+    for lo, hi in row_blocks(int(sizes.sum())):
+        a = np.searchsorted(starts, lo, "right") - 1  # the chunk holding row lo
+        b = np.searchsorted(starts, hi, "left")  # one past the chunk holding row hi - 1
+        cut = slice(lo - starts[a], hi - starts[a])
+        yield [
+            np.full(hi - lo, round_index), np.repeat(steps[a:b], sizes[a:b])[cut],
+            np.concatenate(ids[a:b])[cut],
+            *np.concatenate(pw[a:b])[cut].T, *np.concatenate(ps[a:b])[cut].T,
+        ]
+
+
+def _copy_prefix(src: str, end: int, f) -> None:
+    """Append the first end bytes of the file src to f, COPY_BYTES at a time."""
+    with open(src, "rb") as source:
+        while end > 0:
+            chunk = source.read(min(end, COPY_BYTES))
+            if not chunk:
+                raise InputError(f"{src} ended {end} bytes early")
+            f.write(chunk)
+            end -= len(chunk)
+
+
+def _write_events_csv(path, lane_rounds: list[list], written: dict[tuple, tuple]) -> None:
+    """Write a lane's events, formatting only rounds no earlier lane wrote.
 
     lane_rounds[i] holds round i's (step, ids, probs_weak, probs_strong)
-    events. rows maps id(round_list) -> that round's CSV rows; emit passes
-    one dict to every lane it writes, so a round shared by lanes, which
-    sits at the same index in each, is formatted once per emit call.
+    events. written maps the ids of a written lane's first j round lists
+    to (its file, the byte offset where round j - 1 ended); emit passes one
+    dict to every lane it writes. Lanes that share round j share rounds
+    0..j too, since the memo keys rounds by history, so a lane copies the
+    longest prefix some earlier lane wrote from that lane's file and
+    formats only its own later rounds: a round shared by lanes is
+    formatted once per emit call.
     """
-    k = next(events for events in lane_rounds if events)[0][2].shape[1]
-    for round_index, events in enumerate(lane_rounds):
-        if events and id(events) not in rows:
-            steps, ids, pw, ps = zip(*events)
-            sizes = [len(chunk) for chunk in ids]
-            rows[id(events)] = format_rows([
-                np.full(sum(sizes), round_index), np.repeat(steps, sizes), np.concatenate(ids),
-                *np.concatenate(pw).T, *np.concatenate(ps).T,
-            ])
-    write_table(
-        path, ["round", "step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)],
-        "".join(rows.get(id(events), "") for events in lane_rounds),
-    )
+    prefixes = [tuple(map(id, lane_rounds[: j + 1])) for j in range(len(lane_rounds))]
+    shared = next((j for j in range(len(prefixes), 0, -1) if prefixes[j - 1] in written), 0)
+    ends = []
+    with atomic_open(path, "wb") as f:
+        if shared:
+            _copy_prefix(*written[prefixes[shared - 1]], f)
+        else:
+            k = next(events for events in lane_rounds if events)[0][2].shape[1]
+            f.write(header_line(
+                ["round", "step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)]
+            ).encode())
+        for round_index in range(shared, len(lane_rounds)):
+            for columns in _event_blocks(round_index, lane_rounds[round_index]):
+                f.write(format_rows(columns).encode())
+            ends.append(f.tell())
+    written.update((prefix, (path, end)) for prefix, end in zip(prefixes[shared:], ends))
 
 
 def _write_seed_analysis(
@@ -485,12 +527,12 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
             export_series(first_round.series, os.path.join(seed_dir, "snapshots_round0.csv"))
             round0[seed] = (first_round.series, first_round.tracker_snapshot)
 
-    event_rows: dict[int, str] = {}  # for this call only; see _write_events_csv
+    written: dict[tuple, tuple] = {}  # for this call only; see _write_events_csv
     for (seed, strategy), lane_rounds in result.events.items():
         seed_dir = _seed_dir(out_dir, seed)
         os.makedirs(seed_dir, exist_ok=True)
         _write_events_csv(os.path.join(seed_dir, f"events_{strategy}.csv"), lane_rounds,
-                          event_rows)
+                          written)
 
     _write_analysis(out_dir, cfg, round0, {
         (r.strategy, r.seed): r.test_accuracy
@@ -517,7 +559,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
             ],
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+    with atomic_open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 

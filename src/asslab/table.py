@@ -11,16 +11,30 @@ of a Python int is its str and of a float its repr, which are the cells
 csv.writer prints for them, and numbers never need quoting. Any other
 column, bool arrays included, keeps csv.writer, its quoting and its empty
 cells for None.
+
+No table is ever built as one string: write_table formats and writes its
+columns BLOCK_ROWS rows at a time, so the text in memory is bounded
+whatever the row count. The harness writes event logs the same way, and
+a lane that shares its first rounds with a lane already written copies
+them as a byte prefix of that lane's file instead of formatting them
+again. Every file goes to path + ".tmp" and is moved onto path with
+os.replace (atomic_open), so a failed write leaves the old bytes, or no
+file, never half a file; a killed process can leave only the temp file,
+which the next write of path replaces.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
 
 import numpy as np
 
 from .errors import InputError
+
+BLOCK_ROWS = 2048  # rows formatted per write; bounds the text held in memory
 
 
 def format_rows(columns) -> str:
@@ -38,11 +52,44 @@ def format_rows(columns) -> str:
     return text.getvalue()
 
 
+def header_line(names) -> str:
+    """The CSV header row of names."""
+    return format_rows([[name] for name in names])
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the BLOCK_ROWS-row blocks that cover n rows."""
+    return [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """open(path + ".tmp", mode, **kwargs), moved onto path when the block ends.
+
+    os.replace swaps the whole file in at once, so path holds either its
+    old bytes or all of the new ones. If the block raises, the temp file
+    is removed and path is left as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_table(path, header, columns) -> None:
-    """Write header, then the rows of columns, or text format_rows made."""
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerow(header)
-        f.write(columns if isinstance(columns, str) else format_rows(columns))
+    """Write header, then the rows of columns, one block of rows at a time."""
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    with atomic_open(path, "w", newline="") as f:
+        f.write(header_line(header))
+        for lo, hi in row_blocks(n):
+            f.write(format_rows([c[lo:hi] for c in columns]))
 
 
 def read_table(path, header) -> list:

@@ -10,12 +10,18 @@ difference per KL term; the tracker must match them bit for bit.
 dsq_to_centers, kmeanspp_seed and lloyd are diversity acquisition's
 k-means as first written, recomputing the points' squared norms in every
 distance call and selecting each cluster with a boolean mask; the
-acquisition module must match them bit for bit. None of
+acquisition module must match them bit for bit. nearest_picks is
+diversity acquisition's fill as first written, one full stable argsort
+per centroid, and coreset the blocked greedy k-center with a distance
+pass after every pick, the k-th included. events_csv is a lane's event
+log as one string, built by the csv module. None of
 them imports anything from asslab, so a mistake in the production code
 cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -164,6 +170,81 @@ def lloyd(points, centers, max_iter: int, tol: float) -> np.ndarray:
         if shift < tol:
             break
     return centers
+
+
+def nearest_picks(d2, k: int) -> np.ndarray:
+    """Each centroid's nearest unused position: first every column's
+    nearest, duplicates dropped, then the next-nearest unused, cycling in
+    column order. Ties go to the lower position, NaN sorts last."""
+    n = len(d2)
+    nearest_order = [np.argsort(d2[:, j], kind="stable") for j in range(k)]
+    used = np.zeros(n, dtype=bool)
+    picked: list[int] = []
+    for j in range(k):
+        cand = int(nearest_order[j][0])
+        if not used[cand]:
+            used[cand] = True
+            picked.append(cand)
+    cursors = [0] * k
+    j = 0
+    while len(picked) < k:
+        order_j = nearest_order[j % k]
+        while cursors[j % k] < n and used[order_j[cursors[j % k]]]:
+            cursors[j % k] += 1
+        if cursors[j % k] < n:
+            cand = int(order_j[cursors[j % k]])
+            used[cand] = True
+            picked.append(cand)
+        j += 1
+    return np.asarray(picked)
+
+
+def coreset(emb, labeled_emb, k: int, block_rows: int = 256):
+    """Greedy k-center (picks, covering distances) in blocks of block_rows
+    pool rows, folding each pick's distances in after every pick."""
+    n = len(emb)
+    block = np.empty((min(n, block_rows), emb.shape[1]))
+    block_dist = np.empty(len(block))
+
+    def fold(row, cover, root):
+        for lo in range(0, n, block_rows):
+            hi = min(lo + block_rows, n)
+            b, d = block[: hi - lo], block_dist[: hi - lo]
+            np.subtract(emb[lo:hi], row, out=b)
+            np.multiply(b, b, out=b)
+            np.add.reduce(b, axis=1, out=d)
+            if root:
+                np.sqrt(d, out=d)
+            np.minimum(cover[lo:hi], d, out=cover[lo:hi])
+
+    min_dist = np.full(n, np.inf)
+    for row in labeled_emb:
+        fold(row, min_dist, root=False)
+    np.sqrt(min_dist, out=min_dist)
+    picked, dists = [], []
+    for _ in range(k):
+        best = int(np.argmax(min_dist))
+        picked.append(best)
+        dists.append(min_dist[best])
+        fold(emb[best], min_dist, root=True)
+        min_dist[best] = -np.inf
+    return np.asarray(picked), np.asarray(dists)
+
+
+def events_csv(lane_rounds) -> bytes:
+    """A lane's events file: the header, then round i's (step, ids,
+    probs_weak, probs_strong) events of lane_rounds[i] as rows, all
+    formatted into one string."""
+    k = next(events for events in lane_rounds if events)[0][2].shape[1]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["round", "step", "sample_id"]
+                    + [f"p_{v}{j}" for v in "ws" for j in range(k)])
+    for round_index, events in enumerate(lane_rounds):
+        for step, ids, pw, ps in events:
+            for i, sample_id in enumerate(ids.tolist()):
+                writer.writerow([round_index, step, sample_id, *pw[i].tolist(), *ps[i].tolist()])
+    return text.getvalue().encode()
 
 
 def round_robin(labels, n: int) -> list[int]:

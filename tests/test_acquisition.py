@@ -301,6 +301,21 @@ class TestCoreset:
         np.testing.assert_array_equal(got, ref)
         assert dists.tobytes() == ref_dists.tobytes()
 
+    @settings(deadline=None)
+    @given(coreset_cases(), st.integers(1, 40))
+    @example((np.ones((3, 2)), np.ones((1, 2)), 3), 1)  # every distance tied at 0
+    @example((np.zeros((2, 1)), np.zeros((0, 1)), 2), 256)  # no labeled rows
+    def test_matches_form_with_a_pass_after_the_last_pick(self, case, block_rows):
+        # Skipping the distance pass after the k-th pick changes no pick
+        # and no distance, bit for bit, whatever the block size.
+        emb, labeled, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_BLOCK_ROWS", block_rows)
+            got, dists = _coreset(emb, labeled, k)
+        ref, ref_dists = oracles.coreset(emb, labeled, k, block_rows)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()
+
     def test_pool_of_several_default_blocks(self):
         rng = np.random.default_rng(19)
         n = 2 * acquisition._BLOCK_ROWS + 3
@@ -339,6 +354,14 @@ def diverse_cases(draw):
     emb = draw(hnp.arrays(np.float64, (n, d), elements=elements))
     scores = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 2.0, 0.3])))
     return scores, emb, draw(st.one_of(st.just(n), st.integers(1, n)))
+
+
+@st.composite
+def distance_matrices(draw):
+    """(n, k) centroid distances with ties, -0.0 and non-finite entries, k <= n."""
+    n = draw(st.integers(1, 12))
+    return draw(hnp.arrays(np.float64, (n, draw(st.integers(1, n))), elements=st.sampled_from(
+        [0.0, -0.0, 0.5, 1.0, 2.0, np.inf, -np.inf, np.nan])))
 
 
 class TestDiverse:
@@ -421,6 +444,19 @@ class TestDiverse:
                 mp.setattr(acquisition, name, oracle)
             want_picks = _diverse(scores, emb, k, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want_picks)
+
+    @settings(deadline=None)
+    @given(distance_matrices())
+    @example(np.array([[np.nan, 0.0], [np.nan, -0.0], [np.nan, 0.0]]))  # the fill sorts both
+    def test_nearest_picks_match_full_argsorts(self, d2):
+        # Taking each centroid's first candidate by one pass, and sorting a
+        # column only when the fill reaches it, picks what k full stable
+        # argsorts pick: ties to the lower position, NaN last, infinities
+        # and -0.0 in place.
+        k = d2.shape[1]
+        got = acquisition._nearest_picks(d2, k)
+        np.testing.assert_array_equal(got, oracles.nearest_picks(d2, k))
+        assert len(set(got.tolist())) == k
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from asslab import harness, nn, ssl
+import oracles
+from asslab import harness, nn, ssl, table
 from asslab.acquisition import STRATEGIES, AcquisitionRequest, acquire
 from asslab.data import Augmenter, GeneratorSpec, generate, split_pools, standardize
 from asslab.errors import ConfigError, InputError, TrainingError
@@ -887,6 +888,133 @@ class TestEmit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["errors"]) == 1
         assert manifest["completed_rounds"] == 0
+
+
+def synthetic_round(rng, steps, step_rows=64, k=3):
+    """One round's (step, ids, probs_weak, probs_strong) events."""
+    return [(step, rng.integers(0, 5000, size=step_rows),
+             rng.dirichlet(np.ones(k), size=step_rows), rng.dirichlet(np.ones(k), size=step_rows))
+            for step in range(1, steps + 1)]
+
+
+def shared_prefix(a, b) -> int:
+    """How many leading round lists two lanes share."""
+    return next((j for j, (x, y) in enumerate(zip(a, b)) if x is not y), min(len(a), len(b)))
+
+
+class TestStreamedEmit:
+    def test_peak_memory_does_not_grow_with_event_rows(self, tmp_path, peak_bytes):
+        # 60,000 distinct event rows in two lanes that share two rounds;
+        # formatted as one string they would take over 15 MB.
+        rng = np.random.default_rng(3)
+        r0, r1, r2, r3 = (synthetic_round(rng, 15_000 // 64) for _ in range(4))
+        result = ExperimentResult([], [], {}, {(0, "random"): [r0, r1, r2],
+                                               (0, "entropy"): [r0, r1, r3]})
+        cfg = small_cfg(strategies=["random", "entropy"])
+        assert peak_bytes(emit, result, cfg, str(tmp_path / "run")) < 3_000_000
+        for strategy, lane in [("random", [r0, r1, r2]), ("entropy", [r0, r1, r3])]:
+            assert (tmp_path / "run" / "seed_0" / f"events_{strategy}.csv").read_bytes() \
+                == oracles.events_csv(lane)
+
+    @pytest.mark.parametrize("block_rows", [5, table.BLOCK_ROWS])
+    def test_shared_prefixes_match_whole_string_form(self, tmp_path, monkeypatch, block_rows):
+        # Three rounds. margin acquires as entropy does (shares 3 rounds),
+        # snapshot-el2n as entropy in round 0 only (shares 2), random on
+        # its own (shares round 0), and coreset's round-2 training fails
+        # after 7 steps, so its last round is cut short.
+        cfg = small_cfg(strategies=["entropy", "margin", "snapshot-el2n", "random", "coreset"],
+                        rounds=3, log_events=True,
+                        ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
+                                      hidden_dims=[8, 8], batch_size=4, mu=2))
+        real_acquire, real_train = harness.acquire, harness.train_round
+        doomed = []  # the labeled set coreset's round 2 trains on
+
+        def acquiring(req):
+            round_index = (len(req.pools.labeled) - cfg.n_init) // cfg.acquire_k
+            as_ = {"margin": "entropy",
+                   "snapshot-el2n": "random" if round_index else "entropy"}
+            ids, scores = real_acquire(
+                dataclasses.replace(req, strategy=as_.get(req.strategy, req.strategy)))
+            if req.strategy == "coreset" and round_index == 1:
+                doomed.append(req.pools.labeled | set(ids.tolist()))
+            return ids, scores
+
+        def training(params, pools, *args, event_sink=None, **kwargs):
+            if pools.labeled not in doomed:
+                return real_train(params, pools, *args, event_sink=event_sink, **kwargs)
+            seen = []
+
+            def sink(step, *event):
+                if len(seen) == 7:
+                    raise TrainingError("forced divergence", step=step)
+                seen.append(step)
+                event_sink(step, *event)
+
+            return real_train(params, pools, *args, event_sink=sink, **kwargs)
+
+        monkeypatch.setattr(harness, "acquire", acquiring)
+        monkeypatch.setattr(harness, "train_round", training)
+        result = run_experiment(cfg)
+        lanes = {s: result.events[(0, s)] for s in cfg.strategies}
+        assert [shared_prefix(lanes["entropy"], lanes[s]) for s in cfg.strategies] \
+            == [3, 3, 2, 1, 1]
+        assert len(lanes["coreset"][2]) == 7  # event chunks; a step may give two
+        assert [(e["strategy"], e["round"]) for e in result.errors] == [("coreset", 2)]
+
+        formatted = []
+        format_rows = harness.format_rows
+
+        def counting(columns):
+            formatted.append(len(columns[0]))
+            return format_rows(columns)
+
+        monkeypatch.setattr(harness, "format_rows", counting)
+        monkeypatch.setattr(table, "BLOCK_ROWS", block_rows)
+        out = tmp_path / "run"
+        emit(result, cfg, str(out))
+        for strategy, lane in lanes.items():
+            assert (out / "seed_0" / f"events_{strategy}.csv").read_bytes() \
+                == oracles.events_csv(lane)
+        distinct = {id(events): sum(len(ids) for _, ids, _, _ in events)
+                    for lane in lanes.values() for events in lane}
+        assert sum(formatted) == sum(distinct.values())  # each distinct round formatted once
+        assert max(formatted) <= block_rows
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        result = ExperimentResult([], [], {}, {(0, "random"): [synthetic_round(rng, 40)]})
+        cfg = small_cfg(strategies=["random"])
+        out = tmp_path / "run"
+        emit(result, cfg, str(out))
+        before = tree_bytes(out)
+        calls = []
+        format_rows = harness.format_rows
+
+        def failing(columns):
+            calls.append(len(columns[0]))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return format_rows(columns)
+
+        monkeypatch.setattr(harness, "format_rows", failing)
+        with pytest.raises(OSError, match="disk full"):
+            emit(result, cfg, str(out))
+        assert calls == [table.BLOCK_ROWS, 40 * 64 - table.BLOCK_ROWS]
+        assert tree_bytes(out) == before  # the old events bytes and manifest
+        monkeypatch.setattr(harness, "format_rows", format_rows)
+        emit(result, cfg, str(out))
+        after = tree_bytes(out)
+        del before["manifest.json"], after["manifest.json"]  # hold the run's timings
+        assert after == before
+
+    def test_failed_manifest_keeps_the_old_one(self, tmp_path):
+        cfg = small_cfg()
+        out = tmp_path / "run"
+        emit(ExperimentResult([], [], {}, {}), cfg, str(out))
+        before = tree_bytes(out)
+        with pytest.raises(TypeError):  # json.dump fails partway through the manifest
+            emit(ExperimentResult([], [{"message": object()}], {}, {}), cfg, str(out))
+        assert tree_bytes(out) == before
 
 
 def golden_cfg() -> ExperimentConfig:

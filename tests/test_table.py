@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from asslab import harness
+from asslab import harness, table
 from asslab.acquisition import STRATEGIES
 from asslab.analysis import (
     PairwiseResult,
@@ -26,7 +26,7 @@ from asslab.analysis import (
     write_ti_profile,
 )
 from asslab.data import Dataset, export_dataset
-from asslab.table import format_rows
+from asslab.table import format_rows, write_table
 from asslab.tracker import TrackerSnapshot, load_snapshot_csv
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "asslab"
@@ -356,6 +356,47 @@ class TestFormatRows:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
             format_rows([np.array([1, 2]), np.array([0.5])])
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+class TestWriteTable:
+    @settings(deadline=None)
+    @given(numeric_columns(), st.integers(1, 7))
+    def test_blocks_match_one_string(self, tmp_path_factory, columns, block_rows):
+        # Written a block of rows at a time, below, at or above the row
+        # count: the bytes of the header and all rows as one string.
+        path = tmp_path_factory.mktemp("blocks") / "t.csv"
+        header = [f"c{j}" for j in range(len(columns))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(table, "BLOCK_ROWS", block_rows)
+            write_table(path, header, columns)
+        assert path.read_bytes() == (csv_writer_rows([[h] for h in header])
+                                     + csv_writer_rows(columns)).encode()
+
+    def test_quoted_cells_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(table, "BLOCK_ROWS", 2)
+        columns = [np.arange(5), ["a,b", None, 'say "hi"', "", "x"], [0.5, -0.0, None, 1e16, 2]]
+        write_table(tmp_path / "t.csv", ["id", "text", "value"], columns)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            "id,text,value\r\n" + csv_writer_rows(columns)).encode()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        write_table(path, ["v"], [[1, 2]])
+        monkeypatch.setattr(table, "BLOCK_ROWS", 1)
+        with pytest.raises(RuntimeError, match="no text"):
+            write_table(path, ["v"], [[3, Unprintable()]])  # fails in the second block
+        assert path.read_bytes() == b"v\r\n1\r\n2\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_unequal_lengths_write_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_table(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_only_the_table_module_imports_csv():
