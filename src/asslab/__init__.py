@@ -6,6 +6,9 @@ weak/strong inconsistency statistics, inference-free acquisition from
 those statistics, and a fully seeded experiment harness.
 """
 
+# Set before the submodules load: harness records it in every manifest.
+__version__ = "0.1.0"
+
 from .errors import (
     AcquisitionError,
     AsslabError,
@@ -41,8 +44,6 @@ from .harness import (
 )
 from .ssl import SslConfig, train_round
 from .tracker import TrackerSnapshot, TrackerStore
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionError",

@@ -41,7 +41,8 @@ class SnapshotSeries:
                 raise InputError(f"{name} must be finite")
         if t > 1 and not np.all(np.diff(self.steps) > 0):
             raise InputError("snapshot steps must be strictly increasing")
-        if len(np.unique(self.ids)) != n:
+        ids = np.sort(self.ids, axis=None)
+        if np.any(ids[1:] == ids[:-1]):
             raise InputError("sample ids must be unique")
 
     @property
@@ -108,7 +109,7 @@ def ti_uncertainty_profile(series: SnapshotSeries) -> list[tuple[int, int, float
     ti = temporal_instability_batch(series)
     avg_u = series.uncertainty.mean(axis=0)
     out = []
-    for val in np.unique(ti):
+    for val in np.flatnonzero(np.bincount(ti)):
         sel = avg_u[ti == val]
         out.append((int(val), int(sel.size), float(sel.mean()), float(sel.std())))
     return out

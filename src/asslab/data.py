@@ -63,7 +63,10 @@ class Dataset:
             raise InputError("dataset has no rows")
         if self.y.dtype.kind not in "iu" or self.y.min() < 0:
             raise InputError("labels must be nonnegative integers")
-        if len(np.unique(self.y)) != self.n_classes:
+        # More classes than rows leaves one empty; bincount after that check
+        # allocates at most n counts, and the cast is safe for uint64.
+        if (self.n_classes > self.n
+                or not np.bincount(self.y.astype(np.intp, copy=False)).all()):
             raise InputError("every class must be nonempty")
 
     @property

@@ -11,14 +11,14 @@ strategy position, so one strategy's consumption never perturbs another's.
 Every emitted CSV is written, and read back, by the table module, which
 owns the format: CRLF rows, repr floats, empty cells for None. The CSVs
 contain no timestamps; wall clocks and creation times live only in
-manifest.json. Every file, the manifest included, is written through
-table.atomic_open, so an interrupted emit leaves no half-written file.
+manifest.json, beside the asslab, Python and numpy versions. Every file,
+the manifest included, is written through table.atomic_open, so an
+interrupted emit leaves no half-written file.
 """
 
 from __future__ import annotations
 
 import copy
-import importlib.metadata
 import json
 import os
 import platform
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import nn
+from . import __version__, nn
 from .acquisition import STRATEGIES, AcquisitionRequest, acquire
 from .analysis import (
     SnapshotSeries,
@@ -334,13 +334,6 @@ def _seed_dir(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, f"seed_{seed}")
 
 
-def _package_version() -> str:
-    try:
-        return importlib.metadata.version("asslab")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def _write_rounds_csv(path, reports: list[RoundReport]) -> None:
     write_table(path, ROUNDS_COLUMNS,
                 [[getattr(r, name) for r in reports] for name in ROUNDS_FIELDS])
@@ -491,12 +484,14 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     rounds.csv, per-seed datasets and acquisition logs, the round-0
     snapshot series and per-round score snapshots of the reports that
     carry them (the first strategy's, see _run_seed), derived analysis
-    CSVs, and manifest.json. Every file is a pure function of the config,
-    so reruns are byte-identical, except the manifest's versions and its
-    "nondeterministic" key. The manifest records no path, so the same run
-    has the same bytes in any out_dir. An out_dir whose manifest records
-    a different config raises InputError, since the files of that run
-    would stay beside the new ones.
+    CSVs, and manifest.json. Every file is a pure function of the config
+    and the code, so reruns are byte-identical, except the manifest's
+    Python and numpy versions and its "nondeterministic" key. The manifest
+    records the code's own asslab.__version__, whether or not the package
+    is installed, and no path, so the same run has the same bytes in any
+    out_dir. An out_dir whose manifest records a different config raises
+    InputError, since the files of that run would stay beside the new
+    ones.
     """
     _check_out_dir(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -541,7 +536,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
 
     manifest = {
         "config": _recorded_config(cfg),
-        "package_version": _package_version(),
+        "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "completed_rounds": len(result.reports),

@@ -146,12 +146,14 @@ class TrackerStore:
                 f"views of shape {probs_weak.shape} and {probs_strong.shape}"
                 f" for {len(pos)} positions; need (n_positions, n_classes) each"
             )
-        uniq = np.unique(pos)
-        if len(uniq) and (uniq[0] < 0 or uniq[-1] >= len(self.ids)):
-            raise TrackerError(f"positions {uniq[0]}..{uniq[-1]} outside [0, {len(self.ids)})")
-        if len(uniq) != len(pos):
-            dup = int(self.ids[np.argmax(np.bincount(pos) > 1)])
-            raise TrackerError(f"sample id {dup} twice in one ingest batch")
+        if len(pos):
+            lo, hi = pos.min(), pos.max()
+            if lo < 0 or hi >= len(self.ids):
+                raise TrackerError(f"positions {lo}..{hi} outside [0, {len(self.ids)})")
+            counts = np.bincount(pos)
+            if counts.max() > 1:
+                dup = int(self.ids[np.argmax(counts > 1)])
+                raise TrackerError(f"sample id {dup} twice in one ingest batch")
         # An inf or nan probability makes a non-finite statistic, refused
         # below; numpy's warning about it (inf + -inf) would come first.
         vals = np.empty((len(pos), 2))

@@ -14,7 +14,9 @@ acquisition module must match them bit for bit. nearest_picks is
 diversity acquisition's fill as first written, one full stable argsort
 per centroid, and coreset the blocked greedy k-center with a distance
 pass after every pick, the k-th included. events_csv is a lane's event
-log as one string, built by the csv module. None of
+log as one string, built by the csv module. ti_uncertainty_profile groups
+samples with np.unique, the form the analysis module gave up so that it
+never imports numpy.ma. None of
 them imports anything from asslab, so a mistake in the production code
 cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
@@ -111,6 +113,19 @@ def temporal_instability(labels) -> int:
     """Number of adjacent predicted-label changes along one sample's history."""
     labels = list(labels)
     return sum(a != b for a, b in zip(labels, labels[1:]))
+
+
+def ti_uncertainty_profile(labels, uncertainty) -> list[tuple[int, int, float, float]]:
+    """(ti, count, mean, std) per temporal-instability group as first
+    written: the groups are np.unique of the per-sample instabilities."""
+    labels, uncertainty = np.asarray(labels), np.asarray(uncertainty)
+    ti = np.array([temporal_instability(labels[:, j]) for j in range(labels.shape[1])])
+    avg_u = uncertainty.mean(axis=0)
+    out = []
+    for val in np.unique(ti):
+        sel = avg_u[ti == val]
+        out.append((int(val), int(sel.size), float(sel.mean()), float(sel.std())))
+    return out
 
 
 def forward(params, x) -> tuple[list[float], np.ndarray]:

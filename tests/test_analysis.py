@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
@@ -179,6 +181,18 @@ class TestTiProfile:
         means = [mean for _, _, mean, _ in profile]
         assert all(a < b for a, b in zip(means, means[1:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_unique_oracle(self, data):
+        t, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, 4))
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=t * n,
+                                             max_size=t * n))).reshape(t, n)
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=t * n,
+                                        max_size=t * n))).reshape(t, n)
+        series = make_series(labels, uncertainty=u)
+        assert ti_uncertainty_profile(series) == oracles.ti_uncertainty_profile(labels, u)
+
     def test_std_is_population(self):
         u = np.array([[0.1, 0.5], [0.3, 0.7]])
         series = make_series(np.zeros((2, 2), dtype=int), uncertainty=u)
@@ -302,6 +316,14 @@ class TestSeriesIo:
             )
         with pytest.raises(InputError):
             make_series(np.zeros((2, 3), dtype=int), steps=np.array([200, 100]))
+
+    @pytest.mark.parametrize("ids", [[5, 2, 5], [7, 7, 1], [0, 3, 3]])
+    def test_series_rejects_duplicate_ids(self, ids):
+        with pytest.raises(InputError, match="sample ids must be unique"):
+            make_series(np.zeros((2, 3), dtype=int), ids=ids)
+
+    def test_series_accepts_unsorted_unique_ids(self):
+        assert make_series(np.zeros((2, 3), dtype=int), ids=[9, 2, 5]).n_samples == 3
 
     @pytest.mark.parametrize("field", ["uncertainty", "max_prob"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

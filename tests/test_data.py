@@ -154,6 +154,22 @@ class TestDataset:
         with pytest.raises(InputError):
             Dataset(x=x, y=y)
 
+    @pytest.mark.parametrize("y", [np.array([0, 2**40]),
+                                   np.array([0, 2**64 - 1], dtype=np.uint64)],
+                             ids=["int64", "uint64"])
+    def test_huge_label_rejected_without_counting_classes(self, y, peak_bytes):
+        # A count per class up to 2**40 would take 8 TB.
+        def build():
+            with pytest.raises(InputError, match="every class must be nonempty"):
+                Dataset(x=np.zeros((2, 2)), y=y)
+
+        assert peak_bytes(build) < 2**20
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_integer_label_dtypes_accepted(self, dtype):
+        ds = Dataset(x=np.zeros((3, 2)), y=np.array([2, 0, 1], dtype=dtype))
+        assert ds.n_classes == 3
+
 
 class TestSpecRoundTrip:
     def test_dict_round_trip(self):

@@ -1,9 +1,35 @@
 import ast
+import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import asslab
+from asslab import ExperimentConfig, ExperimentResult, emit
 
 SRC = pathlib.Path(asslab.__file__).resolve().parent
+
+# Modules that no asslab process needs; each costs milliseconds of start-up.
+COLD_MODULES = ("numpy.ma", "importlib.metadata", "email")
+
+# Imports asslab, runs a tiny all-strategy sweep with its event log, rebuilds
+# its analysis and runs one gradient check, then prints which of
+# COLD_MODULES got imported.
+COLD_START = """
+import contextlib, io, sys
+from asslab import ExperimentConfig, GeneratorSpec, SslConfig, analyze_dir, cli, run_and_emit
+cfg = ExperimentConfig(
+    dataset=GeneratorSpec(size=200), n_init=10, acquire_k=5, rounds=2, n_test=40,
+    ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8]),
+    seeds=[0], log_events=True)
+run_and_emit(cfg, sys.argv[2])
+analyze_dir(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["gradcheck", "--instances", "1"]) == 0
+print([name for name in sys.argv[1].split(",") if name in sys.modules])
+"""
 
 
 def test_all_is_pinned():
@@ -34,3 +60,25 @@ def test_every_definition_is_used_by_the_package():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in used and node.name not in asslab.__all__]
     assert unused == []
+
+
+def test_cold_start_imports_nothing_it_does_not_use(tmp_path):
+    # A fresh interpreter, since pytest and its plugins import these
+    # modules themselves.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, ",".join(COLD_MODULES), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_one_version_source(tmp_path):
+    # pyproject.toml is read with a regex: tomllib needs Python 3.11.
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == asslab.__version__
+    emit(ExperimentResult([], [], {}, {}), ExperimentConfig(), str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["package_version"] == asslab.__version__

@@ -435,6 +435,39 @@ class TestTrackerStore:
         with pytest.raises(TrackerError, match="sample id 1 twice"):
             store.ingest_batch(np.array([1, 1]), P, P)
 
+    def test_duplicate_names_the_id_at_the_lowest_repeated_position(self):
+        store = TrackerStore([10, 20, 30, 40])
+        P = np.full((5, 2), 0.5)
+        with pytest.raises(TrackerError, match="^sample id 20 twice in one ingest batch$"):
+            store.ingest_batch([3, 1, 2, 1, 3], P, P)
+
+    @pytest.mark.parametrize("pos,span", [
+        ([-1, 2], "-1..2"),
+        ([2, 2**40], "2..1099511627776"),
+        ([2**40, 3, -1], "-1..1099511627776"),
+    ])
+    def test_positions_outside_the_pool(self, pos, span, peak_bytes):
+        store = self.make()
+        P = np.full((len(pos), 2), 0.5)
+
+        def ingest():
+            with pytest.raises(TrackerError, match=rf"^positions {span} outside \[0, 6\)$"):
+                store.ingest_batch(pos, P, P)
+
+        assert peak_bytes(ingest) < 2**20
+        np.testing.assert_array_equal(store.snapshot().counts, np.zeros(6))
+
+    def test_ingest_batch_without_positions_is_a_no_op(self):
+        store = self.make()
+        rng = np.random.default_rng(3)
+        stream(store, 4, [(random_dist(rng, 3), random_dist(rng, 3))] * 2)
+        before = store.snapshot()
+        store.ingest_batch(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)))
+        store.ingest_batch([], np.zeros((0, 3)), np.zeros((0, 3)))
+        after = store.snapshot()
+        for name in ("ids", "u_mean", "u_var", "i_mean", "i_var", "score", "counts"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+
     VIEW_CASES = [
         ([[0.9, 0.1]], [[0.5, 0.5]]),  # one row for two positions, once broadcast to both
         ([[0.9, 0.1]] * 3, [[0.5, 0.5]] * 3),  # three rows for two positions
