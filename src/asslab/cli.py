@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AsslabError, OSError) as e:  # OSError: an unwritable output tree
+    except (AsslabError, OSError, MemoryError) as e:  # unwritable tree, unallocatable arrays
         print(f"error: {e}", file=sys.stderr)
         return 2
 

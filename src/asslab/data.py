@@ -21,6 +21,7 @@ WEAK_SCALE = 0.05  # weak jitter sigma as a fraction of each feature's std
 STRONG_MULT = 4.0  # strong jitter sigma as a multiple of the weak one
 BLOB_RADIUS = 5.0  # gaussian-blobs centers sit on a circle of this radius
 RING_SPACING = 2.0  # concentric-rings ring c has radius (c + 1) * RING_SPACING
+UNLABELED, LABELED, TEST = 0, 1, 2  # the pool codes of SamplePools.state
 
 GENERATOR_KINDS = ("gaussian-blobs", "two-moons", "concentric-rings")
 
@@ -131,42 +132,42 @@ def standardize(dataset: Dataset) -> Dataset:
     return replace(dataset, x=(dataset.x - mean) / std)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePools:
-    """Disjoint labeled / unlabeled / test id sets over one dataset."""
+    """Labeled / unlabeled / test pools over one dataset: one read-only int8 pool
+    code per row, so the pools are disjoint by construction and lanes can share
+    them (updated copies). == is identity; compare the state arrays instead."""
 
-    labeled: frozenset[int]
-    unlabeled: frozenset[int]
-    test: frozenset[int]
+    state: np.ndarray  # (n,) int8: UNLABELED, LABELED or TEST per row
 
     def __post_init__(self):
-        if self.labeled & self.unlabeled or self.labeled & self.test or self.unlabeled & self.test:
-            raise InputError("pools must be pairwise disjoint")
+        self.state.flags.writeable = False
 
     def updated(self, acquired_ids) -> "SamplePools":
         """Move acquired ids from the unlabeled pool into the labeled pool."""
         ids = np.asarray(acquired_ids)
         if ids.ndim != 1 or (ids.size and not np.issubdtype(ids.dtype, np.integer)):
             raise InputError(f"acquired ids must be a 1-d array of integers, got {ids.dtype}")
-        acquired = frozenset(ids.tolist())
-        if len(acquired) != ids.size:
-            raise InputError("acquired ids must be unique")
-        if not acquired <= self.unlabeled:
+        ids = ids.astype(np.intp)  # a uint64 id past intp's range wraps below 0
+        n = len(self.state)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):  # before -1 can index row n - 1
+            raise InputError(f"acquired ids {ids.min()}..{ids.max()} outside [0, {n})")
+        if (self.state[ids] != UNLABELED).any():
             raise InputError("acquired ids must come from the unlabeled pool")
-        return SamplePools(
-            labeled=self.labeled | acquired,
-            unlabeled=self.unlabeled - acquired,
-            test=self.test,
-        )
+        state = self.state.copy()
+        state[ids] = LABELED
+        if np.count_nonzero(state != self.state) != ids.size:  # a repeated id moves once
+            raise InputError("acquired ids must be unique")
+        return SamplePools(state)
 
     def sorted_labeled(self) -> np.ndarray:
-        return np.fromiter(sorted(self.labeled), dtype=np.int64, count=len(self.labeled))
+        return np.flatnonzero(self.state == LABELED)
 
     def sorted_unlabeled(self) -> np.ndarray:
-        return np.fromiter(sorted(self.unlabeled), dtype=np.int64, count=len(self.unlabeled))
+        return np.flatnonzero(self.state == UNLABELED)
 
     def sorted_test(self) -> np.ndarray:
-        return np.fromiter(sorted(self.test), dtype=np.int64, count=len(self.test))
+        return np.flatnonzero(self.state == TEST)
 
 
 def split_pools(
@@ -201,10 +202,10 @@ def split_pools(
         labeled = rest[np.lexsort((y, rank))[:n_init]]
     else:
         labeled = rest[:n_init]
-    labeled_set = frozenset(int(i) for i in labeled)
-    test_set = frozenset(int(i) for i in test)
-    unlabeled_set = frozenset(range(dataset.n)) - labeled_set - test_set
-    return SamplePools(labeled=labeled_set, unlabeled=unlabeled_set, test=test_set)
+    state = np.full(dataset.n, UNLABELED, dtype=np.int8)
+    state[test] = TEST
+    state[labeled] = LABELED
+    return SamplePools(state)
 
 
 @dataclass

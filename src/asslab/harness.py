@@ -121,24 +121,14 @@ class ExperimentConfig(DictConfig):
     log_events: bool = False
 
     def _check_ranges(self):
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
-        if self.acquire_k < 1:
-            raise ConfigError("acquire_k must be at least 1")
-        if self.n_init < 1:
-            raise ConfigError("n_init must be at least 1")
-        if self.n_test < 0:
-            raise ConfigError("n_test must be nonnegative")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be unique")
+        for name, floor in (("rounds", 1), ("acquire_k", 1), ("n_init", 1), ("n_test", 0)):
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be at least {floor}")
+        for name, values in (("seeds", self.seeds), ("strategies", self.strategies)):
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be nonempty and unique")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be nonnegative")
-        if not self.strategies:
-            raise ConfigError("strategies must be nonempty")
-        if len(set(self.strategies)) != len(self.strategies):
-            raise ConfigError("strategies must be unique")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             raise ConfigError(f"unknown strategies {unknown}; choose from {list(STRATEGIES)}")
@@ -296,7 +286,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                 pools = pools.updated(ids)
                 if carry:
                     tracker.remove(ids)
-                history += (tuple(sorted(ids.tolist())),)
+                history += (np.sort(ids).tobytes(),)
                 report = RoundReport(
                     seed=seed,
                     strategy=strategy,
@@ -306,7 +296,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                     unsupervised_loss=metrics.unsupervised_loss,
                     mask_rate=metrics.mask_rate,
                     n_events=metrics.n_events,
-                    n_labeled_after=len(pools.labeled),
+                    n_labeled_after=len(pools.sorted_labeled()),
                     acquired_ids=ids,
                     acquisition_scores=scores,
                     acquisition_seconds=seconds,
@@ -577,8 +567,11 @@ def load_manifest(in_dir: str) -> dict:
 
 
 def _final_accuracies(rounds_path: str, rounds: int) -> dict[tuple[str, int], float]:
-    """(strategy, seed) -> accuracy from the final-round rows of rounds.csv."""
+    """(strategy, seed) -> accuracy from the final-round rows of rounds.csv;
+    InputError for a row whose round is outside [0, rounds)."""
     seed, strategy, round_index, accuracy, *_ = read_table(rounds_path, ROUNDS_COLUMNS)
+    if not np.all((0 <= round_index) & (round_index < rounds)):
+        raise InputError(f"{rounds_path}: a round outside [0, {rounds})")
     return {
         (s, sd): acc
         for sd, s, r, acc in zip(seed.tolist(), strategy, round_index.tolist(), accuracy.tolist())
@@ -592,7 +585,8 @@ def analyze_dir(in_dir: str) -> None:
     Loads the round-0 series and scores of each seed and the final-round
     accuracies of rounds.csv, then writes them through the same function
     as emit, so the files match the originals byte for byte: every log
-    stores floats via repr, an exact round trip.
+    stores floats via repr, an exact round trip. A lane that the
+    manifest's errors do not list must have its final round in rounds.csv.
     """
     manifest = load_manifest(in_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
@@ -604,5 +598,12 @@ def analyze_dir(in_dir: str) -> None:
         if os.path.exists(series_path) and os.path.exists(scores_path):
             round0[seed] = (load_series(series_path), load_snapshot_csv(scores_path))
     rounds_path = os.path.join(in_dir, "rounds.csv")
-    finals = _final_accuracies(rounds_path, cfg.rounds) if os.path.exists(rounds_path) else {}
+    finals = _final_accuracies(rounds_path, cfg.rounds)
+    errors = manifest.get("errors")
+    diverged = [(e.get("strategy"), e.get("seed"))
+                for e in (errors if isinstance(errors, list) else []) if isinstance(e, dict)]
+    missing = [(s, sd) for sd in cfg.seeds for s in cfg.strategies
+               if (s, sd) not in finals and (s, sd) not in diverged]
+    if missing:
+        raise InputError(f"{rounds_path}: lane {missing[0]} has no final round and no error")
     _write_analysis(in_dir, cfg, round0, finals)

@@ -42,10 +42,9 @@ class SslConfig(DictConfig):
     carry_tracker: bool = False  # keep tracker streams across rounds
 
     def _check_ranges(self):
-        if self.steps_per_round < 1:
-            raise ConfigError("steps_per_round must be at least 1")
-        if self.batch_size < 1 or self.mu < 1:
-            raise ConfigError("batch_size and mu must be at least 1")
+        for name in ("steps_per_round", "batch_size", "mu", "snapshot_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if self.lambda_u < 0:
@@ -56,8 +55,6 @@ class SslConfig(DictConfig):
             raise ConfigError("momentum must be in [0, 1)")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
-        if self.snapshot_interval < 1:
-            raise ConfigError("snapshot_interval must be at least 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims must be positive")
 
@@ -128,11 +125,7 @@ def evaluate_accuracy(params: nn.ModelParams, dataset: Dataset, ids: np.ndarray,
 
 def _pool_snapshot(params, x_pool):
     probs = nn.forward_batch(params, x_pool).probs
-    return (
-        np.argmax(probs, axis=1),
-        uncertainty_batch(probs),
-        probs.max(axis=1),
-    )
+    return np.argmax(probs, axis=1), uncertainty_batch(probs), probs.max(axis=1)
 
 
 def _ingest_epoch(tracker: TrackerStore, chunks: list[tuple]) -> None:
@@ -179,10 +172,10 @@ def train_round(
     and never written afterwards, so a sink may keep them without copying.
     """
     cfg.validate()
-    if not pools.labeled or not pools.unlabeled:
-        raise ConfigError("labeled and unlabeled pools must both be nonempty")
     labeled_ids = pools.sorted_labeled()
     unlabeled_ids = pools.sorted_unlabeled()
+    if not labeled_ids.size or not unlabeled_ids.size:
+        raise ConfigError("labeled and unlabeled pools must both be nonempty")
     mu_b = cfg.mu * cfg.batch_size
     if len(unlabeled_ids) < mu_b:
         raise ConfigError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrackerError
+from .errors import ConfigError, InputError, TrackerError
 from .table import read_table, write_table
 
 # Floor applied inside logarithms so degenerate (imported) distributions
@@ -81,7 +81,10 @@ SNAPSHOT_COLUMNS = {
 
 
 def load_snapshot_csv(path) -> TrackerSnapshot:
-    return TrackerSnapshot(*read_table(path, SNAPSHOT_COLUMNS))
+    columns = read_table(path, SNAPSHOT_COLUMNS)
+    if not all(np.isfinite(column).all() for column in columns):
+        raise InputError(f"{path}: non-finite statistic, which no TrackerStore holds")
+    return TrackerSnapshot(*columns)
 
 
 def _int_array(values, what: str) -> np.ndarray:

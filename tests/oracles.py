@@ -16,9 +16,10 @@ per centroid, and coreset the blocked greedy k-center with a distance
 pass after every pick, the k-th included. events_csv is a lane's event
 log as one string, built by the csv module. ti_uncertainty_profile groups
 samples with np.unique, the form the analysis module gave up so that it
-never imports numpy.ma. None of
-them imports anything from asslab, so a mistake in the production code
-cannot also hide in its reference. import_dataset, the reader of dataset.csv that
+never imports numpy.ma. SetPools and split_pools are the sample pools as
+three frozensets of ids, the form that one array of pool codes replaced.
+None of them imports anything from asslab, so a mistake in the production
+code cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
 """
 
@@ -277,6 +278,36 @@ def round_robin(labels, n: int) -> list[int]:
                 picked.append(queues[c][turn])
         turn += 1
     return picked
+
+
+@dataclass(frozen=True)
+class SetPools:
+    """The sample pools as three disjoint frozensets of ids, as first written."""
+
+    labeled: frozenset
+    unlabeled: frozenset
+    test: frozenset
+
+    def updated(self, acquired_ids) -> "SetPools":
+        """Move acquired ids from unlabeled to labeled; ValueError for a
+        repeated id or one outside the unlabeled pool."""
+        acquired = frozenset(acquired_ids)
+        if len(acquired) != len(acquired_ids):
+            raise ValueError("acquired ids must be unique")
+        if not acquired <= self.unlabeled:
+            raise ValueError("acquired ids must come from the unlabeled pool")
+        return SetPools(self.labeled | acquired, self.unlabeled - acquired, self.test)
+
+
+def split_pools(labels, n_init: int, n_test: int, seed: int, stratify: bool = True) -> SetPools:
+    """The first n_test rows of a seeded permutation are the test pool; of
+    the rest, the round-robin picks (or the first n_init) are labeled."""
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    test, rest = perm[:n_test], perm[n_test:]
+    picks = round_robin([labels[i] for i in rest], n_init) if stratify else range(n_init)
+    labeled = frozenset(int(rest[p]) for p in picks)
+    test = frozenset(int(i) for i in test)
+    return SetPools(labeled, frozenset(range(len(labels))) - labeled - test, test)
 
 
 def soft_target_loss_and_grads(params, x, targets, weights):

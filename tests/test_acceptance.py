@@ -349,7 +349,7 @@ class TestOrderingAndCost:
                   f"ratio {ratio:.4%}")
         report("zero-inference", tracked_fwd == 0 and ratio < 0.01, detail)
         assert tracked_fwd == 0
-        assert entropy_fwd == len(pools.unlabeled)
+        assert entropy_fwd == len(pools.sorted_unlabeled())
         assert ratio < 0.01
 
 

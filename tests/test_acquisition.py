@@ -18,7 +18,16 @@ from asslab.acquisition import (
     _top_k,
     acquire,
 )
-from asslab.data import Dataset, GeneratorSpec, SamplePools, generate, split_pools, standardize
+from asslab.data import (
+    LABELED,
+    UNLABELED,
+    Dataset,
+    GeneratorSpec,
+    SamplePools,
+    generate,
+    split_pools,
+    standardize,
+)
 from asslab.errors import AcquisitionError, ConfigError, InputError
 from asslab.tracker import TrackerSnapshot, TrackerStore
 
@@ -91,14 +100,15 @@ def request(strategy, k, unlabeled=None, snapshot=None, prob_rows=None, rng=None
     """
     if unlabeled is None:
         unlabeled = snapshot.ids if snapshot is not None else range(len(prob_rows))
-    unlabeled = frozenset(int(i) for i in unlabeled)
-    n = len(prob_rows) if prob_rows is not None else max(unlabeled) + 1
+    unlabeled = np.asarray(list(unlabeled), dtype=np.int64)
+    n = len(prob_rows) if prob_rows is not None else unlabeled.max() + 1
     rows = prob_rows if prob_rows is not None else np.full((n, 2), 0.5)
+    state = np.full(n, LABELED, dtype=np.int8)
+    state[unlabeled] = UNLABELED
     return AcquisitionRequest(
         strategy=strategy, k=k, snapshot=snapshot, params=probs_model(rows),
         dataset=Dataset(x=np.eye(n), y=np.zeros(n, dtype=np.int64)),
-        pools=SamplePools(labeled=frozenset(range(n)) - unlabeled, unlabeled=unlabeled,
-                          test=frozenset()),
+        pools=SamplePools(state),
         rng=np.random.default_rng(0) if rng is None else rng,
     )
 
@@ -499,21 +509,21 @@ class TestDispatcher:
             ids, scores = acquire(self.request(strategy))
             assert len(ids) == 5, strategy
             assert len(set(ids.tolist())) == 5, strategy
-            assert set(ids.tolist()) <= self.pools.unlabeled, strategy
+            assert set(ids.tolist()) <= set(self.pools.sorted_unlabeled().tolist()), strategy
             if scores is not None:
                 assert len(scores) == 5
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forward_budget(self, strategy, forward_rows):
         acquire(self.request(strategy))
-        pool = len(self.pools.unlabeled)
+        pool = len(self.pools.sorted_unlabeled())
         expected = {"random": [], "ucb-product": [],
-                    "coreset": [pool, len(self.pools.labeled)]}.get(strategy, [pool])
+                    "coreset": [pool, len(self.pools.sorted_labeled())]}.get(strategy, [pool])
         assert forward_rows == expected
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_k_outside_pool_rejected(self, strategy, forward_rows):
-        for k in (0, len(self.pools.unlabeled) + 1):
+        for k in (0, len(self.pools.sorted_unlabeled()) + 1):
             with pytest.raises(InputError):
                 acquire(self.request(strategy, k=k))
         assert forward_rows == []  # K is checked before any inference
@@ -535,8 +545,9 @@ class TestDispatcher:
     def test_snapshot_of_another_pool_rejected(self, strategy, change):
         ids = self.pools.sorted_unlabeled()
         if change == "labeled id added":  # scored highest, so it would be picked
-            ids = np.sort(np.append(ids, min(self.pools.labeled)))
-            scores = np.where(ids == min(self.pools.labeled), 9.0, 1.0)
+            labeled = self.pools.sorted_labeled()[0]
+            ids = np.sort(np.append(ids, labeled))
+            scores = np.where(ids == labeled, 9.0, 1.0)
         else:
             ids, scores = ids[1:], np.ones(len(ids) - 1)
         self.snapshot = make_snapshot(scores, ids=ids)

@@ -133,6 +133,11 @@ def _nan_uncertainty(run):
                   lambda line: b",".join(line.split(b",")[:3] + [b"nan", b"0.5"]))
 
 
+def _nan_score(run):
+    _replace_line(run / "seed_0" / "scores" / "round0.csv", 1,
+                  lambda line: b",".join(line.split(b",")[:-1] + [b"nan"]))
+
+
 def _truncated_scores(run):
     path = run / "seed_0" / "scores" / "round0.csv"
     text = path.read_bytes()
@@ -142,6 +147,15 @@ def _truncated_scores(run):
 
 def _short_rounds_row(run):
     _replace_line(run / "rounds.csv", 1, lambda line: line.rsplit(b",", 1)[0])
+
+
+def _round_past_the_config(run):
+    # A copy of the first row, one round past the config's last; every lane
+    # still has its final round.
+    path = run / "rounds.csv"
+    text = path.read_bytes()
+    row = text.split(b"\r\n")[1].split(b",")
+    path.write_bytes(text + b",".join(row[:2] + [b"1"] + row[3:]) + b"\r\n")
 
 
 def _duplicated_series_row(run):
@@ -181,6 +195,14 @@ def _manifest_retired_key(run):
     path.write_text(json.dumps(manifest))
 
 
+def _manifest_more_rounds(run):
+    # rounds.csv has round 0 only, the final round of the recorded config.
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["rounds"] = 7
+    path.write_text(json.dumps(manifest))
+
+
 def _manifest(data):
     def damage(run):
         (run / "manifest.json").write_bytes(data)
@@ -191,6 +213,10 @@ DAMAGES = {
     "analysis-is-a-file": _analysis_file,
     "bad-float-cell": _bad_float_cell,
     "nan-uncertainty-cell": _nan_uncertainty,
+    "nan-score-cell": _nan_score,
+    "round-past-the-config": _round_past_the_config,
+    "rounds-csv-missing": lambda run: os.remove(run / "rounds.csv"),
+    "manifest-more-rounds": _manifest_more_rounds,
     "truncated-scores": _truncated_scores,
     "short-rounds-row": _short_rounds_row,
     "duplicated-series-row": _duplicated_series_row,
@@ -234,7 +260,7 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert main(["analyze", "--in", str(run)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_run_dir_with_a_retired_key_exits_2(self, tiny_run, tmp_path, capsys):
@@ -290,6 +316,16 @@ def _ucb_round0_too_short(tmp_path):
     return ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
 
 
+def _huge(**overrides):
+    # Every array these configs ask for needs at least 2**50 bytes, past any
+    # address space, so no allocation can succeed. Only random acquires: the
+    # tracked strategies refuse a pool that the round's steps cannot cover.
+    def case(tmp_path):
+        config = write_config(tmp_path / "cfg.json", strategies=["random"], **overrides)
+        return ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    return case
+
+
 BAD_INPUTS = {
     "gradcheck-zero-instances": lambda tmp_path: ["gradcheck", "--instances", "0"],
     "gradcheck-negative-seed": lambda tmp_path: ["gradcheck", "--seed", "-1"],
@@ -297,6 +333,9 @@ BAD_INPUTS = {
     "config-is-a-directory": _config_directory,
     "config-not-utf8": _config_not_utf8,
     "out-is-a-file": _out_is_a_file,
+    "dataset-of-3.55-PiB": _huge(dataset={"size": 10**15}),
+    "hidden-layer-of-1.42-PiB": _huge(ssl={"steps_per_round": 10, "snapshot_interval": 5,
+                                           "hidden_dims": [10**14]}),
 }
 
 
@@ -304,6 +343,6 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert main(BAD_INPUTS[case](tmp_path)) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "round 0" not in captured.out  # rejected before any training

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 import oracles
 
 from asslab.data import (
+    LABELED,
     RING_SPACING,
+    TEST,
+    UNLABELED,
     Augmenter,
     Dataset,
     GeneratorSpec,
@@ -24,6 +27,12 @@ from asslab.errors import ConfigError, InputError
 
 def dataset_equal(a, b):
     return np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+def as_sets(pools):
+    """pools in the form of the frozenset oracle."""
+    return oracles.SetPools(*(frozenset(ids.tolist()) for ids in (
+        pools.sorted_labeled(), pools.sorted_unlabeled(), pools.sorted_test())))
 
 
 class TestGenerate:
@@ -44,12 +53,10 @@ class TestGenerate:
         n_init = data.draw(st.integers(k, n - 1))
         n_test = data.draw(st.integers(0, n - n_init - 1))
         seed = data.draw(st.integers(0, 2**32 - 1))
+        stratify = data.draw(st.booleans())
         ds = Dataset(x=np.zeros((n, 2)), y=np.asarray(labels))
-        pools = split_pools(ds, n_init=n_init, n_test=n_test, seed=seed)
-        rest = np.random.default_rng(seed).permutation(n)[n_test:]
-        picks = oracles.round_robin(ds.y[rest].tolist(), n_init)
-        assert pools.labeled == {int(rest[p]) for p in picks}
-        assert pools.test == {int(i) for i in np.random.default_rng(seed).permutation(n)[:n_test]}
+        pools = split_pools(ds, n_init=n_init, n_test=n_test, seed=seed, stratify=stratify)
+        assert as_sets(pools) == oracles.split_pools(labels, n_init, n_test, seed, stratify)
 
     # SHA-256 of x then y bytes for size 301, seed 7; pinned so that the
     # generator's draws and arithmetic stay fixed for every kind.
@@ -85,7 +92,8 @@ class TestGenerate:
         # column both count 0..n-1.
         ds = generate(GeneratorSpec(size=50, noise=0.1), seed=4)
         pools = split_pools(ds, n_init=4, n_test=10, seed=0)
-        assert pools.labeled | pools.unlabeled | pools.test == set(range(50))
+        sets = as_sets(pools)
+        assert sets.labeled | sets.unlabeled | sets.test == set(range(50))
         export_dataset(ds, tmp_path / "d.csv")
         rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(50))
@@ -264,31 +272,30 @@ class TestPools:
 
     def test_partition(self):
         ds, pools = self.make()
-        assert len(pools.labeled) == 8
-        assert len(pools.test) == 20
-        assert len(pools.unlabeled) == 72
-        union = pools.labeled | pools.unlabeled | pools.test
-        assert union == set(range(100))
+        sets = as_sets(pools)
+        assert len(sets.labeled) == 8
+        assert len(sets.test) == 20
+        assert len(sets.unlabeled) == 72
+        assert sets.labeled | sets.unlabeled | sets.test == set(range(100))
 
     def test_stratification_floor(self):
         ds = generate(GeneratorSpec(kind="gaussian-blobs", size=100, n_classes=4,
                                     noise=0.3), seed=13)
         pools = split_pools(ds, n_init=4, n_test=10, seed=14)
-        labels = sorted(ds.y[i] for i in pools.labeled)
-        assert labels == [0, 1, 2, 3]
+        assert np.sort(ds.y[pools.sorted_labeled()]).tolist() == [0, 1, 2, 3]
 
     def test_stratified_near_balanced(self):
         ds = generate(GeneratorSpec(kind="gaussian-blobs", size=200, n_classes=3,
                                     noise=0.3), seed=15)
         pools = split_pools(ds, n_init=7, n_test=0, seed=16)
-        counts = np.bincount([ds.y[i] for i in pools.labeled], minlength=3)
+        counts = np.bincount(ds.y[pools.sorted_labeled()], minlength=3)
         assert counts.max() - counts.min() <= 1
 
     def test_same_seed_identical(self):
         ds, _ = self.make()
         a = split_pools(ds, n_init=8, n_test=20, seed=17)
         b = split_pools(ds, n_init=8, n_test=20, seed=17)
-        assert a == b
+        assert np.array_equal(a.state, b.state)
 
     def test_infeasible_sizes(self):
         ds, _ = self.make()
@@ -304,65 +311,92 @@ class TestPools:
 
     def test_update_identities(self):
         ds, pools = self.make()
-        acquired = sorted(pools.unlabeled)[:5]
-        after = pools.updated(acquired)
-        assert after.labeled == pools.labeled | set(acquired)
-        assert after.unlabeled == pools.unlabeled - set(acquired)
-        assert after.test == pools.test
-        assert len(after.labeled) == len(pools.labeled) + 5
-        assert len(after.unlabeled) == len(pools.unlabeled) - 5
+        acquired = pools.sorted_unlabeled()[:5].tolist()
+        before, after = as_sets(pools), as_sets(pools.updated(acquired))
+        assert after.labeled == before.labeled | set(acquired)
+        assert after.unlabeled == before.unlabeled - set(acquired)
+        assert after.test == before.test
+        assert len(after.labeled) == len(before.labeled) + 5
+        assert len(after.unlabeled) == len(before.unlabeled) - 5
 
     def test_update_rejects_foreign_ids(self):
         _, pools = self.make()
-        bad = next(iter(pools.labeled))
+        bad = pools.sorted_labeled()[0]
         with pytest.raises(InputError):
             pools.updated([bad])
 
     def test_update_rejects_duplicate_ids(self):
         _, pools = self.make()
-        first = min(pools.unlabeled)
+        first = pools.sorted_unlabeled()[0]
         with pytest.raises(InputError, match="unique"):
             pools.updated(np.array([first, first]))
 
     def test_update_rejects_non_integer_ids(self):
         _, pools = self.make()
-        first = min(pools.unlabeled)
+        first = int(pools.sorted_unlabeled()[0])
         for bad in ([first + 0.7], [float(first)], [[first]], [True]):
             with pytest.raises(InputError):
                 pools.updated(bad)
         for good in ([first], np.array([first], dtype=np.int32), range(first, first + 1), []):
-            assert pools.updated(good).labeled == pools.labeled | set(good)
+            assert as_sets(pools.updated(good)).labeled == as_sets(pools).labeled | set(good)
 
     @settings(deadline=None)
     @given(st.data())
     def test_update_invariants(self, data):
-        # The pools stay disjoint, their union stays the same, and exactly
-        # the acquired ids move from unlabeled to labeled.
-        ids = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=40))
-        pool_of = data.draw(st.lists(st.sampled_from("lut"), min_size=len(ids),
-                                     max_size=len(ids)))
-        pools = SamplePools(*(frozenset(i for i, p in zip(ids, pool_of) if p == name)
-                              for name in "lut"))
-        acquired = data.draw(st.lists(st.sampled_from(sorted(pools.unlabeled)), unique=True)
-                             if pools.unlabeled else st.just([]))
-        after = pools.updated(np.asarray(acquired, dtype=np.int64))
-        assert not (after.labeled & after.unlabeled or after.labeled & after.test
-                    or after.unlabeled & after.test)
-        assert after.labeled | after.unlabeled | after.test == set(ids)
-        assert after.labeled - pools.labeled == set(acquired)
-        assert pools.unlabeled - after.unlabeled == set(acquired)
-        assert after.test == pools.test
+        # Valid or not, an update does what the frozenset model does: the
+        # same pools after, or a typed error where the model refuses.
+        # Either way the pools it was called on stay as they were.
+        codes = data.draw(st.lists(st.sampled_from([UNLABELED, LABELED, TEST]), max_size=40))
+        pools = SamplePools(np.array(codes, dtype=np.int8))
+        model = oracles.SetPools(*(frozenset(i for i, c in enumerate(codes) if c == code)
+                                   for code in (LABELED, UNLABELED, TEST)))
+        acquired = data.draw(st.one_of(
+            st.lists(st.sampled_from(sorted(model.unlabeled)), unique=True)
+            if model.unlabeled else st.just([]),
+            st.lists(st.integers(-2, len(codes) + 1), max_size=5),
+        ))
+        try:
+            expected = model.updated(acquired)
+        except ValueError:
+            with pytest.raises(InputError):
+                pools.updated(np.asarray(acquired, dtype=np.int64))
+        else:
+            assert as_sets(pools.updated(np.asarray(acquired, dtype=np.int64))) == expected
+        assert pools.state.tolist() == codes
 
-    def test_pools_reject_overlap(self):
-        with pytest.raises(InputError):
-            SamplePools(labeled=frozenset({1}), unlabeled=frozenset({1}),
-                        test=frozenset())
+    def test_update_rejects_ids_outside_the_dataset(self):
+        # The last row is unlabeled, so an id of -1 must not wrap to it.
+        pools = SamplePools(np.array([LABELED, TEST, UNLABELED, UNLABELED], dtype=np.int8))
+        for bad in ([-1], [4], [2, 2**40], np.array([2**64 - 1], dtype=np.uint64)):
+            with pytest.raises(InputError, match=r"outside \[0, 4\)"):
+                pools.updated(bad)
+        assert pools.state.tolist() == [LABELED, TEST, UNLABELED, UNLABELED]
+
+    def test_state_is_read_only(self):
+        _, pools = self.make()
+        after = pools.updated(pools.sorted_unlabeled()[:3])
+        for p in (pools, after):
+            with pytest.raises(ValueError, match="read-only"):
+                p.state[0] = LABELED
+        assert pools.state.dtype == after.state.dtype == np.int8
+
+    def test_update_leaves_shared_pools_unchanged(self):
+        _, pools0 = self.make()
+        state0 = pools0.state.copy()
+        lane = pools0
+        for k in range(3):  # one lane's rounds, from the pools every lane shares
+            lane = lane.updated(lane.sorted_unlabeled()[k::20])
+        assert np.array_equal(pools0.state, state0)
+        assert len(lane.sorted_labeled()) > len(pools0.sorted_labeled())
 
     def test_sorted_views(self):
         _, pools = self.make()
-        lab = pools.sorted_labeled()
-        assert np.all(np.diff(lab) > 0)
-        assert set(lab.tolist()) == pools.labeled
+        views = [pools.sorted_unlabeled(), pools.sorted_labeled(), pools.sorted_test()]
+        for code, view in zip((UNLABELED, LABELED, TEST), views):
+            assert view.dtype == np.int64
+            assert np.all(np.diff(view) > 0)
+            assert np.all(pools.state[view] == code)
+        assert np.array_equal(np.sort(np.concatenate(views)), np.arange(100))
 
 
 class TestCsvRoundTrip:

@@ -415,7 +415,7 @@ class TestRunExperiment:
             return pool_snapshot(*args)
 
         def counting(start, pools, dataset, ssl_cfg, *args, **kwargs):
-            trainings.append([len(pools.labeled) == cfg.n_init, 0])
+            trainings.append([len(pools.sorted_labeled()) == cfg.n_init, 0])
             return train_round(start, pools, dataset, ssl_cfg, *args, **kwargs)
 
         def every_round(start, pools, dataset, _, *args, **kwargs):
@@ -514,7 +514,7 @@ class TestSeedIndependence:
         x_a = standardize(generate(cfg.dataset, derive_seed(self.A, harness.DATA_STREAM))).x
 
         def failing(start, pools, dataset, *args, **kwargs):
-            if np.array_equal(dataset.x, x_a) and len(pools.labeled) > cfg.n_init:
+            if np.array_equal(dataset.x, x_a) and len(pools.sorted_labeled()) > cfg.n_init:
                 raise TrainingError("forced", step=1)  # seed A after round 0
             return train_round(start, pools, dataset, *args, **kwargs)
 
@@ -930,17 +930,18 @@ class TestStreamedEmit:
         doomed = []  # the labeled set coreset's round 2 trains on
 
         def acquiring(req):
-            round_index = (len(req.pools.labeled) - cfg.n_init) // cfg.acquire_k
+            labeled = frozenset(req.pools.sorted_labeled().tolist())
+            round_index = (len(labeled) - cfg.n_init) // cfg.acquire_k
             as_ = {"margin": "entropy",
                    "snapshot-el2n": "random" if round_index else "entropy"}
             ids, scores = real_acquire(
                 dataclasses.replace(req, strategy=as_.get(req.strategy, req.strategy)))
             if req.strategy == "coreset" and round_index == 1:
-                doomed.append(req.pools.labeled | set(ids.tolist()))
+                doomed.append(labeled | set(ids.tolist()))
             return ids, scores
 
         def training(params, pools, *args, event_sink=None, **kwargs):
-            if pools.labeled not in doomed:
+            if frozenset(pools.sorted_labeled().tolist()) not in doomed:
                 return real_train(params, pools, *args, event_sink=event_sink, **kwargs)
             seen = []
 

@@ -306,7 +306,7 @@ class TestTrainRound:
         cfg = SslConfig(steps_per_round=60, snapshot_interval=20, **base)
         _, metrics, _ = run_once(cfg, ds, pools)
         assert metrics.series.steps.tolist() == [20, 40, 60]
-        assert metrics.series.n_samples == len(pools.unlabeled)
+        assert metrics.series.n_samples == len(pools.sorted_unlabeled())
         cfg = SslConfig(steps_per_round=10, snapshot_interval=11, **base)
         _, metrics, _ = run_once(cfg, ds, pools)
         assert metrics.series is None
