@@ -47,6 +47,35 @@ def _margin(probs: np.ndarray) -> np.ndarray:
 # Pool rows per distance block: 512 KB of float64 at width 256, within
 # one core's L2, and few enough blocks that per-call overhead stays small.
 _BLOCK_ROWS = 256
+# A row is skipped when its owner's squared distance to the new center is
+# at least this many times its squared cover: 2 (1 + 1e-6) covers apart,
+# with room for every rounding error of the computed distances.
+_SKIP_SLACK = 4 * (1 + 1e-6) ** 2
+# Squared covers below this may have lost bits to subnormal underflow, so
+# the bound is not used for them.
+_SKIP_FLOOR = 2.0**-900
+
+
+def _fold_rows(emb, rows, center, t, cover, owner, root, block, block_dist) -> None:
+    """Fold center t into the cover of the pool positions rows, a block at a time.
+
+    cover = min(cover, squared distance to center, or its sqrt with root),
+    and owner = t where the new distance is smaller. Each row goes through
+    the subtract/multiply/add.reduce of one contiguous block, so its
+    distance has the bits of np.linalg.norm's.
+    """
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        idx = rows[lo : lo + _BLOCK_ROWS]
+        b, d = block[: len(idx)], block_dist[: len(idx)]
+        np.take(emb, idx, axis=0, out=b, mode="clip")  # "raise" would buffer
+        np.subtract(b, center, out=b)
+        np.multiply(b, b, out=b)
+        np.add.reduce(b, axis=1, out=d)
+        if root:
+            np.sqrt(d, out=d)
+        closer = d < cover[idx]
+        cover[idx[closer]] = d[closer]
+        owner[idx[closer]] = t
 
 
 def _coreset(
@@ -57,39 +86,51 @@ def _coreset(
     Coverage is the labeled set plus everything picked so far; distance is
     Euclidean in embedding space. Returns positions in greedy pick order,
     ties to the lower position, with each pick's covering distance at
-    selection time. Distances are computed a block of pool rows at a time
-    into one reused buffer, with the same bits as np.linalg.norm.
-    """
-    n = len(emb)
-    block = np.empty((min(n, _BLOCK_ROWS), emb.shape[1]))
-    block_dist = np.empty(len(block))
+    selection time. Embeddings must be finite.
 
-    def fold(row: np.ndarray, cover: np.ndarray, root: bool) -> None:
-        # cover = min(cover, squared distance to row, or its sqrt with root)
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            b, d = block[: hi - lo], block_dist[: hi - lo]
-            np.subtract(emb[lo:hi], row, out=b)
-            np.multiply(b, b, out=b)
-            np.add.reduce(b, axis=1, out=d)
-            if root:
-                np.sqrt(d, out=d)
-            np.minimum(cover[lo:hi], d, out=cover[lo:hi])
+    Each row's owner is the center whose distance is its cover. A new
+    center c cannot lower the cover of a row x owned by o when
+    |c - o| >= 2 |x - o|, since then |x - c| >= |c - o| - |x - o| >=
+    |x - o| (the triangle inequality); such rows are skipped, with
+    _SKIP_SLACK and _SKIP_FLOOR keeping rounding out of the bound. Every
+    other row is folded by _fold_rows, so the picks and distances have
+    the bits of the form that folds every row.
+    """
+    n, m, dim = len(emb), len(labeled_emb), emb.shape[1]
+    block = np.empty((min(n, _BLOCK_ROWS), dim))
+    block_dist = np.empty(len(block))
+    centers = np.empty((m + k - 1, dim))  # the last pick is never folded in
+    centers[:m] = labeled_emb
+    cover = np.full(n, np.inf)
+    owner = np.full(n, -1)  # a row in centers; -1 for none yet
+
+    def fold(t: int, root: bool) -> None:
+        c = centers[t]
+        with np.errstate(over="ignore"):
+            diff = centers[:t] - c
+            cc = np.add.reduce(diff * diff, axis=1)  # to each earlier center
+            # -1 never reaches a bound: the entry of an overflowed distance,
+            # and cc[-1], the one that rows without an owner read.
+            cc = np.append(np.where(cc < np.inf, cc, -1.0), -1.0)
+            sq = cover * cover if root else cover
+            skip = (sq >= _SKIP_FLOOR) & (cc[owner] >= _SKIP_SLACK * sq)
+        skip |= cover == -np.inf  # picked rows
+        _fold_rows(emb, np.flatnonzero(~skip), c, t, cover, owner, root, block, block_dist)
 
     # The labeled pass keeps squared distances and takes one sqrt at the
     # end: sqrt is monotone and correctly rounded, so sqrt(min) == min(sqrt).
-    min_dist = np.full(n, np.inf)
-    for row in labeled_emb:
-        fold(row, min_dist, root=False)
-    np.sqrt(min_dist, out=min_dist)
+    for t in range(m):
+        fold(t, root=False)
+    np.sqrt(cover, out=cover)
     picked, dists = [], []
-    for _ in range(k):
-        best = int(np.argmax(min_dist))  # the first maximum
+    for j in range(k):
+        best = int(np.argmax(cover))  # the first maximum
         picked.append(best)
-        dists.append(min_dist[best])
-        if len(picked) < k:  # no pick reads the coverage of the last one
-            fold(emb[best], min_dist, root=True)
-            min_dist[best] = -np.inf
+        dists.append(cover[best])
+        if j < k - 1:  # no pick reads the coverage of the last one
+            cover[best] = -np.inf
+            centers[m + j] = emb[best]
+            fold(m + j, root=True)
     return np.asarray(picked), np.asarray(dists)
 
 
@@ -270,6 +311,8 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
             logged = snap.score[pos]
         elif req.strategy == "coreset":
             labeled = nn.forward_batch(req.params, req.dataset.x[req.pools.sorted_labeled()])
+            if not (np.isfinite(out.embedding).all() and np.isfinite(labeled.embedding).all()):
+                raise AcquisitionError("coreset needs finite embeddings")
             pos, logged = _coreset(out.embedding, labeled.embedding, k)
         elif req.strategy == "margin":
             margin = _margin(out.probs)

@@ -8,6 +8,7 @@ included so the analytic backward pass can be checked independently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,10 @@ def init_params(layer_dims: list[int], rng: np.random.Generator) -> ModelParams:
         raise InputError("need at least an input and an output dimension")
     if min(layer_dims) < 1:
         raise InputError(f"every layer width must be at least 1, got {list(layer_dims)}")
+    # numpy raises ValueError, not MemoryError, for an array of sys.maxsize
+    # bytes or more; refuse such a layer as a bad input.
+    if max(int(a) * int(b) for a, b in zip(layer_dims[:-1], layer_dims[1:])) > sys.maxsize // 8:
+        raise InputError(f"layer widths {list(layer_dims)} exceed the largest numpy array")
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -17,7 +17,9 @@ pass after every pick, the k-th included. events_csv is a lane's event
 log as one string, built by the csv module. ti_uncertainty_profile groups
 samples with np.unique, the form the analysis module gave up so that it
 never imports numpy.ma. SetPools and split_pools are the sample pools as
-three frozensets of ids, the form that one array of pool codes replaced.
+three frozensets of ids, the form that one array of pool codes replaced,
+and lexsort_split the stratified split by two whole-pool sorts, which
+split_pools must match byte for byte.
 None of them imports anything from asslab, so a mistake in the production
 code cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
@@ -308,6 +310,20 @@ def split_pools(labels, n_init: int, n_test: int, seed: int, stratify: bool = Tr
     labeled = frozenset(int(rest[p]) for p in picks)
     test = frozenset(int(i) for i in test)
     return SetPools(labeled, frozenset(range(len(labels))) - labeled - test, test)
+
+
+def lexsort_split(labels, n_init: int, n_test: int, seed: int):
+    """(labeled ids, test ids) of a stratified split as the sort form wrote
+    it: each rest row's rank within its class from a stable argsort by
+    class, then the first n_init rows by (rank, class) from one lexsort."""
+    labels = np.asarray(labels)
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    test, rest = perm[:n_test], perm[n_test:]
+    y = labels[rest]
+    by_class = np.argsort(y, kind="stable")
+    rank = np.empty_like(by_class)
+    rank[by_class] = np.arange(len(y)) - np.searchsorted(y[by_class], y[by_class])
+    return np.sort(rest[np.lexsort((y, rank))[:n_init]]), np.sort(test)
 
 
 def soft_target_loss_and_grads(params, x, targets, weights):

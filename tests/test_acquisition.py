@@ -68,6 +68,33 @@ def coreset_cases(draw):
     return emb, labeled, draw(st.integers(1, n))
 
 
+@st.composite
+def pruning_cases(draw):
+    """(emb, labeled_emb, k) that probe the skip bound: one scale per case,
+    from one whose squares underflow to zero (1e-170) to one whose squared
+    distances near overflow (1e153); integer ties, clustered rows, exact
+    duplicates and rows scaled by 1 + 1e-15. Entries stay within the scale,
+    so no squared distance overflows at width 8."""
+    n, m, d = draw(st.integers(1, 30)), draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-170, 1e-155, 1e-140, 1e-130, 1.0, 1e150, 1e153]))
+    kind = draw(st.sampled_from(["ties", "clusters", "real"]))
+    if kind == "ties":
+        rows = draw(hnp.arrays(np.float64, (n + m, d), elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
+    elif kind == "clusters":  # a few tight clusters, so most rows are skippable
+        centers = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), d),
+                                  elements=st.floats(-0.5, 0.5)))
+        assign = draw(hnp.arrays(np.int64, n + m, elements=st.integers(0, len(centers) - 1)))
+        noise = draw(hnp.arrays(np.float64, (n + m, d), elements=st.floats(-1e-3, 1e-3)))
+        rows = centers[assign] + noise
+    else:
+        rows = draw(hnp.arrays(np.float64, (n + m, d), elements=st.floats(-1.0, 1.0)))
+    rows = rows * scale
+    for i in draw(st.lists(st.integers(0, n + m - 1), max_size=6)):
+        j = draw(st.integers(0, n + m - 1))
+        rows[i] = rows[j] * draw(st.sampled_from([1.0, 1 + 1e-15, 1 - 1e-15]))
+    return rows[:n], rows[n:], draw(st.integers(1, n))
+
+
 def broadcast_coreset(emb, labeled_emb, k):
     """Greedy k-center over one (n, m, d) difference tensor, ties to the lower position."""
     if len(labeled_emb):
@@ -336,6 +363,56 @@ class TestCoreset:
         np.testing.assert_array_equal(got, ref)
         assert dists.tobytes() == ref_dists.tobytes()
 
+    @settings(deadline=None, max_examples=300)
+    @given(pruning_cases(), st.integers(1, 40))
+    # Covers whose bound overflows, and labeled rows too far apart to square.
+    @example((np.array([[1.3e154], [1.2e154], [0.0]]), np.zeros((1, 1)), 3), 256)
+    @example((np.array([[0.6e154], [0.0]]), np.array([[-0.7e154], [0.65e154]]), 2), 256)
+    # c is twice as far from o as x is, to rounding, and x is a few ulps
+    # nearer to c than to o: a slack of exactly 4 would skip x.
+    @example((np.array([[-2.0248926056955083, 2.306840593612768]]),
+              np.array([[-0.6021428913511445, 1.286218144197962],
+                        [-3.4476423200398716, 3.3274630430275742]]), 1), 256)
+    # Subnormal squares: the rounded bound holds, yet x is nearer to c.
+    @example((np.array([[5.671595892548261e-162]]),
+              np.array([[2.1827251074871416e-162], [8.311796505777494e-162]]), 1), 256)
+    @example((np.array([[1.0], [1.0 + 2**-52], [3.0]]), np.zeros((1, 1)), 3), 2)  # one ulp apart
+    def test_pruned_fold_matches_unpruned_form(self, case, block_rows):
+        # Skipping the rows the triangle inequality rules out changes no
+        # pick and no distance, bit for bit, at any scale and block size.
+        emb, labeled, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_BLOCK_ROWS", block_rows)
+            got, dists = _coreset(emb, labeled, k)
+        ref, ref_dists = oracles.coreset(emb, labeled, k, block_rows)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()
+
+    def test_pruned_fold_skips_most_rows_of_a_low_dimensional_pool(self, monkeypatch):
+        # Embeddings of 2-d blobs under a random ReLU layer, as the pool's
+        # are: most rows are ruled out, and the picks are still the
+        # unpruned form's.
+        rng = np.random.default_rng(31)
+        n, m, k = 1500, 20, 20
+        blobs = rng.normal(size=(6, 2)) * 4.0
+        points = blobs[rng.integers(0, 6, size=n + m)] + rng.normal(size=(n + m, 2))
+        rows = np.maximum(points @ rng.normal(size=(2, 64)) + rng.normal(size=64), 0.0)
+        emb, labeled = rows[:n], rows[n:]
+        folded = []
+        real = acquisition._fold_rows
+
+        def counting(emb, rows, *args):
+            folded.append(len(rows))
+            return real(emb, rows, *args)
+
+        monkeypatch.setattr(acquisition, "_fold_rows", counting)
+        got, dists = _coreset(emb, labeled, k)
+        ref, ref_dists = oracles.coreset(emb, labeled, k)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()
+        assert len(folded) == m + k - 1  # one fold per center but the last pick
+        assert sum(folded) < n * (m + k - 1) / 2
+
     def test_peak_memory_below_two_megabytes(self, peak_bytes):
         # A pool-sized difference array alone would be 8 MB.
         rng = np.random.default_rng(20)
@@ -527,6 +604,24 @@ class TestDispatcher:
             with pytest.raises(InputError):
                 acquire(self.request(strategy, k=k))
         assert forward_rows == []  # K is checked before any inference
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("pool", ["unlabeled", "labeled"])
+    def test_coreset_rejects_non_finite_embeddings(self, monkeypatch, value, pool):
+        # Without the check, argmax would silently pick the first NaN row.
+        n_pool = len(self.pools.sorted_unlabeled() if pool == "unlabeled"
+                     else self.pools.sorted_labeled())
+        real = nn.forward_batch
+
+        def damaged(params, x):
+            out = real(params, x)
+            if len(x) == n_pool:
+                out.embedding[1, 0] = value
+            return out
+
+        monkeypatch.setattr(nn, "forward_batch", damaged)
+        with pytest.raises(AcquisitionError, match="finite"):
+            acquire(self.request("coreset"))
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
 import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asslab.cli import load_config_file, main
 from asslab.errors import InputError
@@ -336,6 +344,10 @@ BAD_INPUTS = {
     "dataset-of-3.55-PiB": _huge(dataset={"size": 10**15}),
     "hidden-layer-of-1.42-PiB": _huge(ssl={"steps_per_round": 10, "snapshot_interval": 5,
                                            "hidden_dims": [10**14]}),
+    # Past numpy's largest array, where numpy raises ValueError, not MemoryError.
+    "dataset-of-64-EiB": _huge(dataset={"size": 2**62}),
+    "hidden-layer-of-32-EiB": _huge(ssl={"steps_per_round": 10, "snapshot_interval": 5,
+                                         "hidden_dims": [2**61]}),
 }
 
 
@@ -346,3 +358,96 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "round 0" not in captured.out  # rejected before any training
+
+
+# A valid tiny config that sets every leaf, trains, acquires with a
+# model-based and a tracked strategy, and emits in well under a second.
+FUZZ_BASE = {
+    "dataset": {"kind": "two-moons", "size": 200, "n_classes": 2, "noise": 0.25},
+    "n_init": 10, "acquire_k": 5, "rounds": 2, "n_test": 40,
+    "ssl": {"steps_per_round": 10, "batch_size": 16, "mu": 4, "tau": 0.95, "lambda_u": 1.0,
+            "lr": 0.03, "momentum": 0.0, "init_mode": "rand_init", "snapshot_interval": 5,
+            "hidden_dims": [8, 8], "carry_tracker": False},
+    "tracker": {"alpha": 0.8, "c_u": 0.5, "c_i": 2.0},
+    "strategies": ["random", "coreset", "ucb-product"], "seeds": [0], "out_dir": "unused",
+    "stratify_init": True, "log_events": True,
+}
+# Leaves whose value sizes an array. At 2**50 or more every array they
+# size needs at least 2**50 bytes, so no allocation can succeed; no other
+# leaf gets a huge value, since a huge step count is a long run, not an error.
+SIZE_LEAVES = [("dataset", "size"), ("ssl", "batch_size"), ("ssl", "mu"),
+               ("ssl", "hidden_dims", 0), ("ssl", "hidden_dims", 1)]
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@st.composite
+def mutated_configs(draw):
+    """FUZZ_BASE with one leaf given a wrong type, a negative, a non-finite
+    or (for a size leaf) a huge value."""
+    cfg = copy.deepcopy(FUZZ_BASE)
+    kind = draw(st.sampled_from(["type", "negative", "non-finite", "huge"]))
+    path = draw(st.sampled_from(SIZE_LEAVES if kind == "huge" else list(_leaves(cfg))))
+    *parents, key = path
+    node = functools.reduce(lambda n, k: n[k], parents, cfg)
+    if kind == "type":
+        node[key] = draw(st.sampled_from(["x", [], {}, None, True, 0.5, 7]))
+    elif kind == "negative":
+        old = node[key]
+        node[key] = -abs(old) - 1 if isinstance(old, (int, float)) else -1
+    elif kind == "non-finite":
+        node[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        node[key] = draw(st.integers(2**50, 2**62))
+    return cfg
+
+
+def _main_outcome(argv):
+    """(exit code, stderr) of cli.main; an uncaught exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_configs())
+    def test_mutated_config_exits_cleanly(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as f:
+                json.dump(cfg, f)
+            _assert_clean_exit(*_main_outcome(
+                ["run", "--config", path, "--out", os.path.join(tmp, "out")]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_damaged_run_tree_exits_cleanly(self, tiny_run, data):
+        files = sorted(str(p.relative_to(tiny_run)) for p in tiny_run.rglob("*") if p.is_file())
+        name = data.draw(st.sampled_from(files))
+        with tempfile.TemporaryDirectory() as tmp:
+            run = os.path.join(tmp, "run")
+            shutil.copytree(tiny_run, run)
+            path = os.path.join(run, name)
+            with open(path, "rb") as f:
+                text = f.read()
+            lo = data.draw(st.integers(0, len(text)))
+            hi = data.draw(st.integers(lo, min(len(text), lo + 64)))
+            with open(path, "wb") as f:
+                f.write(text[:lo] + data.draw(st.binary(max_size=8)) + text[hi:])
+            _assert_clean_exit(*_main_outcome(["analyze", "--in", run]))

@@ -58,6 +58,27 @@ class TestGenerate:
         pools = split_pools(ds, n_init=n_init, n_test=n_test, seed=seed, stratify=stratify)
         assert as_sets(pools) == oracles.split_pools(labels, n_init, n_test, seed, stratify)
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_stratified_state_matches_lexsort_oracle(self, data):
+        # Skewed classes, one of them possibly all in the test pool, so
+        # the prefix that holds every quota may be any length up to the
+        # whole rest of the permutation.
+        k = data.draw(st.integers(2, 6))
+        weights = data.draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
+        n = data.draw(st.integers(k + 1, 400))
+        labels = np.concatenate([np.arange(k), np.random.default_rng(n).choice(
+            k, size=n - k, p=np.asarray(weights) / sum(weights))])
+        n_init = data.draw(st.integers(k, n - 1))
+        n_test = data.draw(st.integers(0, n - n_init - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        y = labels.astype(data.draw(st.sampled_from([np.int64, np.uint64, np.int8])))
+        pools = split_pools(Dataset(x=np.zeros((n, 1)), y=y), n_init, n_test, seed)
+        labeled, test = oracles.lexsort_split(labels, n_init, n_test, seed)
+        state = np.full(n, UNLABELED, dtype=np.int8)
+        state[test], state[labeled] = TEST, LABELED
+        assert pools.state.tobytes() == state.tobytes()
+
     # SHA-256 of x then y bytes for size 301, seed 7; pinned so that the
     # generator's draws and arithmetic stay fixed for every kind.
     @pytest.mark.parametrize("kind,k,noise,digest", [
