@@ -54,7 +54,7 @@ from .data import (
 )
 from .errors import ConfigError, InputError, TrainingError
 from .ssl import SslConfig, train_round
-from .table import atomic_open, format_rows, header_line, read_table, row_blocks, write_table
+from .table import atomic_open, read_table, write_table
 from .tracker import TrackerSnapshot, TrackerStore, load_snapshot_csv
 
 # Named rng streams; each is an independent child of the experiment seed.
@@ -74,7 +74,6 @@ ROUNDS_FIELDS = [  # the RoundReport attribute behind each rounds.csv column
     "unsupervised_loss", "mask_rate", "n_events", "n_labeled_after",
 ]
 ACQUISITION_COLUMNS = ["round", "strategy", "rank", "sample_id", "score"]
-COPY_BYTES = 1 << 16  # read size when a lane copies another lane's shared rounds
 PSEUDO_RATIO_FRACS = (0.01, 0.05, 0.1)
 PSEUDO_RATIO_METRICS = ("u_ucb", "i_ucb")
 
@@ -180,10 +179,11 @@ class ExperimentResult:
     reports: list[RoundReport]
     errors: list[dict]
     datasets: dict[int, Dataset]
-    # (seed, strategy) -> one list of (step, ids, probs_weak, probs_strong)
-    # per round the lane reached. Lanes that share a trained round share
-    # its list object.
-    events: dict[tuple[int, str], list[list]]
+    # (seed, strategy, round) -> the event columns of that trained round:
+    # step, sample_id, then the weak and the strong probability of each
+    # class. strategy is the first lane, in config order, that reached the
+    # round; a round with no events has no entry.
+    events: dict[tuple[int, str, int], list[np.ndarray]]
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -213,9 +213,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
     so every distinct history (round 0's empty one included) is trained
     once, under either init_mode, and every lane with it acquires from that
     result. With carry_tracker each lane carries its own copy of the memo's
-    tracker. With log_events, events[(seed, strategy)] holds the memo's
-    event list of each round the lane reached, so lanes that share a round
-    share its list.
+    tracker. With log_events, events[(seed, strategy, round)] holds the
+    event columns of each trained round that made events, a diverged one
+    included, under the strategy that trained it; the lanes that share the
+    round share that one entry.
 
     A lane that diverges during training is cut short: its completed
     rounds stay in the report list and the failure is recorded in the
@@ -247,19 +248,18 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
     # A snapshot interval past the round's last step takes no snapshots.
     later_ssl = replace(cfg.ssl, snapshot_interval=cfg.ssl.steps_per_round + 1)
     result = ExperimentResult(reports=[], errors=[], datasets={seed: dataset}, events={})
-    memo: dict[tuple, tuple] = {}  # history -> (outcome, tracker, events)
+    memo: dict[tuple, tuple] = {}  # history -> (outcome, tracker)
 
     for si, strategy in enumerate(cfg.strategies):
         pools, trained, tracker, history = pools0, init_params, None, ()
         keep_artifacts = si == 0
-        lane_events: list = []
         try:
             for round_index in range(cfg.rounds):
                 if history not in memo:
                     if tracker is None or not carry:
                         tracker = TrackerStore(pools.sorted_unlabeled(), **cfg.tracker.to_dict())
-                    round_events: list = []
-                    sink = (lambda *event: round_events.append(event)) if cfg.log_events else None
+                    chunks: list = []  # (step, ids, probs_weak, probs_strong) per chunk
+                    sink = (lambda *chunk: chunks.append(chunk)) if cfg.log_events else None
                     try:
                         outcome = train_round(
                             init_params if rand_init else trained, pools, dataset,
@@ -268,9 +268,13 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                             augmenter=augmenter, event_sink=sink)
                     except TrainingError as e:
                         outcome = e
-                    memo[history] = outcome, tracker, round_events
-                outcome, tracker, round_events = memo[history]
-                lane_events.append(round_events)
+                    memo[history] = outcome, tracker
+                    if chunks:
+                        steps, ids, pw, ps = zip(*chunks)
+                        result.events[(seed, strategy, round_index)] = [
+                            np.repeat(steps, [len(c) for c in ids]), np.concatenate(ids),
+                            *np.concatenate(pw).T, *np.concatenate(ps).T]
+                outcome, tracker = memo[history]
                 if isinstance(outcome, TrainingError):
                     raise outcome  # recorded for this lane below
                 trained, metrics = outcome
@@ -315,8 +319,6 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                 "step": e.step,
                 "message": str(e),
             })
-        if any(lane_events):
-            result.events[(seed, strategy)] = lane_events
     return result
 
 
@@ -339,67 +341,11 @@ def _write_acquisitions_csv(path, reports: list[RoundReport]) -> None:
     ])
 
 
-def _event_blocks(round_index: int, events: list):
-    """Round round_index's event rows as columns, one block of rows at a time.
-
-    Each block concatenates only the step chunks that overlap it, so no
-    column longer than a block and two chunks is ever built.
-    """
-    if not events:
-        return
-    steps, ids, pw, ps = zip(*events)
-    sizes = np.array([len(chunk) for chunk in ids])
-    starts = np.cumsum(sizes) - sizes
-    for lo, hi in row_blocks(int(sizes.sum())):
-        a = np.searchsorted(starts, lo, "right") - 1  # the chunk holding row lo
-        b = np.searchsorted(starts, hi, "left")  # one past the chunk holding row hi - 1
-        cut = slice(lo - starts[a], hi - starts[a])
-        yield [
-            np.full(hi - lo, round_index), np.repeat(steps[a:b], sizes[a:b])[cut],
-            np.concatenate(ids[a:b])[cut],
-            *np.concatenate(pw[a:b])[cut].T, *np.concatenate(ps[a:b])[cut].T,
-        ]
-
-
-def _copy_prefix(src: str, end: int, f) -> None:
-    """Append the first end bytes of the file src to f, COPY_BYTES at a time."""
-    with open(src, "rb") as source:
-        while end > 0:
-            chunk = source.read(min(end, COPY_BYTES))
-            if not chunk:
-                raise InputError(f"{src} ended {end} bytes early")
-            f.write(chunk)
-            end -= len(chunk)
-
-
-def _write_events_csv(path, lane_rounds: list[list], written: dict[tuple, tuple]) -> None:
-    """Write a lane's events, formatting only rounds no earlier lane wrote.
-
-    lane_rounds[i] holds round i's (step, ids, probs_weak, probs_strong)
-    events. written maps the ids of a written lane's first j round lists
-    to (its file, the byte offset where round j - 1 ended); emit passes one
-    dict to every lane it writes. Lanes that share round j share rounds
-    0..j too, since the memo keys rounds by history, so a lane copies the
-    longest prefix some earlier lane wrote from that lane's file and
-    formats only its own later rounds: a round shared by lanes is
-    formatted once per emit call.
-    """
-    prefixes = [tuple(map(id, lane_rounds[: j + 1])) for j in range(len(lane_rounds))]
-    shared = next((j for j in range(len(prefixes), 0, -1) if prefixes[j - 1] in written), 0)
-    ends = []
-    with atomic_open(path, "wb") as f:
-        if shared:
-            _copy_prefix(*written[prefixes[shared - 1]], f)
-        else:
-            k = next(events for events in lane_rounds if events)[0][2].shape[1]
-            f.write(header_line(
-                ["round", "step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)]
-            ).encode())
-        for round_index in range(shared, len(lane_rounds)):
-            for columns in _event_blocks(round_index, lane_rounds[round_index]):
-                f.write(format_rows(columns).encode())
-            ends.append(f.tell())
-    written.update((prefix, (path, end)) for prefix, end in zip(prefixes[shared:], ends))
+def _write_events_csv(path, columns) -> None:
+    """Write one trained round's event columns (see ExperimentResult.events)."""
+    k = (len(columns) - 2) // 2
+    write_table(path, ["step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)],
+                columns)
 
 
 def _write_seed_analysis(
@@ -473,15 +419,16 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
 
     rounds.csv, per-seed datasets and acquisition logs, the round-0
     snapshot series and per-round score snapshots of the reports that
-    carry them (the first strategy's, see _run_seed), derived analysis
-    CSVs, and manifest.json. Every file is a pure function of the config
-    and the code, so reruns are byte-identical, except the manifest's
-    Python and numpy versions and its "nondeterministic" key. The manifest
-    records the code's own asslab.__version__, whether or not the package
-    is installed, and no path, so the same run has the same bytes in any
-    out_dir. An out_dir whose manifest records a different config raises
-    InputError, since the files of that run would stay beside the new
-    ones.
+    carry them (the first strategy's, see _run_seed), the event log of
+    each trained round (events/round<r>_<strategy>.csv, keyed as
+    ExperimentResult.events), derived analysis CSVs, and manifest.json.
+    Every file is a pure function of the config and the code, so reruns
+    are byte-identical, except the manifest's Python and numpy versions
+    and its "nondeterministic" key. The manifest records the code's own
+    asslab.__version__, whether or not the package is installed, and no
+    path, so the same run has the same bytes in any out_dir. An out_dir
+    whose manifest records a different config raises InputError, since
+    the files of that run would stay beside the new ones.
     """
     _check_out_dir(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -512,12 +459,11 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
             export_series(first_round.series, os.path.join(seed_dir, "snapshots_round0.csv"))
             round0[seed] = (first_round.series, first_round.tracker_snapshot)
 
-    written: dict[tuple, tuple] = {}  # for this call only; see _write_events_csv
-    for (seed, strategy), lane_rounds in result.events.items():
-        seed_dir = _seed_dir(out_dir, seed)
-        os.makedirs(seed_dir, exist_ok=True)
-        _write_events_csv(os.path.join(seed_dir, f"events_{strategy}.csv"), lane_rounds,
-                          written)
+    for (seed, strategy, round_index), columns in result.events.items():
+        events_dir = os.path.join(_seed_dir(out_dir, seed), "events")
+        os.makedirs(events_dir, exist_ok=True)
+        _write_events_csv(os.path.join(events_dir, f"round{round_index}_{strategy}.csv"),
+                          columns)
 
     _write_analysis(out_dir, cfg, round0, {
         (r.strategy, r.seed): r.test_accuracy

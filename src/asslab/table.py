@@ -14,13 +14,10 @@ cells for None.
 
 No table is ever built as one string: write_table formats and writes its
 columns BLOCK_ROWS rows at a time, so the text in memory is bounded
-whatever the row count. The harness writes event logs the same way, and
-a lane that shares its first rounds with a lane already written copies
-them as a byte prefix of that lane's file instead of formatting them
-again. Every file goes to path + ".tmp" and is moved onto path with
-os.replace (atomic_open), so a failed write leaves the old bytes, or no
-file, never half a file; a killed process can leave only the temp file,
-which the next write of path replaces.
+whatever the row count. Every file goes to path + ".tmp" and is moved
+onto path with os.replace (atomic_open), so a failed write leaves the
+old bytes, or no file, never half a file; a killed process can leave
+only the temp file, which the next write of path replaces.
 """
 
 from __future__ import annotations
@@ -52,16 +49,6 @@ def format_rows(columns) -> str:
     return text.getvalue()
 
 
-def header_line(names) -> str:
-    """The CSV header row of names."""
-    return format_rows([[name] for name in names])
-
-
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of the BLOCK_ROWS-row blocks that cover n rows."""
-    return [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-
-
 @contextlib.contextmanager
 def atomic_open(path, mode: str, **kwargs):
     """open(path + ".tmp", mode, **kwargs), moved onto path when the block ends.
@@ -87,9 +74,9 @@ def write_table(path, header, columns) -> None:
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     with atomic_open(path, "w", newline="") as f:
-        f.write(header_line(header))
-        for lo, hi in row_blocks(n):
-            f.write(format_rows([c[lo:hi] for c in columns]))
+        f.write(format_rows([[name] for name in header]))
+        for lo in range(0, n, BLOCK_ROWS):
+            f.write(format_rows([c[lo:lo + BLOCK_ROWS] for c in columns]))
 
 
 def read_table(path, header) -> list:

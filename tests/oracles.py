@@ -14,9 +14,10 @@ acquisition module must match them bit for bit. nearest_picks is
 diversity acquisition's fill as first written, one full stable argsort
 per centroid, and coreset the blocked greedy k-center with a distance
 pass after every pick, the k-th included. events_csv is a lane's event
-log as one string, built by the csv module. ti_uncertainty_profile groups
-samples with np.unique, the form the analysis module gave up so that it
-never imports numpy.ma. SetPools and split_pools are the sample pools as
+log as one string, built by the csv module, and lane_events_csv the same
+file rebuilt from the per-round event files an emit writes.
+ti_uncertainty_profile groups samples with np.unique, the form the
+analysis module gave up so that it never imports numpy.ma. SetPools and split_pools are the sample pools as
 three frozensets of ids, the form that one array of pool codes replaced,
 and lexsort_split the stratified split by two whole-pool sorts, which
 split_pools must match byte for byte.
@@ -28,6 +29,7 @@ only tests need, is the one exception: it builds an asslab Dataset.
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,19 +251,57 @@ def coreset(emb, labeled_emb, k: int, block_rows: int = 256):
     return np.asarray(picked), np.asarray(dists)
 
 
-def events_csv(lane_rounds) -> bytes:
+def events_csv(lane_rounds, round_column=True) -> bytes:
     """A lane's events file: the header, then round i's (step, ids,
     probs_weak, probs_strong) events of lane_rounds[i] as rows, all
-    formatted into one string."""
+    formatted into one string. Without round_column it is the file of one
+    round: lane_rounds holds that round's events alone, and the round
+    index is neither a column nor a cell."""
     k = next(events for events in lane_rounds if events)[0][2].shape[1]
     text = io.StringIO(newline="")
     writer = csv.writer(text)
-    writer.writerow(["round", "step", "sample_id"]
+    writer.writerow((["round"] if round_column else []) + ["step", "sample_id"]
                     + [f"p_{v}{j}" for v in "ws" for j in range(k)])
     for round_index, events in enumerate(lane_rounds):
+        lead = [round_index] if round_column else []
         for step, ids, pw, ps in events:
             for i, sample_id in enumerate(ids.tolist()):
-                writer.writerow([round_index, step, sample_id, *pw[i].tolist(), *ps[i].tolist()])
+                writer.writerow(lead + [step, sample_id, *pw[i].tolist(), *ps[i].tolist()])
+    return text.getvalue().encode()
+
+
+def lane_events_csv(seed_dir, strategies, strategy, rounds) -> bytes | None:
+    """A lane's events file in events_csv's form, rebuilt from the files
+    seed_dir/events/round<r>_<owner>.csv and seed_dir/acquisitions.csv.
+
+    The lane reached round r if it acquired in every round before it. Its
+    round r is in the file of the first of strategies, in config order,
+    whose acquired ids in each of rounds 0..r-1 equal its own as sets; a
+    round with no file made no events. None if no round has a file.
+    """
+    with open(os.path.join(seed_dir, "acquisitions.csv"), newline="") as f:
+        picks: dict = {}
+        for row in csv.DictReader(f):
+            picks.setdefault(row["strategy"], {}).setdefault(
+                int(row["round"]), set()).add(int(row["sample_id"]))
+
+    def history(s, r):
+        done = picks.get(s, {})
+        return [done[j] for j in range(r)] if all(j in done for j in range(r)) else None
+
+    header, rows = None, []
+    for r in range(min(len(picks.get(strategy, {})) + 1, rounds)):
+        owner = next(s for s in strategies if history(s, r) == history(strategy, r))
+        path = os.path.join(seed_dir, "events", f"round{r}_{owner}.csv")
+        if os.path.exists(path):
+            with open(path, newline="") as f:
+                names, *body = csv.reader(f)
+            header = ["round"] + names
+            rows += [[str(r)] + row for row in body]
+    if header is None:
+        return None
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([header] + rows)
     return text.getvalue().encode()
 
 

@@ -488,7 +488,7 @@ class TestSeedIndependence:
             [r for r in result.reports if r.seed == seed],
             [e for e in result.errors if e["seed"] == seed],
             sorted(((k, v) for k, v in result.events.items() if k[0] == seed),
-                   key=lambda item: item[0][1]),
+                   key=lambda item: item[0]),
             result.datasets[seed],
         ))
 
@@ -618,30 +618,18 @@ class TestInitModes:
                 np.testing.assert_array_equal(counts, want_counts)
                 if report.tracker_snapshot is not None:
                     np.testing.assert_array_equal(report.tracker_snapshot.counts, want_counts)
-            lane = result.events[(3, strategy)]
-            assert len(lane) == len(expected) == cfg.rounds
-            for round_events, (_, _, _, want_events) in zip(lane, expected):
-                assert len(round_events) == len(want_events)
-                for (step, ids, pw, ps), want in zip(round_events, want_events):
-                    assert step == want[0]
-                    np.testing.assert_array_equal(ids, want[1])
-                    np.testing.assert_array_equal(pw, want[2])
-                    np.testing.assert_array_equal(ps, want[3])
-        # Lanes with the same history hold the memo's one list of its events.
-        lanes = [result.events[(3, strategy)] for strategy in cfg.strategies]
-        assert all(lane[0] is lanes[0][0] for lane in lanes)
-        assert lanes[1][1] is lanes[3][1]  # entropy and margin share round 1
-
-        round0 = []
-        for strategy in cfg.strategies:
-            lines = (out / "seed_3" / f"events_{strategy}.csv").read_text().splitlines()
-            rows = [line for line in lines[1:] if line.startswith("0,")]
-            assert lines[1:len(rows) + 1] == rows  # round-0 rows come first
-            round0.append(rows)
-        assert round0[0] and all(rows == round0[0] for rows in round0)
-        entropy, margin = ([sorted(r.acquired_ids.tolist()) for r in result.reports
-                            if r.strategy == s] for s in ("entropy", "margin"))
-        assert entropy == margin  # so their later rounds are shared too
+            assert oracles.lane_events_csv(out / "seed_3", cfg.strategies, strategy,
+                                           cfg.rounds) \
+                == oracles.events_csv([events for *_, events in expected])
+        # Each trained round has one entry, under the first lane to reach it.
+        acquired = {s: [frozenset(r.acquired_ids.tolist()) for r in result.reports
+                        if r.strategy == s] for s in cfg.strategies}
+        assert set(result.events) == {
+            (3, next(t for t in cfg.strategies if acquired[t][:k] == acquired[s][:k]), k)
+            for s in cfg.strategies for k in range(cfg.rounds)}
+        assert [key for key in result.events if key[2] == 0] == [(3, "ucb-product", 0)]
+        assert acquired["entropy"] == acquired["margin"]  # so their later rounds are shared
+        assert not [key for key in result.events if key[1] == "margin"]
 
     def test_init_modes_differ_after_round0(self):
         runs = {}
@@ -817,40 +805,34 @@ class TestEmit:
                           hidden_dims=[8, 8], batch_size=4, mu=2),
         )
         run_and_emit(cfg, out_dir=str(out))
-        lines = (out / "seed_0" / "events_random.csv").read_text().splitlines()
-        assert lines[0] == "round,step,sample_id,p_w0,p_w1,p_s0,p_s1"
+        lines = (out / "seed_0" / "events" / "round0_random.csv").read_text().splitlines()
+        assert lines[0] == "step,sample_id,p_w0,p_w1,p_s0,p_s1"
         assert len(lines) == 1 + 5 * 8  # steps * mu * batch_size
-        probs = [sum(float(v) for v in line.split(",")[3:5]) for line in lines[1:]]
+        probs = [sum(float(v) for v in line.split(",")[2:4]) for line in lines[1:]]
         np.testing.assert_allclose(probs, 1.0, rtol=1e-9)
 
-    def test_shared_rounds_formatted_once_per_emit(self, tmp_path, monkeypatch):
+    def test_shared_rounds_formatted_once_per_emit(self, tmp_path, event_blocks):
         cfg = small_cfg(strategies=["ucb-product", "entropy", "random"], log_events=True,
                         ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
                                       hidden_dims=[8, 8], batch_size=4, mu=2))
         result = run_experiment(cfg)
-        lanes = [result.events[(0, s)] for s in cfg.strategies]
         # Round 0 is shared and every round 1 differs: 4 distinct rounds
         # among the 6 lane-rounds.
-        assert len({id(events) for lane in lanes for events in lane}) == 4
-        formatted = []
-        format_rows = harness.format_rows
-
-        def counting(columns):
-            formatted.append(len(columns[0]))
-            return format_rows(columns)
-
-        monkeypatch.setattr(harness, "format_rows", counting)
+        assert sorted(result.events) == [(0, "entropy", 1), (0, "random", 1),
+                                         (0, "ucb-product", 0), (0, "ucb-product", 1)]
         out = tmp_path / "run"
         emit(result, cfg, str(out))
-        assert formatted == [20 * 8] * 4
+        assert event_blocks == [20 * 8] * 4
         first = tree_bytes(out)
         emit(result, cfg, str(out))
-        assert formatted == [20 * 8] * 8  # nothing is kept between calls
+        assert event_blocks == [20 * 8] * 8  # nothing is kept between calls
         second = tree_bytes(out)
         del first["manifest.json"], second["manifest.json"]  # hold the run's timings
         assert second == first
+        assert len(os.listdir(out / "seed_0" / "events")) == 4
         for strategy in cfg.strategies:
-            lines = (out / "seed_0" / f"events_{strategy}.csv").read_text().splitlines()
+            lines = oracles.lane_events_csv(out / "seed_0", cfg.strategies, strategy,
+                                            cfg.rounds).decode().splitlines()
             assert len(lines) == 1 + cfg.rounds * 20 * 8
             assert [line.split(",")[0] for line in lines[1::20 * 8]] == ["0", "1"]
 
@@ -863,7 +845,7 @@ class TestEmit:
         result = run_and_emit(small_cfg(log_events=True), out_dir=str(out))
         assert [(e["round"], e["step"]) for e in result.errors] == [(0, 1), (0, 1)]
         assert result.events == {}
-        assert not list(out.glob("seed_*/events_*.csv"))
+        assert not list(out.glob("seed_*/events"))
 
     def test_no_series_when_interval_exceeds_steps(self, tmp_path):
         out = tmp_path / "run"
@@ -897,40 +879,78 @@ def synthetic_round(rng, steps, step_rows=64, k=3):
             for step in range(1, steps + 1)]
 
 
+def event_columns(events):
+    """One round's events as ExperimentResult.events holds them."""
+    steps, ids, pw, ps = zip(*events)
+    return [np.repeat(steps, [len(c) for c in ids]), np.concatenate(ids),
+            *np.concatenate(pw).T, *np.concatenate(ps).T]
+
+
 def shared_prefix(a, b) -> int:
     """How many leading round lists two lanes share."""
     return next((j for j, (x, y) in enumerate(zip(a, b)) if x is not y), min(len(a), len(b)))
 
 
+@pytest.fixture
+def event_blocks(monkeypatch):
+    """The row count of each block that table.format_rows formats for an
+    event file, in call order; header rows are left out."""
+    blocks, writing = [], []
+    format_rows, write_events = table.format_rows, harness._write_events_csv
+
+    def counting(columns):
+        if writing and isinstance(columns[0], np.ndarray):
+            blocks.append(len(columns[0]))
+        return format_rows(columns)
+
+    def events_writer(path, columns):
+        writing.append(path)
+        try:
+            write_events(path, columns)
+        finally:
+            writing.pop()
+
+    monkeypatch.setattr(table, "format_rows", counting)
+    monkeypatch.setattr(harness, "_write_events_csv", events_writer)
+    return blocks
+
+
 class TestStreamedEmit:
     def test_peak_memory_does_not_grow_with_event_rows(self, tmp_path, peak_bytes):
-        # 60,000 distinct event rows in two lanes that share two rounds;
-        # formatted as one string they would take over 15 MB.
+        # 60,000 event rows in four trained rounds, two lanes that share two
+        # of them; formatted as one string they would take over 15 MB.
         rng = np.random.default_rng(3)
-        r0, r1, r2, r3 = (synthetic_round(rng, 15_000 // 64) for _ in range(4))
-        result = ExperimentResult([], [], {}, {(0, "random"): [r0, r1, r2],
-                                               (0, "entropy"): [r0, r1, r3]})
+        rounds = {(0, "random", r): synthetic_round(rng, 15_000 // 64) for r in range(3)}
+        rounds[0, "entropy", 2] = synthetic_round(rng, 15_000 // 64)
+        result = ExperimentResult([], [], {}, {
+            key: event_columns(events) for key, events in rounds.items()})
         cfg = small_cfg(strategies=["random", "entropy"])
         assert peak_bytes(emit, result, cfg, str(tmp_path / "run")) < 3_000_000
-        for strategy, lane in [("random", [r0, r1, r2]), ("entropy", [r0, r1, r3])]:
-            assert (tmp_path / "run" / "seed_0" / f"events_{strategy}.csv").read_bytes() \
-                == oracles.events_csv(lane)
+        for (_, strategy, r), events in rounds.items():
+            assert (tmp_path / "run" / "seed_0" / "events" / f"round{r}_{strategy}.csv") \
+                .read_bytes() == oracles.events_csv([events], round_column=False)
 
     @pytest.mark.parametrize("block_rows", [5, table.BLOCK_ROWS])
-    def test_shared_prefixes_match_whole_string_form(self, tmp_path, monkeypatch, block_rows):
+    def test_shared_prefixes_match_whole_string_form(self, tmp_path, monkeypatch, event_blocks,
+                                                     block_rows):
         # Three rounds. margin acquires as entropy does (shares 3 rounds),
         # snapshot-el2n as entropy in round 0 only (shares 2), random on
         # its own (shares round 0), and coreset's round-2 training fails
-        # after 7 steps, so its last round is cut short.
+        # after 7 steps, so its last round is cut short. Every lane's
+        # events, rebuilt from the per-round files and acquisitions.csv,
+        # must equal the one-file form of the events its training streamed.
         cfg = small_cfg(strategies=["entropy", "margin", "snapshot-el2n", "random", "coreset"],
                         rounds=3, log_events=True,
                         ssl=SslConfig(steps_per_round=20, snapshot_interval=10,
                                       hidden_dims=[8, 8], batch_size=4, mu=2))
         real_acquire, real_train = harness.acquire, harness.train_round
         doomed = []  # the labeled set coreset's round 2 trains on
+        trained_on = {}  # strategy -> the labeled set of each round it reached
+        streamed = {}  # labeled set -> the events its training streamed
 
         def acquiring(req):
             labeled = frozenset(req.pools.sorted_labeled().tolist())
+            trained_on.setdefault(req.strategy, []).append(labeled)
             round_index = (len(labeled) - cfg.n_init) // cfg.acquire_k
             as_ = {"margin": "entropy",
                    "snapshot-el2n": "random" if round_index else "entropy"}
@@ -941,14 +961,13 @@ class TestStreamedEmit:
             return ids, scores
 
         def training(params, pools, *args, event_sink=None, **kwargs):
-            if frozenset(pools.sorted_labeled().tolist()) not in doomed:
-                return real_train(params, pools, *args, event_sink=event_sink, **kwargs)
-            seen = []
+            labeled = frozenset(pools.sorted_labeled().tolist())
+            events = streamed.setdefault(labeled, [])
 
             def sink(step, *event):
-                if len(seen) == 7:
+                if labeled in doomed and len(events) == 7:
                     raise TrainingError("forced divergence", step=step)
-                seen.append(step)
+                events.append((step, *event))
                 event_sink(step, *event)
 
             return real_train(params, pools, *args, event_sink=sink, **kwargs)
@@ -956,53 +975,50 @@ class TestStreamedEmit:
         monkeypatch.setattr(harness, "acquire", acquiring)
         monkeypatch.setattr(harness, "train_round", training)
         result = run_experiment(cfg)
-        lanes = {s: result.events[(0, s)] for s in cfg.strategies}
+        trained_on["coreset"] += doomed  # it diverged there, so acquired nothing
+        lanes = {s: [streamed[labeled] for labeled in trained_on[s]] for s in cfg.strategies}
         assert [shared_prefix(lanes["entropy"], lanes[s]) for s in cfg.strategies] \
             == [3, 3, 2, 1, 1]
         assert len(lanes["coreset"][2]) == 7  # event chunks; a step may give two
         assert [(e["strategy"], e["round"]) for e in result.errors] == [("coreset", 2)]
+        distinct = {id(events): sum(len(ids) for _, ids, _, _ in events)
+                    for lane in lanes.values() for events in lane}
+        assert len(result.events) == len(distinct)
 
-        formatted = []
-        format_rows = harness.format_rows
-
-        def counting(columns):
-            formatted.append(len(columns[0]))
-            return format_rows(columns)
-
-        monkeypatch.setattr(harness, "format_rows", counting)
         monkeypatch.setattr(table, "BLOCK_ROWS", block_rows)
         out = tmp_path / "run"
         emit(result, cfg, str(out))
         for strategy, lane in lanes.items():
-            assert (out / "seed_0" / f"events_{strategy}.csv").read_bytes() \
-                == oracles.events_csv(lane)
-        distinct = {id(events): sum(len(ids) for _, ids, _, _ in events)
-                    for lane in lanes.values() for events in lane}
-        assert sum(formatted) == sum(distinct.values())  # each distinct round formatted once
-        assert max(formatted) <= block_rows
+            assert oracles.lane_events_csv(out / "seed_0", cfg.strategies, strategy,
+                                           cfg.rounds) == oracles.events_csv(lane)
+        assert len(os.listdir(out / "seed_0" / "events")) == len(distinct)
+        assert sum(event_blocks) == sum(distinct.values())  # each distinct round formatted once
+        assert max(event_blocks) <= block_rows
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
-        result = ExperimentResult([], [], {}, {(0, "random"): [synthetic_round(rng, 40)]})
+        result = ExperimentResult([], [], {}, {
+            (0, "random", 0): event_columns(synthetic_round(rng, 40))})
         cfg = small_cfg(strategies=["random"])
         out = tmp_path / "run"
         emit(result, cfg, str(out))
         before = tree_bytes(out)
         calls = []
-        format_rows = harness.format_rows
+        format_rows = table.format_rows
 
         def failing(columns):
-            calls.append(len(columns[0]))
-            if len(calls) == 2:
-                raise OSError("disk full")
+            if isinstance(columns[0], np.ndarray):  # with no reports, only event rows
+                calls.append(len(columns[0]))
+                if len(calls) == 2:
+                    raise OSError("disk full")
             return format_rows(columns)
 
-        monkeypatch.setattr(harness, "format_rows", failing)
+        monkeypatch.setattr(table, "format_rows", failing)
         with pytest.raises(OSError, match="disk full"):
             emit(result, cfg, str(out))
         assert calls == [table.BLOCK_ROWS, 40 * 64 - table.BLOCK_ROWS]
         assert tree_bytes(out) == before  # the old events bytes and manifest
-        monkeypatch.setattr(harness, "format_rows", format_rows)
+        monkeypatch.setattr(table, "format_rows", format_rows)
         emit(result, cfg, str(out))
         after = tree_bytes(out)
         del before["manifest.json"], after["manifest.json"]  # hold the run's timings
@@ -1049,7 +1065,11 @@ def tree_sha256(root) -> dict[str, str]:
 # Pinned from the code before the tracker folded each epoch's events in one
 # call; manifest.json re-pinned when it stopped recording out_dir, the
 # top-level seeds and strategies, and five config keys that became
-# constants at their defaults. Floating-point bytes depend on the numpy and
+# constants at their defaults. The event entries moved when the two lane
+# files events_<strategy>.csv became one file per trained round: round 0
+# once, then each lane's round 1, with no round column. Prepending each
+# row's round and joining a lane's round files in order gives the old
+# lane file byte for byte. Floating-point bytes depend on the numpy and
 # BLAS build; the pin holds for the one the tier-1 suite runs on.
 GOLDEN_SHA256 = {
     "analysis/pairwise_matrix.csv":
@@ -1068,10 +1088,12 @@ GOLDEN_SHA256 = {
         "3fa84ab5dbcebe52c90b8ef879d08770f4b93c2727383ed3abfe49993fa4e574",
     "seed_0/dataset.csv":
         "cec684ffca6d5561db6c814dcda5d56f3568c20c67922f8cd96752ab546e5775",
-    "seed_0/events_coreset.csv":
-        "203fc4069d02719288e53d3e5335456e2b75e52923ffa6b6d70c64667f827878",
-    "seed_0/events_ucb-product.csv":
-        "e5fc1b96464b343e476cfa0480aa91029ba0c9668fcd227414ce41de121521e5",
+    "seed_0/events/round0_ucb-product.csv":
+        "94d294ac7c3d7d88c1608d49c651879724ab1860eaaf852f8a3ae282e7d0b051",
+    "seed_0/events/round1_coreset.csv":
+        "bde32351fa60745ed660781ace9dba81c5f031c9b299168f39f7120ee90fb64d",
+    "seed_0/events/round1_ucb-product.csv":
+        "c431017d0eb9c0612cafe8516dcaeae718418ccefa8408dc866ef40faa3cbd6b",
     "seed_0/scores/round0.csv":
         "89895d7c0ac283ebfb6e4520f89ab56a1ec480fee43a17b08d41ac9eb2395119",
     "seed_0/scores/round1.csv":
@@ -1085,6 +1107,33 @@ class TestGoldenDigest:
     def test_tiny_sweep_bytes_pinned(self, tmp_path):
         run_and_emit(golden_cfg(), out_dir=str(tmp_path / "run"))
         assert tree_sha256(tmp_path / "run") == GOLDEN_SHA256
+
+
+class TestEventReplay:
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_round0_events_fold_into_round0_scores(self, tmp_path, carry):
+        # The emitted round-0 scores are the fold of the emitted round-0
+        # events: their rows, as positions in the round-0 pool and in file
+        # order, one epoch (pool-size rows) per ingest_batch call, into a
+        # store built from the manifest's tracker params.
+        cfg = golden_cfg()
+        cfg = dataclasses.replace(cfg, ssl=dataclasses.replace(cfg.ssl, carry_tracker=carry))
+        out = tmp_path / "run"
+        run_and_emit(cfg, out_dir=str(out))
+        k = cfg.dataset.n_classes
+        _, ids, *probs = table.read_table(
+            out / "seed_0" / "events" / f"round0_{cfg.strategies[0]}.csv",
+            {"step": int, "sample_id": int} | {f"p_{v}{j}": float for v in "ws" for j in range(k)})
+        pool = np.unique(ids)  # round 0 draws every sample at least once (ucb-* validation)
+        pos, pw, ps = np.searchsorted(pool, ids), np.array(probs[:k]).T, np.array(probs[k:]).T
+        assert len(pos) > 2 * len(pool)  # so more than one epoch is folded
+        store = TrackerStore(pool, **harness.load_manifest(str(out))["config"]["tracker"])
+        for lo in range(0, len(pos), len(pool)):
+            hi = lo + len(pool)
+            store.ingest_batch(pos[lo:hi], pw[lo:hi], ps[lo:hi])
+        store.snapshot().export_csv(tmp_path / "replayed.csv")
+        assert (tmp_path / "replayed.csv").read_bytes() \
+            == (out / "seed_0" / "scores" / "round0.csv").read_bytes()
 
 
 class TestAnalyzeDir:

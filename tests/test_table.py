@@ -75,16 +75,14 @@ def write_acquisitions(path):
 
 
 def write_events(path):
-    # One list per round, in round order. The step-2 chunk wraps an epoch
-    # of the unlabeled iterator: ids 5, 0.
-    harness._write_events_csv(path, [[
-        (1, np.array([3, 4]), np.array([[0.1, 0.9], [1.0, 0.0]]),
-         np.array([[0.5, 0.5], [SUBNORMAL, 1.0]])),
-        (2, np.array([5, 0]), np.array([[0.25, 0.75], [-0.0, 1.0]]),
-         np.array([[0.3, 0.7], [0.2, 0.8]])),
-    ], [
-        (1, np.array([2]), np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]])),
-    ]], {})
+    # One trained round's columns: step, sample_id, then the weak and the
+    # strong probability of each class. The step-2 rows wrap an epoch of
+    # the unlabeled iterator: ids 5, 0.
+    harness._write_events_csv(path, [
+        np.array([1, 1, 2, 2]), np.array([3, 4, 5, 0]),
+        np.array([0.1, 1.0, 0.25, -0.0]), np.array([0.9, 0.0, 0.75, 1.0]),
+        np.array([0.5, SUBNORMAL, 0.3, 0.2]), np.array([0.5, 1.0, 0.7, 0.8]),
+    ])
 
 
 def write_series(path):
@@ -146,12 +144,11 @@ EXACT = {
         "1,ucb-product,0,4,-0.0",
     ]),
     "events": (write_events, [
-        "round,step,sample_id,p_w0,p_w1,p_s0,p_s1",
-        "0,1,3,0.1,0.9,0.5,0.5",
-        "0,1,4,1.0,0.0,5e-324,1.0",
-        "0,2,5,0.25,0.75,0.3,0.7",
-        "0,2,0,-0.0,1.0,0.2,0.8",
-        "1,1,2,0.6,0.4,0.4,0.6",
+        "step,sample_id,p_w0,p_w1,p_s0,p_s1",
+        "1,3,0.1,0.9,0.5,0.5",
+        "1,4,1.0,0.0,5e-324,1.0",
+        "2,5,0.25,0.75,0.3,0.7",
+        "2,0,-0.0,1.0,0.2,0.8",
     ]),
     "series": (write_series, [
         "step,sample_id,label,uncertainty,max_prob",
