@@ -19,6 +19,7 @@ interrupted emit leaves no half-written file.
 from __future__ import annotations
 
 import copy
+import glob
 import json
 import os
 import platform
@@ -409,9 +410,16 @@ def _recorded_config(cfg: ExperimentConfig) -> dict:
 
 
 def _check_out_dir(cfg: ExperimentConfig, out_dir: str) -> None:
+    """InputError for an out_dir whose old files the new run would leave
+    beside its own: another config's run, or the one-file-per-lane event
+    logs (seed_<s>/events_<strategy>.csv) of the layout before events/."""
     if (os.path.exists(os.path.join(out_dir, "manifest.json"))
             and load_manifest(out_dir)["config"] != _recorded_config(cfg)):
         raise InputError(f"{out_dir} holds the run of a different config")
+    old_events = glob.glob(os.path.join(glob.escape(out_dir), "seed_*", "events_*.csv"))
+    if old_events:
+        raise InputError(f"{out_dir} holds event logs of an older layout, "
+                         f"such as {min(old_events)}")
 
 
 def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
@@ -427,8 +435,9 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     and its "nondeterministic" key. The manifest records the code's own
     asslab.__version__, whether or not the package is installed, and no
     path, so the same run has the same bytes in any out_dir. An out_dir
-    whose manifest records a different config raises InputError, since
-    the files of that run would stay beside the new ones.
+    whose manifest records a different config, or that holds the
+    seed_<s>/events_<strategy>.csv logs of the layout before events/,
+    raises InputError, since those files would stay beside the new ones.
     """
     _check_out_dir(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)

@@ -173,17 +173,16 @@ def _as_batch(params, inputs, labels, weights):
     return x, y, w
 
 
-def loss_and_grads(
+def loss_forward(
     params: ModelParams,
     inputs: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray | None = None,
-) -> tuple[float, Gradients, np.ndarray]:
-    """Weighted mean cross-entropy over a batch, with exact gradients.
+) -> tuple[float, np.ndarray, tuple]:
+    """The forward and loss half of loss_and_grads: (loss, probs, cache).
 
-    loss = -(1/N) * sum_j weights[j] * log probs[j, labels[j]], where labels
-    holds one integer class in [0, n_classes) per row. Returns (loss,
-    gradients, probs); probs is not modified afterwards.
+    backward(params, cache) gives the gradients. cache holds d loss /
+    d logits and every layer's activations, one row per batch row.
     """
     x, y, w = _as_batch(params, inputs, labels, weights)
     n = x.shape[0]
@@ -198,10 +197,26 @@ def loss_and_grads(
     nll = -(shifted[rows, y] - np.log(total[:, 0]))
     loss = float(np.sum(nll if w is None else w * nll) / n)
 
-    # d loss / d logits = (w/N) * (p - onehot(y)), then standard backprop.
+    # d loss / d logits = (w/N) * (p - onehot(y)).
     dlogits = probs.copy()
     dlogits[rows, y] -= 1.0
     dlogits *= 1.0 / n if w is None else (w / n)[:, None]
+    return loss, probs, (dlogits, pre, post)
+
+
+def backward(params: ModelParams, cache: tuple, rows: np.ndarray | None = None) -> Gradients:
+    """Backpropagate a loss_forward cache; rows, when given, picks the batch
+    rows to backpropagate.
+
+    Leaving out rows whose d loss / d logits is zero, as for a weight of
+    zero, leaves the exact gradient; BLAS may still round a sum over fewer
+    rows differently.
+    """
+    dlogits, pre, post = cache
+    if rows is not None:
+        dlogits = dlogits[rows]
+        pre = [z[rows] for z in pre]
+        post = [a[rows] for a in post]
     gw = [np.empty(0)] * params.n_layers
     gb = [np.empty(0)] * params.n_layers
     gw[-1] = dlogits.T @ post[-1]
@@ -213,7 +228,24 @@ def loss_and_grads(
         gb[i] = dz.sum(axis=0)
         if i > 0:
             da = dz @ params.weights[i]
-    return loss, Gradients(gw, gb), probs
+    return Gradients(gw, gb)
+
+
+def loss_and_grads(
+    params: ModelParams,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[float, Gradients, np.ndarray]:
+    """Weighted mean cross-entropy over a batch, with exact gradients.
+
+    loss = -(1/N) * sum_j weights[j] * log probs[j, labels[j]], where labels
+    holds one integer class in [0, n_classes) per row. Returns (loss,
+    gradients, probs); probs is not modified afterwards. The gradients
+    backpropagate every row.
+    """
+    loss, probs, cache = loss_forward(params, inputs, labels, weights)
+    return loss, backward(params, cache), probs
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
@@ -253,8 +285,9 @@ class SgdOptimizer:
                 [np.zeros_like(b) for b in grads.biases],
             )
         v = self._velocity
-        v.weights = [self.momentum * vw + gw for vw, gw in zip(v.weights, grads.weights)]
-        v.biases = [self.momentum * vb + gb for vb, gb in zip(v.biases, grads.biases)]
+        for vel, g in zip(v.weights + v.biases, grads.weights + grads.biases):
+            vel *= self.momentum
+            vel += g
         return sgd_step(params, v, self.lr)
 
 

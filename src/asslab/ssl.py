@@ -128,6 +128,20 @@ def _pool_snapshot(params, x_pool):
     return np.argmax(probs, axis=1), uncertainty_batch(probs), probs.max(axis=1)
 
 
+def _backprop_rows(mask: np.ndarray) -> np.ndarray:
+    """The strong-batch rows to backpropagate: the pseudo-labeled ones.
+
+    Every other row has weight zero and adds nothing to the gradient. A
+    lone pseudo-labeled row goes with a second, zero-weight row, since
+    BLAS computes a one-row product as gemv, which rounds differently
+    from the gemm over the whole batch.
+    """
+    rows = np.flatnonzero(mask)
+    if len(rows) == 1 and len(mask) > 1:
+        rows = np.array([0, rows[0]] if rows[0] else [0, 1])
+    return rows
+
+
 def _ingest_epoch(tracker: TrackerStore, chunks: list[tuple]) -> None:
     """One ingest_batch call for the (positions, probs_weak, probs_strong)
     chunks of one epoch."""
@@ -154,6 +168,15 @@ def train_round(
     unsupervised gradients come from separate backward passes so that
     lambda_u = 0 reproduces a purely supervised run bit for bit on the
     same rng stream.
+
+    The strong batch's loss and probabilities cover every row, but only
+    its pseudo-labeled rows are backpropagated: the others have weight
+    zero. A step with none steps on the supervised gradient alone, and a
+    lone pseudo-labeled row goes with a zero-weight row (_backprop_rows).
+    With OpenBLAS this gives the bits of the gradient over every row for
+    2-d inputs, hidden widths 2-8, 64 and 256, and batches of at most 256
+    rows; a 1-wide layer, width 17 or 512 rows and more may differ in the
+    last bits, reproducibly from run to run.
 
     Pool snapshots record predictions on a fresh weak view, the same kind
     of view pseudo-labels are read from.
@@ -211,10 +234,14 @@ def train_round(
         sup_loss, sup_grads, _ = nn.loss_and_grads(params, x_lab, dataset.y[batch_lab])
         probs_weak = nn.forward_batch(params, x_unl_weak).probs
         pl, mask = pseudo_label_batch(probs_weak, cfg.tau)
-        unsup_loss, unsup_grads, probs_strong = nn.loss_and_grads(
+        unsup_loss, probs_strong, strong_cache = nn.loss_forward(
             params, x_unl_strong, pl, weights=mask
         )
-        grads = sup_grads.add_scaled(unsup_grads, cfg.lambda_u)
+        rows = _backprop_rows(mask)
+        grads = sup_grads
+        if rows.size:
+            grads = sup_grads.add_scaled(nn.backward(params, strong_cache, rows), cfg.lambda_u)
+        del strong_cache  # its activations stay out of the pool snapshot's peak
 
         total = sup_loss + cfg.lambda_u * unsup_loss
         if not np.isfinite(total):

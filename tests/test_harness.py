@@ -751,6 +751,22 @@ class TestEmit:
             emit(result, other, str(out))
         assert tree_bytes(out) == before
 
+    def test_dir_with_old_layout_event_logs_refused(self, tmp_path):
+        # A tree emitted before events/ kept one events_<strategy>.csv per
+        # lane; a new emit would leave it beside events/.
+        out = tmp_path / "run"
+        cfg = small_cfg()
+        result = run_and_emit(cfg, out_dir=str(out))
+        (out / "seed_0" / "events_random.csv").write_text("round,step,sample_id\r\n")
+        before = tree_bytes(out)
+        trained = []
+        with pytest.raises(InputError, match="older layout"):
+            run_and_emit(cfg, out_dir=str(out), progress=trained.append)
+        assert trained == []  # refused before any training
+        with pytest.raises(InputError, match="events_random.csv"):
+            emit(result, cfg, str(out))
+        assert tree_bytes(out) == before
+
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "run"
         cfg = small_cfg()

@@ -10,16 +10,19 @@ from asslab.nn import (
     ModelParams,
     SgdOptimizer,
     _forward_cached,
+    backward as backprop,
     finite_diff_grads,
     forward_batch,
     forward_counter,
     gradient_relative_error,
     init_params,
     loss_and_grads,
+    loss_forward,
     run_gradient_check,
     sgd_step,
     softmax,
 )
+from asslab.ssl import _backprop_rows
 
 
 def backward(params, x, y, w=None):
@@ -206,6 +209,69 @@ class TestBackward:
         loss, _, probs = loss_and_grads(params, x, np.array([0, 2, 3]))
         np.testing.assert_allclose(loss, np.log(4.0), rtol=1e-12)
         np.testing.assert_allclose(probs, np.full((3, 4), 0.25))
+
+
+def masked_batch(dims, n, seed):
+    """A net with nonzero biases, a batch of n rows and labels."""
+    rng = np.random.default_rng(seed)
+    params = init_params(dims, rng)
+    params.biases = [rng.normal(scale=0.1, size=b.shape) for b in params.biases]
+    x = rng.normal(size=(n, dims[0]))
+    y = rng.integers(0, dims[-1], size=n)
+    return params, x, y, rng
+
+
+def mask_cases(n, rng):
+    """Pseudo-label masks with 0, 1 (first, middle, last row), 2, a few
+    and all rows set."""
+    picks = [[], [0], [n // 2], [n - 1], [0, n - 1],
+             sorted(rng.choice(n, size=5, replace=False)), range(n)]
+    for rows in picks:
+        mask = np.zeros(n)
+        mask[list(rows)] = 1.0
+        yield mask
+
+
+class TestRowRestrictedBackward:
+    """The strong batch's gradient over its pseudo-labeled rows only
+    (ssl._backprop_rows), against loss_and_grads' gradient over every row."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("width", [2, 8, 64, 256])
+    def test_bit_identical_to_full_rows(self, width, n, k):
+        params, x, y, rng = masked_batch([2, width, width, k], n, seed=width + n + k)
+        for mask in mask_cases(n, rng):
+            loss, grads, probs = loss_and_grads(params, x, y, mask)
+            got_loss, got_probs, cache = loss_forward(params, x, y, mask)
+            assert bits(got_loss) == bits(loss)
+            assert bits(got_probs) == bits(probs)
+            rows = _backprop_rows(mask)
+            assert len(rows) == (2 if mask.sum() == 1 else mask.sum())
+            if not len(rows):  # the step keeps the supervised gradient alone
+                assert all(np.all(g == 0) for g in grads.weights + grads.biases)
+                continue
+            got = backprop(params, cache, rows)
+            for a, b in zip(got.weights + got.biases, grads.weights + grads.biases):
+                assert bits(a) == bits(b)
+
+    @pytest.mark.parametrize("dims,n", [
+        ([1, 64, 64, 3], 64),  # a 1-wide input
+        ([2, 1, 64, 2], 64),  # a 1-wide hidden layer
+        ([2, 17, 17, 3], 64),
+        ([2, 64, 64, 3], 512),
+    ], ids=["input-1", "hidden-1", "width-17", "rows-512"])
+    def test_close_to_full_rows_outside_the_identical_scope(self, dims, n):
+        # BLAS may sum these shapes in another order over fewer rows.
+        params, x, y, rng = masked_batch(dims, n, seed=n + len(dims))
+        for mask in mask_cases(n, rng):
+            _, grads, _ = loss_and_grads(params, x, y, mask)
+            rows = _backprop_rows(mask)
+            if not len(rows):
+                continue
+            got = backprop(params, loss_forward(params, x, y, mask)[2], rows)
+            for a, b in zip(got.weights + got.biases, grads.weights + grads.biases):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestSgd:

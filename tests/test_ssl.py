@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from asslab import nn
+from asslab import nn, ssl
 from asslab.data import Augmenter, GeneratorSpec, generate, split_pools, standardize
 from asslab.errors import ConfigError, TrainingError
 from asslab.ssl import (
@@ -160,6 +160,78 @@ class TestEpochFold:
             replay.ingest_batch(np.searchsorted(ids, chunk_ids), pw, ps)
         for name in ("_mean", "_var", "_count"):
             assert getattr(tracker, name).tobytes() == getattr(replay, name).tobytes()
+
+
+class TestStrongBackward:
+    """The strong batch backpropagates only its pseudo-labeled rows."""
+
+    @pytest.fixture
+    def restricted_rows(self, monkeypatch):
+        # The rows of each nn.backward call that picks rows; the supervised
+        # loss_and_grads backpropagates every row and passes none.
+        seen = []
+        real = nn.backward
+
+        def recording(params, cache, rows=None):
+            if rows is not None:
+                seen.append(rows.tolist())
+            return real(params, cache, rows)
+
+        monkeypatch.setattr(nn, "backward", recording)
+        return seen
+
+    def test_no_pseudo_labeled_row_runs_no_unsupervised_backward(self, restricted_rows):
+        ds, pools = make_problem(size=200, n_init=8, n_test=30)
+        cfg = SslConfig(steps_per_round=20, batch_size=4, mu=2, tau=1.0,
+                        snapshot_interval=10, hidden_dims=[8])
+        _, metrics, _ = run_once(cfg, ds, pools)
+        assert metrics.mask_rate == 0.0
+        assert restricted_rows == []
+
+    @pytest.mark.parametrize("row", [0, 5, 7])
+    def test_one_pseudo_labeled_row_backpropagates_two(self, monkeypatch, restricted_rows, row):
+        real = ssl.pseudo_label_batch
+
+        def one_row(probs_weak, tau):
+            labels, _ = real(probs_weak, tau)
+            mask = np.zeros(len(labels))
+            mask[row] = 1.0
+            return labels, mask
+
+        monkeypatch.setattr(ssl, "pseudo_label_batch", one_row)
+        ds, pools = make_problem(size=200, n_init=8, n_test=30)
+        cfg = SslConfig(steps_per_round=6, batch_size=4, mu=2,
+                        snapshot_interval=10, hidden_dims=[8])
+        run_once(cfg, ds, pools)
+        assert restricted_rows == [[0, row] if row else [0, 1]] * cfg.steps_per_round
+
+    def test_one_row_batch_backpropagates_its_row(self):
+        assert ssl._backprop_rows(np.ones(1)).tolist() == [0]
+
+    def test_matches_the_full_row_backward(self, monkeypatch):
+        # The default net on a 64-row strong batch whose steps pseudo-label
+        # no row, one row, two rows and many rows: the same params bit for
+        # bit as a round that backpropagates every row of every step.
+        pseudo_labeled = []
+        real = ssl._backprop_rows
+
+        def counting(mask):
+            pseudo_labeled.append(int(mask.sum()))
+            return real(mask)
+
+        monkeypatch.setattr(ssl, "_backprop_rows", counting)
+        ds, pools = make_problem(size=400, n_init=16, n_test=40)
+        cfg = SslConfig(steps_per_round=120, batch_size=16, mu=4, tau=0.99,
+                        snapshot_interval=1000, momentum=0.9)
+        out, metrics, tracker = run_once(cfg, ds, pools)
+        assert {0, 1, 2} < set(pseudo_labeled) and max(pseudo_labeled) > 2
+
+        monkeypatch.setattr(ssl, "_backprop_rows", lambda mask: np.arange(len(mask)))
+        want, want_metrics, want_tracker = run_once(cfg, ds, pools)
+        for a, b in zip(out.weights + out.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert metrics == want_metrics
+        assert tracker._mean.tobytes() == want_tracker._mean.tobytes()
 
 
 class TestConfig:
@@ -380,10 +452,9 @@ class TestTrainRound:
         ds, pools = make_problem(size=120, n_init=8, n_test=20)
         cfg = SslConfig(steps_per_round=50, batch_size=4, mu=2, lr=1e8,
                         snapshot_interval=50, hidden_dims=[8])
-        with pytest.raises(TrainingError) as exc:
+        with pytest.raises(TrainingError, match="non-finite loss nan at step 28") as exc:
             run_once(cfg, ds, pools)
-        assert isinstance(exc.value.step, int)
-        assert 1 <= exc.value.step <= 50
+        assert exc.value.step == 28
 
     def test_divergence_seen_first_by_a_snapshot(self):
         # The last step's update overflows the weights; the pool snapshot
