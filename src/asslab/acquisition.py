@@ -282,6 +282,7 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
     every sample has an event: zero events means training never visited
     the sample, so its score would be meaningless. The others run one
     forward pass over the pool (coreset one more over the labeled pool).
+    A non-finite score, probability or embedding raises AcquisitionError.
     """
     if req.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {req.strategy!r}")
@@ -299,6 +300,8 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
             raise AcquisitionError(
                 f"sample {missing} has no tracked events; training coverage bug"
             )
+        if not np.isfinite(snap.score).all():  # _top_k would drop a NaN
+            raise AcquisitionError("tracked scores must be finite")
     if req.strategy == "random":
         pos, logged = req.rng.choice(len(ids), size=k, replace=False), None
     elif req.strategy == "ucb-product":
@@ -306,13 +309,15 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
         logged = snap.score[pos]
     else:
         out = nn.forward_batch(req.params, req.dataset.x[ids])
+        if not (np.isfinite(out.probs).all() and np.isfinite(out.embedding).all()):
+            raise AcquisitionError("pool probabilities and embeddings must be finite")
         if req.strategy == "ucb-product-div":
             pos = _diverse(snap.score, out.embedding, k, req.rng)
             logged = snap.score[pos]
         elif req.strategy == "coreset":
             labeled = nn.forward_batch(req.params, req.dataset.x[req.pools.sorted_labeled()])
-            if not (np.isfinite(out.embedding).all() and np.isfinite(labeled.embedding).all()):
-                raise AcquisitionError("coreset needs finite embeddings")
+            if not np.isfinite(labeled.embedding).all():
+                raise AcquisitionError("coreset needs finite labeled embeddings")
             pos, logged = _coreset(out.embedding, labeled.embedding, k)
         elif req.strategy == "margin":
             margin = _margin(out.probs)

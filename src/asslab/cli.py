@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .config import read_json
@@ -32,7 +31,6 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, seeds=[args.seed])
         cfg.validate()
     out_dir = args.out if args.out is not None else cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)  # a bad output path fails before any training
     result = run_and_emit(cfg, out_dir=out_dir, progress=_print_progress)
     print(f"wrote {out_dir}")
     if result.errors:

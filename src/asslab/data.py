@@ -173,20 +173,6 @@ class SamplePools:
         return np.flatnonzero(self.state == TEST)
 
 
-def _round_robin_quota(counts: np.ndarray, n_init: int) -> np.ndarray:
-    """How many of each class's samples the first n_init round-robin picks
-    take, for class sizes counts summing past n_init: t full turns take
-    min(counts, t) each, for the most turns that fit, and the lowest
-    classes still holding samples take one more."""
-    lo, hi = 0, n_init + 1  # turns that fit, turns that do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if np.minimum(counts, mid).sum() <= n_init else (lo, mid)
-    quota = np.minimum(counts, lo)
-    quota[np.flatnonzero(counts > lo)[: n_init - quota.sum()]] += 1
-    return quota
-
-
 def split_pools(
     dataset: Dataset,
     n_init: int,
@@ -198,9 +184,7 @@ def split_pools(
 
     Stratification takes labeled samples round-robin across classes in
     random within-class order, so n_init == k yields one per class: the
-    first n_init samples by (rank within their class, class). That is the
-    first quota[c] samples of each class c in the permuted order, so only
-    the shortest prefix holding them all is sorted by class.
+    first n_init samples by (rank within their class, class).
     """
     k = dataset.n_classes
     if n_init + n_test >= dataset.n:
@@ -214,16 +198,11 @@ def split_pools(
     test = perm[:n_test]
     rest = perm[n_test:]
     if stratify:
-        y = dataset.y[rest].astype(np.intp, copy=False)  # bincount refuses uint64
-        quota = _round_robin_quota(np.bincount(y, minlength=k), n_init)
-        end = n_init  # double until the prefix holds every class's quota
-        while (np.bincount(y[:end], minlength=k) < quota).any():
-            end *= 2
-        by_class = np.argsort(y[:end], kind="stable")
-        y = y[by_class]
-        counts = np.bincount(y, minlength=k)
-        rank = np.arange(len(y)) - (np.cumsum(counts) - counts)[y]
-        labeled = rest[by_class[rank < quota[y]]]
+        y = dataset.y[rest]
+        by_class = np.argsort(y, kind="stable")
+        rank = np.empty_like(by_class)
+        rank[by_class] = np.arange(len(y)) - np.searchsorted(y[by_class], y[by_class])
+        labeled = rest[np.lexsort((y, rank))[:n_init]]
     else:
         labeled = rest[:n_init]
     state = np.full(dataset.n, UNLABELED, dtype=np.int8)

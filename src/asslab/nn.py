@@ -33,7 +33,8 @@ forward_counter = ForwardCounter()
 
 @dataclass
 class ModelParams:
-    """Weights and biases of a ReLU MLP.
+    """Weights and biases of a ReLU MLP, or a gradient or velocity shaped
+    like them.
 
     Layer i maps dimension ``weights[i].shape[1]`` to ``weights[i].shape[0]``;
     all layers except the last are followed by ReLU.
@@ -57,16 +58,9 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-
-@dataclass
-class Gradients:
-    """Per-layer gradients, shaped like the ModelParams they belong to."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def add_scaled(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        return Gradients(
+    def add_scaled(self, other: "ModelParams", scale: float) -> "ModelParams":
+        """self + scale * other, layer by layer, as new arrays."""
+        return ModelParams(
             [a + scale * b for a, b in zip(self.weights, other.weights)],
             [a + scale * b for a, b in zip(self.biases, other.biases)],
         )
@@ -100,12 +94,18 @@ def init_params(layer_dims: list[int], rng: np.random.Generator) -> ModelParams:
     return ModelParams(weights, biases)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability."""
-    logits = np.asarray(logits, dtype=np.float64)
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probs, shifted, sums) of a row-wise softmax: shifted = logits - row max,
+    sums = row sums of exp(shifted), so log probs = shifted - log(sums)."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted, total
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction for numerical stability."""
+    return _softmax_parts(np.asarray(logits, dtype=np.float64))[0]
 
 
 def _forward(params: ModelParams, x: np.ndarray, relu) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +189,7 @@ def loss_forward(
     rows = np.arange(n)
     forward_counter.add(n)
     logits, pre, post = _forward_cached(params, x)
-    # One log-softmax: the same shift, exp and row sums as softmax(logits).
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    probs = e / total
+    probs, shifted, total = _softmax_parts(logits)  # the one log-softmax
     nll = -(shifted[rows, y] - np.log(total[:, 0]))
     loss = float(np.sum(nll if w is None else w * nll) / n)
 
@@ -204,7 +200,7 @@ def loss_forward(
     return loss, probs, (dlogits, pre, post)
 
 
-def backward(params: ModelParams, cache: tuple, rows: np.ndarray | None = None) -> Gradients:
+def backward(params: ModelParams, cache: tuple, rows: np.ndarray | None = None) -> ModelParams:
     """Backpropagate a loss_forward cache; rows, when given, picks the batch
     rows to backpropagate.
 
@@ -228,7 +224,7 @@ def backward(params: ModelParams, cache: tuple, rows: np.ndarray | None = None) 
         gb[i] = dz.sum(axis=0)
         if i > 0:
             da = dz @ params.weights[i]
-    return Gradients(gw, gb)
+    return ModelParams(gw, gb)
 
 
 def loss_and_grads(
@@ -236,7 +232,7 @@ def loss_and_grads(
     inputs: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray | None = None,
-) -> tuple[float, Gradients, np.ndarray]:
+) -> tuple[float, ModelParams, np.ndarray]:
     """Weighted mean cross-entropy over a batch, with exact gradients.
 
     loss = -(1/N) * sum_j weights[j] * log probs[j, labels[j]], where labels
@@ -248,7 +244,7 @@ def loss_and_grads(
     return loss, backward(params, cache), probs
 
 
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One plain gradient step: params' = params - lr * grads."""
     if len(grads.weights) != params.n_layers:
         raise InternalError("gradient layer count does not match parameters")
@@ -258,10 +254,7 @@ def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     for b, gb_ in zip(params.biases, grads.biases):
         if b.shape != gb_.shape:
             raise InternalError(f"gradient shape {gb_.shape} does not match bias {b.shape}")
-    return ModelParams(
-        [w - lr * g for w, g in zip(params.weights, grads.weights)],
-        [b - lr * g for b, g in zip(params.biases, grads.biases)],
-    )
+    return params.add_scaled(grads, -lr)  # w + (-lr) * g has the bits of w - lr * g
 
 
 class SgdOptimizer:
@@ -274,13 +267,13 @@ class SgdOptimizer:
             raise InputError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self._velocity: Gradients | None = None
+        self._velocity: ModelParams | None = None
 
-    def step(self, params: ModelParams, grads: Gradients) -> ModelParams:
+    def step(self, params: ModelParams, grads: ModelParams) -> ModelParams:
         if self.momentum == 0.0:
             return sgd_step(params, grads, self.lr)
         if self._velocity is None:
-            self._velocity = Gradients(
+            self._velocity = ModelParams(
                 [np.zeros_like(w) for w in grads.weights],
                 [np.zeros_like(b) for b in grads.biases],
             )
@@ -297,37 +290,28 @@ def finite_diff_grads(
     labels: np.ndarray,
     weights: np.ndarray | None = None,
     step: float = 1e-6,
-) -> Gradients:
+) -> ModelParams:
     """Central finite-difference gradient oracle.
 
-    Perturbs every scalar parameter by +/- step and differences the batch
-    loss. Quadratic in parameter count; intended for small nets only.
+    Perturbs every scalar parameter of one copy by +/- step in place,
+    differences the batch loss and restores it, so params is not written.
+    Quadratic in parameter count; intended for small nets only.
     """
-
-    def loss_with(p: ModelParams) -> float:
-        return loss_and_grads(p, inputs, labels, weights)[0]
-
-    gw, gb = [], []
-    for li in range(params.n_layers):
-        for kind, store in (("w", gw), ("b", gb)):
-            base = params.weights[li] if kind == "w" else params.biases[li]
-            g = np.zeros_like(base)
-            it = np.nditer(base, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                p_hi = params.copy()
-                p_lo = params.copy()
-                tgt_hi = p_hi.weights[li] if kind == "w" else p_hi.biases[li]
-                tgt_lo = p_lo.weights[li] if kind == "w" else p_lo.biases[li]
-                tgt_hi[idx] += step
-                tgt_lo[idx] -= step
-                g[idx] = (loss_with(p_hi) - loss_with(p_lo)) / (2.0 * step)
-                it.iternext()
-            store.append(g)
-    return Gradients(gw, gb)
+    p = params.copy()
+    grads = ModelParams([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
+    for theta, g in zip(p.weights + p.biases, grads.weights + grads.biases):
+        for idx in np.ndindex(theta.shape):
+            orig = theta[idx]
+            theta[idx] = orig + step
+            hi = loss_forward(p, inputs, labels, weights)[0]
+            theta[idx] = orig - step
+            lo = loss_forward(p, inputs, labels, weights)[0]
+            theta[idx] = orig
+            g[idx] = (hi - lo) / (2.0 * step)
+    return grads
 
 
-def gradient_relative_error(analytic: Gradients, numeric: Gradients) -> float:
+def gradient_relative_error(analytic: ModelParams, numeric: ModelParams) -> float:
     """Max over parameter tensors of |a - f|_inf / max(|a|_inf, |f|_inf).
 
     The denominator is floored at 1e-3 so tensors whose true gradient is

@@ -623,6 +623,30 @@ class TestDispatcher:
         with pytest.raises(AcquisitionError, match="finite"):
             acquire(self.request("coreset"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("strategy", ["ucb-product", "ucb-product-div"])
+    def test_non_finite_tracked_score_rejected(self, strategy, value):
+        # Without the check, _top_k would drop a NaN and return K - 1 ids.
+        score = self.snapshot.score.copy()
+        score[3] = value
+        self.snapshot = dataclasses.replace(self.snapshot, score=score)
+        with pytest.raises(AcquisitionError, match="finite"):
+            acquire(self.request(strategy))
+
+    @pytest.mark.parametrize("field", ["probs", "embedding"])
+    @pytest.mark.parametrize("strategy", ["entropy", "margin", "snapshot-el2n", "ucb-product-div"])
+    def test_non_finite_pool_forward_rejected(self, monkeypatch, strategy, field):
+        real = nn.forward_batch
+
+        def damaged(params, x):
+            out = real(params, x)
+            getattr(out, field)[1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(nn, "forward_batch", damaged)
+        with pytest.raises(AcquisitionError, match="finite"):
+            acquire(self.request(strategy))
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             acquire(self.request("badge"))

@@ -9,6 +9,7 @@ never changed.
 """
 
 import ast
+import collections
 import functools
 import importlib.util
 import inspect
@@ -18,7 +19,7 @@ import sys
 import pytest
 
 import asslab
-from asslab import ssl
+from asslab import ExperimentConfig, GeneratorSpec, SslConfig, harness, ssl
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,6 +51,35 @@ def test_every_hook_is_defined_where_it_is_looked_up(layers):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in layers.hooks() if attr not in vars(owner)]
     assert missing == []
+
+
+def test_every_hook_is_called_by_a_sweep_that_uses_every_feature(layers, monkeypatch, tmp_path):
+    # A refactor that keeps a hooked name but stops calling it there would
+    # leave that span, and its per-layer metrics, silently empty.
+    calls = collections.Counter()
+
+    def counted(key, real):
+        @functools.wraps(real)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    keys = []
+    for owner, attr, *_ in layers.hooks():
+        key = f"{owner.__name__}.{attr}"
+        keys.append(key)
+        monkeypatch.setattr(owner, attr, counted(key, vars(owner)[attr]))
+    cfg = ExperimentConfig(
+        dataset=GeneratorSpec(size=200), n_init=10, acquire_k=5, rounds=2, n_test=40,
+        ssl=SslConfig(steps_per_round=20, snapshot_interval=10, hidden_dims=[8, 8],
+                      momentum=0.9, carry_tracker=True),
+        strategies=["ucb-product", "coreset"], seeds=[0], out_dir=str(tmp_path / "run"),
+        log_events=True,
+    )
+    harness.run_and_emit(cfg)
+    harness.analyze_dir(cfg.out_dir)
+    assert [key for key in keys if not calls[key]] == []
 
 
 def test_round_input_digest_takes_every_train_round_argument(layers):

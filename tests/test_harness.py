@@ -767,6 +767,14 @@ class TestEmit:
             emit(result, cfg, str(out))
         assert tree_bytes(out) == before
 
+    def test_out_dir_below_a_file_fails_before_training(self, tmp_path, monkeypatch):
+        (tmp_path / "file").write_bytes(b"")
+        trained = []
+        monkeypatch.setattr(harness, "train_round", lambda *a, **k: trained.append(a))
+        with pytest.raises(OSError):
+            run_and_emit(small_cfg(), out_dir=str(tmp_path / "file" / "run"))
+        assert trained == []
+
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "run"
         cfg = small_cfg()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 from asslab.errors import InputError, InternalError
 from asslab.nn import (
-    Gradients,
     ModelParams,
     SgdOptimizer,
     _forward_cached,
@@ -286,7 +285,7 @@ class TestSgd:
     def test_zero_grads_no_change(self):
         rng = np.random.default_rng(6)
         params = init_params([2, 4, 3], rng)
-        zeros = Gradients(
+        zeros = ModelParams(
             [np.zeros_like(w) for w in params.weights],
             [np.zeros_like(b) for b in params.biases],
         )
@@ -296,19 +295,34 @@ class TestSgd:
 
     def test_scalar_step(self):
         params = ModelParams([np.array([[1.0]])], [np.zeros(1)])
-        grads = Gradients([np.array([[2.0]])], [np.zeros(1)])
+        grads = ModelParams([np.array([[2.0]])], [np.zeros(1)])
         after = sgd_step(params, grads, 0.1)
         np.testing.assert_allclose(after.weights[0], [[0.8]], rtol=0, atol=1e-15)
 
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lr=st.floats(1e-6, 10.0))
+    def test_step_has_the_bits_of_params_minus_lr_grads(self, seed, lr):
+        rng = np.random.default_rng(seed)
+        params = init_params([3, 7, 4], rng)
+        grads = ModelParams([rng.normal(size=w.shape) for w in params.weights],
+                            [rng.normal(size=b.shape) for b in params.biases])
+        before = [bits(a) for a in params.weights + params.biases + grads.weights + grads.biases]
+        after = sgd_step(params, grads, lr)
+        for got, p, g in zip(after.weights + after.biases, params.weights + params.biases,
+                             grads.weights + grads.biases):
+            assert bits(got) == bits(p - lr * g)
+        assert [bits(a) for a in params.weights + params.biases
+                + grads.weights + grads.biases] == before
+
     def test_shape_mismatch(self):
         params = init_params([2, 3], np.random.default_rng(0))
-        bad = Gradients([np.zeros((4, 2))], [np.zeros(3)])
+        bad = ModelParams([np.zeros((4, 2))], [np.zeros(3)])
         with pytest.raises(InternalError):
             sgd_step(params, bad, 0.1)
 
     def test_momentum_accumulates(self):
         params = ModelParams([np.array([[0.0]])], [np.zeros(1)])
-        g = Gradients([np.array([[1.0]])], [np.zeros(1)])
+        g = ModelParams([np.array([[1.0]])], [np.zeros(1)])
         opt = SgdOptimizer(lr=1.0, momentum=0.5)
         p1 = opt.step(params, g)  # v=1, w=-1
         p2 = opt.step(p1, g)  # v=1.5, w=-2.5
@@ -363,10 +377,10 @@ class TestDeterminism:
 
 class TestGradientOracle:
     def test_relative_error_metric(self):
-        g = Gradients([np.array([[1.0, 2.0]])], [np.array([3.0])])
-        same = Gradients([np.array([[1.0, 2.0]])], [np.array([3.0])])
+        g = ModelParams([np.array([[1.0, 2.0]])], [np.array([3.0])])
+        same = ModelParams([np.array([[1.0, 2.0]])], [np.array([3.0])])
         assert gradient_relative_error(g, same) == 0.0
-        off = Gradients([np.array([[1.0, 2.0 + 1e-8]])], [np.array([3.0])])
+        off = ModelParams([np.array([[1.0, 2.0 + 1e-8]])], [np.array([3.0])])
         err = gradient_relative_error(g, off)
         np.testing.assert_allclose(err, 1e-8 / 2.0, rtol=1e-6)
 
@@ -378,3 +392,13 @@ class TestGradientOracle:
         fd = finite_diff_grads(params, x, y)
         an = backward(params, x, y)
         assert gradient_relative_error(an, fd) < 1e-6
+
+    def test_finite_diff_leaves_params_unwritten(self):
+        rng = np.random.default_rng(12)
+        params = init_params([3, 4, 3], rng)
+        params.biases = [rng.normal(size=b.shape) for b in params.biases]
+        arrays = params.weights + params.biases
+        before = [bits(a) for a in arrays]
+        finite_diff_grads(params, rng.normal(size=(5, 3)), rng.integers(0, 3, size=5))
+        assert all(a is b for a, b in zip(params.weights + params.biases, arrays))
+        assert [bits(a) for a in arrays] == before
