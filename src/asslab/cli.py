@@ -1,4 +1,4 @@
-"""Command line entry points: run a sweep, re-analyze a run, check gradients."""
+"""Command line entry points: run a sweep, re-analyze a run."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import sys
 from .config import read_json
 from .errors import AsslabError
 from .harness import ExperimentConfig, analyze_dir, run_and_emit
-from .nn import run_gradient_check
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -29,7 +28,6 @@ def _cmd_run(args) -> int:
     cfg = load_config_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=[args.seed])
-        cfg.validate()
     out_dir = args.out if args.out is not None else cfg.out_dir
     result = run_and_emit(cfg, out_dir=out_dir, progress=_print_progress)
     print(f"wrote {out_dir}")
@@ -48,15 +46,6 @@ def _cmd_analyze(args) -> int:
     analyze_dir(args.in_dir)
     print(f"rebuilt analysis under {args.in_dir}")
     return 0
-
-
-def _cmd_gradcheck(args) -> int:
-    errors = run_gradient_check(n_instances=args.instances, seed=args.seed)
-    worst = max(errors)
-    for i, err in enumerate(errors):
-        print(f"instance {i}: max relative error {err:.3e}")
-    print(f"worst: {worst:.3e} ({'ok' if worst < 1e-6 else 'FAILED'})")
-    return 0 if worst < 1e-6 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="an emitted run directory")
     analyze_p.set_defaults(func=_cmd_analyze)
 
-    grad_p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    grad_p.add_argument("--instances", type=int, default=20)
-    grad_p.add_argument("--seed", type=int, default=0)
-    grad_p.set_defaults(func=_cmd_gradcheck)
     return parser
 
 

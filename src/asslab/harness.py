@@ -506,6 +506,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def run_and_emit(cfg: ExperimentConfig, out_dir: str | None = None,
                  progress=None) -> ExperimentResult:
+    cfg.validate()  # before out_dir is made
     out_dir = out_dir if out_dir is not None else cfg.out_dir
     _check_out_dir(cfg, out_dir)  # before any training, and so is a bad output path
     os.makedirs(out_dir, exist_ok=True)

@@ -2,8 +2,7 @@
 
 Everything runs in 64-bit numpy. The network is a plain ReLU MLP whose
 penultimate activations double as the feature embedding used by
-diversity-based acquisition. A central finite-difference oracle is
-included so the analytic backward pass can be checked independently.
+diversity-based acquisition.
 """
 
 from __future__ import annotations
@@ -282,85 +281,3 @@ class SgdOptimizer:
             vel *= self.momentum
             vel += g
         return sgd_step(params, v, self.lr)
-
-
-def finite_diff_grads(
-    params: ModelParams,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray | None = None,
-    step: float = 1e-6,
-) -> ModelParams:
-    """Central finite-difference gradient oracle.
-
-    Perturbs every scalar parameter of one copy by +/- step in place,
-    differences the batch loss and restores it, so params is not written.
-    Quadratic in parameter count; intended for small nets only.
-    """
-    p = params.copy()
-    grads = ModelParams([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
-    for theta, g in zip(p.weights + p.biases, grads.weights + grads.biases):
-        for idx in np.ndindex(theta.shape):
-            orig = theta[idx]
-            theta[idx] = orig + step
-            hi = loss_forward(p, inputs, labels, weights)[0]
-            theta[idx] = orig - step
-            lo = loss_forward(p, inputs, labels, weights)[0]
-            theta[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * step)
-    return grads
-
-
-def gradient_relative_error(analytic: ModelParams, numeric: ModelParams) -> float:
-    """Max over parameter tensors of |a - f|_inf / max(|a|_inf, |f|_inf).
-
-    The denominator is floored at 1e-3 so tensors whose true gradient is
-    (near) zero are judged by absolute error against the finite-difference
-    noise floor instead of blowing up the ratio.
-    """
-    worst = 0.0
-    for a, f in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):
-        num = float(np.max(np.abs(a - f))) if a.size else 0.0
-        den = max(float(np.max(np.abs(a))) if a.size else 0.0,
-                  float(np.max(np.abs(f))) if f.size else 0.0,
-                  1e-3)
-        worst = max(worst, num / den)
-    return worst
-
-
-def run_gradient_check(
-    n_instances: int = 20, seed: int = 0, step: float = 1e-6
-) -> list[float]:
-    """Check analytic vs finite-difference gradients on random nets/batches.
-
-    Returns the per-instance max relative errors. Architectures, weights,
-    inputs, class labels, and positive per-example weights are all drawn
-    at random from the given seed, which must be nonnegative.
-    """
-    if n_instances < 1:
-        raise InputError(f"n_instances must be at least 1, got {n_instances}")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_instances):
-        d_in = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 5))
-        n_hidden = int(rng.integers(0, 3))
-        dims = [d_in] + [int(rng.integers(3, 8)) for _ in range(n_hidden)] + [k]
-        params = init_params(dims, rng)
-        n = int(rng.integers(1, 6))
-        # ReLU kinks break the quadratic error model of central differences,
-        # so redraw any batch whose pre-activations sit within the step
-        # neighborhood of a kink.
-        while True:
-            x = rng.normal(size=(n, d_in))
-            _, pre, _ = _forward_cached(params, x)
-            if all(np.min(np.abs(z)) > 1e-3 for z in pre) if pre else True:
-                break
-        y = rng.integers(0, k, size=n)
-        w = rng.uniform(0.2, 2.0, size=n)
-        analytic = loss_and_grads(params, x, y, w)[1]
-        numeric = finite_diff_grads(params, x, y, w, step=step)
-        errors.append(gradient_relative_error(analytic, numeric))
-    return errors

@@ -3,7 +3,12 @@
 The scalar references follow their definitions one sample at a time, in
 plain Python except for the per-sample matrix products of the forward
 pass. soft_target_loss_and_grads is the cross-entropy formula for any
-target distribution, which integer labels replaced. uncertainty_norm and
+target distribution, which integer labels replaced. finite_diff_grads is
+the gradient oracle: central differences of weighted_nll, the weighted
+mean NLL of forward, taken one scalar parameter at a time, and
+gradient_relative_error the measure it is compared by. gradient_cases
+draws the random nets and batches of the gradient check, the weights as
+asslab.nn.init_params draws them, away from the ReLU kinks. uncertainty_norm and
 inconsistency_two_logs are the tracker's batch statistics as first
 written, the one-hot difference through np.linalg.norm and one log
 difference per KL term; the tracker must match them bit for bit.
@@ -31,6 +36,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -401,6 +407,88 @@ def soft_target_loss_and_grads(params, x, targets, weights):
         if i > 0:
             da = dz @ params.weights[i]
     return loss, (gw, gb), probs
+
+
+def weighted_nll(params, x, y, weights=None) -> float:
+    """(1/N) * sum_j weights[j] * -log probs[j, y[j]], through forward one
+    sample at a time; weights default to one per row."""
+    w = [1.0] * len(y) if weights is None else weights
+    return sum(float(wj) * -math.log(forward(params, xj)[0][int(yj)])
+               for xj, yj, wj in zip(x, y, w)) / len(y)
+
+
+def finite_diff_grads(params, x, y, weights=None, step: float = 1e-6) -> list[np.ndarray]:
+    """Central finite differences of weighted_nll: the weight gradients,
+    then the bias gradients, one array per layer.
+
+    Perturbs every scalar of one copy of params by +/- step in place and
+    restores it, so params is not written. Quadratic in parameter count;
+    meant for small nets only.
+    """
+    p = SimpleNamespace(weights=[w.copy() for w in params.weights],
+                        biases=[b.copy() for b in params.biases])
+    grads = []
+    for theta in p.weights + p.biases:
+        g = np.zeros_like(theta)
+        for idx in np.ndindex(theta.shape):
+            orig = theta[idx]
+            theta[idx] = orig + step
+            hi = weighted_nll(p, x, y, weights)
+            theta[idx] = orig - step
+            lo = weighted_nll(p, x, y, weights)
+            theta[idx] = orig
+            g[idx] = (hi - lo) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
+def gradient_relative_error(analytic, numeric) -> float:
+    """Max over paired arrays of |a - f|_inf / max(|a|_inf, |f|_inf, 1e-3).
+
+    The floor judges an array whose true gradient is (near) zero by its
+    absolute error against the finite-difference noise floor.
+    """
+    worst = 0.0
+    for a, f in zip(analytic, numeric):
+        if a.size:
+            den = max(float(np.max(np.abs(a))), float(np.max(np.abs(f))), 1e-3)
+            worst = max(worst, float(np.max(np.abs(a - f))) / den)
+    return worst
+
+
+def gradient_cases(n_instances: int, seed: int):
+    """Yield n_instances random (weights, biases, x, y, w) gradient-check cases.
+
+    Each draws a net of 0-2 hidden layers, its weights the way
+    asslab.nn.init_params draws them (zero biases), a batch of 1-5 rows,
+    one integer class per row and positive per-row weights. ReLU kinks break
+    the quadratic error model of central differences, so a batch whose
+    pre-activations come within 1e-3 of a kink is redrawn.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n_instances):
+        d_in = int(rng.integers(2, 6))
+        k = int(rng.integers(2, 5))
+        n_hidden = int(rng.integers(0, 3))
+        dims = [d_in] + [int(rng.integers(3, 8)) for _ in range(n_hidden)] + [k]
+        weights, biases = [], []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
+            biases.append(np.zeros(fan_out))
+        n = int(rng.integers(1, 6))
+        while True:
+            x = rng.normal(size=(n, d_in))
+            a, near_kink = x, False
+            for w, b in zip(weights[:-1], biases[:-1]):
+                z = a @ w.T + b
+                near_kink |= bool(np.min(np.abs(z)) <= 1e-3)
+                a = np.maximum(z, 0.0)
+            if not near_kink:
+                break
+        y = rng.integers(0, k, size=n)
+        w = rng.uniform(0.2, 2.0, size=n)
+        yield weights, biases, x, y, w
 
 
 def import_dataset(path):

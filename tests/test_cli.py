@@ -305,14 +305,6 @@ class TestAnalyzeCommand:
         assert "manifest" in capsys.readouterr().err
 
 
-class TestGradcheckCommand:
-    def test_gradcheck_passes(self, capsys):
-        assert main(["gradcheck", "--instances", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "instance 0" in out
-        assert "ok" in out
-
-
 def _config_directory(tmp_path):
     (tmp_path / "cfg").mkdir()
     return ["run", "--config", str(tmp_path / "cfg")]
@@ -346,9 +338,13 @@ def _huge(**overrides):
     return case
 
 
+def _run_negative_seed(tmp_path):
+    return ["run", "--config", str(write_config(tmp_path / "cfg.json")),
+            "--seed", "-1", "--out", str(tmp_path / "out")]
+
+
 BAD_INPUTS = {
-    "gradcheck-zero-instances": lambda tmp_path: ["gradcheck", "--instances", "0"],
-    "gradcheck-negative-seed": lambda tmp_path: ["gradcheck", "--seed", "-1"],
+    "run-negative-seed": _run_negative_seed,
     "ucb-round0-too-short": _ucb_round0_too_short,
     "config-is-a-directory": _config_directory,
     "config-not-utf8": _config_not_utf8,

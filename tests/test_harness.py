@@ -775,6 +775,11 @@ class TestEmit:
             run_and_emit(small_cfg(), out_dir=str(tmp_path / "file" / "run"))
         assert trained == []
 
+    def test_invalid_config_makes_no_out_dir(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run_and_emit(ExperimentConfig(seeds=[-1]), out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "run"
         cfg = small_cfg()

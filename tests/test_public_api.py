@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -7,7 +8,7 @@ import subprocess
 import sys
 
 import asslab
-from asslab import ExperimentConfig, ExperimentResult, emit
+from asslab import ExperimentConfig, ExperimentResult, cli, emit
 
 SRC = pathlib.Path(asslab.__file__).resolve().parent
 
@@ -15,8 +16,8 @@ SRC = pathlib.Path(asslab.__file__).resolve().parent
 COLD_MODULES = ("numpy.ma", "importlib.metadata", "email")
 
 # Imports asslab, runs a tiny all-strategy sweep with its event log, rebuilds
-# its analysis and runs one gradient check, then prints which of
-# COLD_MODULES got imported.
+# its analysis, once directly and once through the CLI, then prints which
+# of COLD_MODULES got imported.
 COLD_START = """
 import contextlib, io, sys
 from asslab import ExperimentConfig, GeneratorSpec, SslConfig, analyze_dir, cli, run_and_emit
@@ -27,7 +28,7 @@ cfg = ExperimentConfig(
 run_and_emit(cfg, sys.argv[2])
 analyze_dir(sys.argv[2])
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["gradcheck", "--instances", "1"]) == 0
+    assert cli.main(["analyze", "--in", sys.argv[2]]) == 0
 print([name for name in sys.argv[1].split(",") if name in sys.modules])
 """
 
@@ -47,6 +48,16 @@ def test_all_is_pinned():
         "ti_uncertainty_profile", "tracker", "train_round",
     ]
     assert all(hasattr(asslab, name) for name in asslab.__all__)
+
+
+def test_cli_is_pinned():
+    # Any new subcommand or option shows up in this literal's diff.
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: sorted(opt for action in parser._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, parser in sub.choices.items()} == {
+        "analyze": ["--in"], "run": ["--config", "--out", "--seed"]}
 
 
 def test_every_definition_is_used_by_the_package():
