@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -232,6 +233,46 @@ class TestStrongBackward:
             assert a.tobytes() == b.tobytes()
         assert metrics == want_metrics
         assert tracker._mean.tobytes() == want_tracker._mean.tobytes()
+
+
+def round_sha256(params, metrics, tracker) -> str:
+    """SHA-256 of a round's params, loss and mask means, and tracker
+    snapshot arrays."""
+    snap = tracker.snapshot()
+    h = hashlib.sha256()
+    for a in [*params.weights, *params.biases, *metrics.series.uncertainty,
+              np.array([metrics.supervised_loss, metrics.unsupervised_loss,
+                        metrics.mask_rate, metrics.test_accuracy]),
+              snap.u_mean, snap.u_var, snap.i_mean, snap.i_var, snap.score, snap.counts]:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestShapePins:
+    """One training round's bits at both benchmark shapes. BLAS rounding
+    depends on the matrix shapes, which the 8-wide golden sweep does not
+    cover. tau is lowered so that the steps pseudo-label a varying number
+    of strong rows."""
+
+    def test_default_net(self):
+        ds, pools = make_problem(size=2000, noise=0.25, n_init=20, n_test=200)
+        cfg = SslConfig(steps_per_round=40, snapshot_interval=20, tau=0.7)
+        out, metrics, tracker = run_once(cfg, ds, pools)
+        assert 0.0 < metrics.mask_rate < 1.0
+        assert round_sha256(out, metrics, tracker) == DEFAULT_NET_SHA256
+
+    def test_wide_net_with_momentum(self):
+        ds, pools = make_problem(kind="concentric-rings", size=1000, noise=0.25, n_classes=3,
+                                 n_init=30, n_test=100)
+        cfg = SslConfig(steps_per_round=40, batch_size=64, momentum=0.9, tau=0.6,
+                        snapshot_interval=20, hidden_dims=[256, 256])
+        out, metrics, tracker = run_once(cfg, ds, pools)
+        assert 0.0 < metrics.mask_rate < 1.0
+        assert round_sha256(out, metrics, tracker) == WIDE_NET_SHA256
+
+
+DEFAULT_NET_SHA256 = "d4bfcd48d05a15f93476f8ca2ffa3ff764febb9243624f1204705aaf6b6ba662"
+WIDE_NET_SHA256 = "3f7b016206137e0fdf6bf296f55bd8032a1c47907465153b6e2dfd32b57b7292"
 
 
 class TestConfig:
