@@ -3,11 +3,12 @@
 Configs arrive as JSON-shaped dicts (a config file, a manifest, each read
 by read_json) or are built in Python. Either way validate() checks every
 field against its annotation before the class's own range checks: an int
-field takes an integer but not a bool, a float field takes a finite int or
-float but not a bool, bool and str fields take only their own type, a list
-field takes a list whose elements are checked the same way, and a nested
-config section takes its config class. Values are kept as given, so an int
-in a float field stays an int and serializes back unchanged.
+field takes an integer but not a bool, a float field takes an int or float
+that converts to a finite float but not a bool, bool and str fields take
+only their own type, a list field takes a list whose elements are checked
+the same way, and a nested config section takes its config class. Values
+are kept as given, so an int in a float field stays an int and serializes
+back unchanged.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ def _check(tp, value, key: str) -> None:
             _check(item, v, f"{key}[{i}]")
         return
     if tp is float:
-        ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        try:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            ok = False
     else:
         ok = isinstance(value, tp)
     if not ok or isinstance(value, bool) and tp is not bool:

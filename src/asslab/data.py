@@ -241,7 +241,7 @@ class Augmenter:
         x = np.asarray(x, dtype=np.float64)
         n, d = x.shape
         out = x + self.sigma_s * rng.standard_normal((n, d))
-        out = out * rng.uniform(self.scale_low, self.scale_high, size=(n, d))
+        out *= rng.uniform(self.scale_low, self.scale_high, size=(n, d))
         u = rng.random(size=n)
         j = rng.integers(0, d, size=n)
         dropped = u < self.drop_prob

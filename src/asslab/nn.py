@@ -96,15 +96,14 @@ def init_params(layer_dims: list[int], rng: np.random.Generator) -> ModelParams:
 def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(probs, shifted, sums) of a row-wise softmax: shifted = logits - row max,
     sums = row sums of exp(shifted), so log probs = shifted - log(sums)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     return e / total, shifted, total
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability."""
-    return _softmax_parts(np.asarray(logits, dtype=np.float64))[0]
+def _relu_in_place(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=z)
 
 
 def _forward(params: ModelParams, x: np.ndarray, relu) -> tuple[np.ndarray, np.ndarray]:
@@ -124,15 +123,14 @@ def _forward(params: ModelParams, x: np.ndarray, relu) -> tuple[np.ndarray, np.n
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass over a batch, keeping every layer's pre/post activations."""
-    pre, post = [], [x]
+    """(logits, inputs of every layer) of a batch."""
+    post = [x]
 
     def relu(z):
-        pre.append(z)
-        post.append(np.maximum(z, 0.0))
-        return post[-1]
+        post.append(_relu_in_place(z))
+        return z
 
-    return _forward(params, x, relu)[0], pre, post
+    return _forward(params, x, relu)[0], post
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
@@ -146,8 +144,8 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> ForwardResult:
             f"input shape {x.shape} does not match network input dim {params.input_dim}"
         )
     forward_counter.add(x.shape[0])
-    logits, embedding = _forward(params, x, lambda z: np.maximum(z, 0.0, out=z))
-    return ForwardResult(probs=softmax(logits), embedding=embedding)
+    logits, embedding = _forward(params, x, _relu_in_place)
+    return ForwardResult(probs=_softmax_parts(logits)[0], embedding=embedding)
 
 
 def _as_batch(params, inputs, labels, weights):
@@ -162,7 +160,7 @@ def _as_batch(params, inputs, labels, weights):
             f"input dim {x.shape[1]} does not match network input dim {params.input_dim}"
         )
     if (y.shape != (x.shape[0],) or y.dtype.kind not in "iu"
-            or y.min() < 0 or y.max() >= params.n_classes):
+            or np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= params.n_classes):
         raise InputError(f"labels must be one integer in [0, {params.n_classes}) per row")
     w = None
     if weights is not None:
@@ -181,22 +179,22 @@ def loss_forward(
     """The forward and loss half of loss_and_grads: (loss, probs, cache).
 
     backward(params, cache) gives the gradients. cache holds d loss /
-    d logits and every layer's activations, one row per batch row.
+    d logits and every layer's input, one row per batch row.
     """
     x, y, w = _as_batch(params, inputs, labels, weights)
     n = x.shape[0]
     rows = np.arange(n)
     forward_counter.add(n)
-    logits, pre, post = _forward_cached(params, x)
+    logits, post = _forward_cached(params, x)
     probs, shifted, total = _softmax_parts(logits)  # the one log-softmax
     nll = -(shifted[rows, y] - np.log(total[:, 0]))
-    loss = float(np.sum(nll if w is None else w * nll) / n)
+    loss = float(np.add.reduce(nll if w is None else w * nll)) / n
 
     # d loss / d logits = (w/N) * (p - onehot(y)).
     dlogits = probs.copy()
     dlogits[rows, y] -= 1.0
     dlogits *= 1.0 / n if w is None else (w / n)[:, None]
-    return loss, probs, (dlogits, pre, post)
+    return loss, probs, (dlogits, post)
 
 
 def backward(params: ModelParams, cache: tuple, rows: np.ndarray | None = None) -> ModelParams:
@@ -207,20 +205,20 @@ def backward(params: ModelParams, cache: tuple, rows: np.ndarray | None = None) 
     zero, leaves the exact gradient; BLAS may still round a sum over fewer
     rows differently.
     """
-    dlogits, pre, post = cache
+    dlogits, post = cache
     if rows is not None:
         dlogits = dlogits[rows]
-        pre = [z[rows] for z in pre]
         post = [a[rows] for a in post]
-    gw = [np.empty(0)] * params.n_layers
-    gb = [np.empty(0)] * params.n_layers
+    gw = [None] * params.n_layers
+    gb = [None] * params.n_layers
     gw[-1] = dlogits.T @ post[-1]
-    gb[-1] = dlogits.sum(axis=0)
+    gb[-1] = np.add.reduce(dlogits, axis=0)
     da = dlogits @ params.weights[-1]
     for i in range(params.n_layers - 2, -1, -1):
-        dz = da * (pre[i] > 0)
+        # relu(z) > 0 exactly where z > 0; da is a fresh product.
+        dz = np.multiply(da, post[i + 1] > 0, out=da)
         gw[i] = dz.T @ post[i]
-        gb[i] = dz.sum(axis=0)
+        gb[i] = np.add.reduce(dz, axis=0)
         if i > 0:
             da = dz @ params.weights[i]
     return ModelParams(gw, gb)
@@ -245,14 +243,10 @@ def loss_and_grads(
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One plain gradient step: params' = params - lr * grads."""
-    if len(grads.weights) != params.n_layers:
-        raise InternalError("gradient layer count does not match parameters")
-    for w, gw_ in zip(params.weights, grads.weights):
-        if w.shape != gw_.shape:
-            raise InternalError(f"gradient shape {gw_.shape} does not match weight {w.shape}")
-    for b, gb_ in zip(params.biases, grads.biases):
-        if b.shape != gb_.shape:
-            raise InternalError(f"gradient shape {gb_.shape} does not match bias {b.shape}")
+    want = [a.shape for a in params.weights + params.biases]
+    got = [a.shape for a in grads.weights + grads.biases]
+    if got != want:
+        raise InternalError(f"gradient shapes {got} do not match parameters {want}")
     return params.add_scaled(grads, -lr)  # w + (-lr) * g has the bits of w - lr * g
 
 

@@ -13,6 +13,8 @@ emits.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,8 @@ class SslConfig(DictConfig):
         for name in ("steps_per_round", "batch_size", "mu", "snapshot_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.steps_per_round > sys.maxsize // 8:  # its float64 losses are past numpy's largest
+            raise ConfigError(f"steps_per_round {self.steps_per_round} exceeds the largest array")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if self.lambda_u < 0:
@@ -136,7 +140,7 @@ def _backprop_rows(mask: np.ndarray) -> np.ndarray:
     BLAS computes a one-row product as gemv, which rounds differently
     from the gemm over the whole batch.
     """
-    rows = np.flatnonzero(mask)
+    rows = mask.nonzero()[0]
     if len(rows) == 1 and len(mask) > 1:
         rows = np.array([0, rows[0]] if rows[0] else [0, 1])
     return rows
@@ -231,20 +235,25 @@ def train_round(
         x_unl_weak = augmenter.weak_batch(x_unl, rng)
         x_unl_strong = augmenter.strong_batch(x_unl, rng)
 
-        sup_loss, sup_grads, _ = nn.loss_and_grads(params, x_lab, dataset.y[batch_lab])
+        sup_loss, grads, _ = nn.loss_and_grads(params, x_lab, dataset.y[batch_lab])
         probs_weak = nn.forward_batch(params, x_unl_weak).probs
         pl, mask = pseudo_label_batch(probs_weak, cfg.tau)
         unsup_loss, probs_strong, strong_cache = nn.loss_forward(
             params, x_unl_strong, pl, weights=mask
         )
         rows = _backprop_rows(mask)
-        grads = sup_grads
         if rows.size:
-            grads = sup_grads.add_scaled(nn.backward(params, strong_cache, rows), cfg.lambda_u)
+            # grads += lambda_u * unsup_grads, in place in the fresh arrays,
+            # with the two roundings of add_scaled.
+            unsup_grads = nn.backward(params, strong_cache,
+                                      None if rows.size == len(mask) else rows)
+            for g, u in zip(grads.weights + grads.biases,
+                            unsup_grads.weights + unsup_grads.biases):
+                np.add(g, np.multiply(u, cfg.lambda_u, out=u), out=g)
         del strong_cache  # its activations stay out of the pool snapshot's peak
 
         total = sup_loss + cfg.lambda_u * unsup_loss
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise TrainingError(f"non-finite loss {total} at step {step}", step=step)
 
         offset = 0
@@ -258,7 +267,7 @@ def train_round(
             if epoch_rows == len(unlabeled_ids):
                 _ingest_epoch(tracker, epoch)
                 epoch, epoch_rows = [], 0
-        masked_count += int(mask.sum())
+        masked_count += np.count_nonzero(mask)
         sup_losses[step - 1] = sup_loss
         unsup_losses[step - 1] = unsup_loss
         params = optimizer.step(params, grads)

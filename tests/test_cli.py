@@ -381,10 +381,11 @@ FUZZ_BASE = {
     "stratify_init": True, "log_events": True,
 }
 # Leaves whose value sizes an array. At 2**50 or more every array they
-# size needs at least 2**50 bytes, so no allocation can succeed; no other
-# leaf gets a huge value, since a huge step count is a long run, not an error.
-SIZE_LEAVES = [("dataset", "size"), ("ssl", "batch_size"), ("ssl", "mu"),
-               ("ssl", "hidden_dims", 0), ("ssl", "hidden_dims", 1)]
+# size needs at least 2**50 bytes, so no allocation can succeed, and the
+# run fails at once: the step count sizes the per-step loss arrays before
+# the first step. No other leaf gets a huge value.
+SIZE_LEAVES = [("dataset", "size"), ("ssl", "steps_per_round"), ("ssl", "batch_size"),
+               ("ssl", "mu"), ("ssl", "hidden_dims", 0), ("ssl", "hidden_dims", 1)]
 
 
 def _leaves(node, path=()):
@@ -396,15 +397,22 @@ def _leaves(node, path=()):
             yield path + (key,)
 
 
+def _at(node, path):
+    return functools.reduce(lambda n, k: n[k], path, node)
+
+
 @st.composite
 def mutated_configs(draw):
-    """FUZZ_BASE with one leaf given a wrong type, a negative, a non-finite
-    or (for a size leaf) a huge value."""
+    """FUZZ_BASE with one leaf given a wrong type, a negative, a non-finite,
+    (for a size leaf) a huge value or (for a float leaf) an int past the
+    float range."""
     cfg = copy.deepcopy(FUZZ_BASE)
-    kind = draw(st.sampled_from(["type", "negative", "non-finite", "huge"]))
-    path = draw(st.sampled_from(SIZE_LEAVES if kind == "huge" else list(_leaves(cfg))))
+    kind = draw(st.sampled_from(["type", "negative", "non-finite", "huge", "past-float"]))
+    leaves = {"huge": SIZE_LEAVES,
+              "past-float": [p for p in _leaves(cfg) if isinstance(_at(cfg, p), float)]}
+    path = draw(st.sampled_from(leaves.get(kind) or list(_leaves(cfg))))
     *parents, key = path
-    node = functools.reduce(lambda n, k: n[k], parents, cfg)
+    node = _at(cfg, parents)
     if kind == "type":
         node[key] = draw(st.sampled_from(["x", [], {}, None, True, 0.5, 7]))
     elif kind == "negative":
@@ -412,8 +420,10 @@ def mutated_configs(draw):
         node[key] = -abs(old) - 1 if isinstance(old, (int, float)) else -1
     elif kind == "non-finite":
         node[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    else:
+    elif kind == "huge":
         node[key] = draw(st.integers(2**50, 2**62))
+    else:
+        node[key] = draw(st.sampled_from([1, -1])) * draw(st.integers(2**1024, 10**400))
     return cfg
 
 

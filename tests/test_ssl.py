@@ -300,6 +300,9 @@ class TestConfig:
             {"hidden_dims": []},
             {"lr": math.nan, "lambda_u": math.nan},
             {"hidden_dims": [8, True]},
+            {"lr": 10**400},  # an int past the float range
+            {"lambda_u": 2**1024},
+            {"steps_per_round": 2**62},  # its loss arrays are past numpy's largest
         ]:
             with pytest.raises(ConfigError):
                 SslConfig(**kw).validate()
