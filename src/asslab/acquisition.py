@@ -54,6 +54,17 @@ _SKIP_SLACK = 4 * (1 + 1e-6) ** 2
 # Squared covers below this may have lost bits to subnormal underflow, so
 # the bound is not used for them.
 _SKIP_FLOOR = 2.0**-900
+# The labeled pass's screen trusts a Gram-trick squared distance
+# G = |x|^2 - 2 x.c + |c|^2 to within (d + 4) * _SCREEN_SLACK * S + 1e-300
+# of _fold_rows's norm form N, at width d and S = |x|^2 + |c|^2. With
+# u = eps / 2 and g_d = d u / (1 - d u), the two norms and the dot product
+# are each within g_d of their sums of absolute terms in any summation
+# order (so any BLAS), and G's two additions add 4 u S: G is within
+# 2 g_d S + 4 u S of the exact distance D <= 2 S, and N within g_(d+2) D.
+# That is under 5 g_(d+2) S, which 16 (d + 4) u S covers with room for the
+# screen's own rounding. Fewer than 10 d operations each lose at most
+# 2**-1075 to subnormal underflow, which 1e-300 covers.
+_SCREEN_SLACK = 8 * np.finfo(np.float64).eps
 
 
 def _fold_rows(emb, rows, center, t, cover, owner, root, block, block_dist) -> None:
@@ -92,9 +103,12 @@ def _coreset(
     center c cannot lower the cover of a row x owned by o when
     |c - o| >= 2 |x - o|, since then |x - c| >= |c - o| - |x - o| >=
     |x - o| (the triangle inequality); such rows are skipped, with
-    _SKIP_SLACK and _SKIP_FLOOR keeping rounding out of the bound. Every
-    other row is folded by _fold_rows, so the picks and distances have
-    the bits of the form that folds every row.
+    _SKIP_SLACK and _SKIP_FLOOR keeping rounding out of the bound. The
+    labeled pass folds a labeled center only into the rows whose nearest
+    it may be, by one Gram-trick screen per block (_SCREEN_SLACK); a row
+    with a non-finite screen value keeps every center. Every row not ruled
+    out is folded by _fold_rows, so the picks and distances have the bits
+    of the form that folds every row.
     """
     n, m, dim = len(emb), len(labeled_emb), emb.shape[1]
     block = np.empty((min(n, _BLOCK_ROWS), dim))
@@ -104,7 +118,7 @@ def _coreset(
     cover = np.full(n, np.inf)
     owner = np.full(n, -1)  # a row in centers; -1 for none yet
 
-    def fold(t: int, root: bool) -> None:
+    def fold(t: int) -> None:
         c = centers[t]
         with np.errstate(over="ignore"):
             diff = centers[:t] - c
@@ -112,15 +126,28 @@ def _coreset(
             # -1 never reaches a bound: the entry of an overflowed distance,
             # and cc[-1], the one that rows without an owner read.
             cc = np.append(np.where(cc < np.inf, cc, -1.0), -1.0)
-            sq = cover * cover if root else cover
+            sq = cover * cover
             skip = (sq >= _SKIP_FLOOR) & (cc[owner] >= _SKIP_SLACK * sq)
         skip |= cover == -np.inf  # picked rows
-        _fold_rows(emb, np.flatnonzero(~skip), c, t, cover, owner, root, block, block_dist)
+        _fold_rows(emb, np.flatnonzero(~skip), c, t, cover, owner, True, block, block_dist)
 
+    cand = np.empty((m, n), dtype=bool)  # cand[t, i]: center t may be row i's nearest
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = np.einsum("ij,ij->i", labeled_emb, labeled_emb)
+        for lo in range(0, n, _BLOCK_ROWS):
+            x = emb[lo : lo + _BLOCK_ROWS]
+            x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+            g = np.subtract(x_sq, x @ (2.0 * labeled_emb.T))
+            g += c_sq
+            err = (dim + 4) * _SCREEN_SLACK * (x_sq + c_sq) + 1e-300
+            hi = g + err
+            keep_all = ~np.isfinite(hi).all(axis=1, keepdims=True)
+            hi = np.minimum.reduce(hi, axis=1, initial=np.inf, keepdims=True)
+            cand[:, lo : lo + len(x)] = ((g - err <= hi) | keep_all).T
     # The labeled pass keeps squared distances and takes one sqrt at the
     # end: sqrt is monotone and correctly rounded, so sqrt(min) == min(sqrt).
-    for t in range(m):
-        fold(t, root=False)
+    for t, rows in enumerate(cand):
+        _fold_rows(emb, np.flatnonzero(rows), centers[t], t, cover, owner, False, block, block_dist)
     np.sqrt(cover, out=cover)
     picked, dists = [], []
     for j in range(k):
@@ -130,7 +157,7 @@ def _coreset(
         if j < k - 1:  # no pick reads the coverage of the last one
             cover[best] = -np.inf
             centers[m + j] = emb[best]
-            fold(m + j, root=True)
+            fold(m + j)
     return np.asarray(picked), np.asarray(dists)
 
 
@@ -168,16 +195,23 @@ LLOYD_TOL = 1e-8  # stop once no centroid moves farther than this
 
 
 def _lloyd(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # A cluster gets a new mean only when a row joined or left it: the same
+    # rows in the same order give the same bits. Rows start in cluster -1.
+    assign = np.full(len(points), -1)
+    changed = np.zeros(len(centers) + 1, dtype=bool)  # changed[-1]: cluster -1
     for _ in range(LLOYD_MAX_ITER):
-        assign = _dsq_to_centers(points, sq_norms, centers).argmin(axis=1)
+        new_assign = _dsq_to_centers(points, sq_norms, centers).argmin(axis=1)
+        moved = new_assign != assign
+        changed[assign[moved]] = changed[new_assign[moved]] = True
+        assign = new_assign
         # A stable sort by cluster lists each cluster's members in position
         # order, the rows (and so the mean's bits) of points[assign == j].
         members = np.argsort(assign, kind="stable")
         bounds = np.searchsorted(assign[members], np.arange(len(centers) + 1))
         new_centers = centers.copy()  # empty cluster keeps its old centroid
-        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if hi > lo:
-                new_centers[j] = points[members[lo:hi]].mean(axis=0)
+        for j in np.flatnonzero(changed[:-1] & (bounds[1:] > bounds[:-1])):
+            new_centers[j] = points[members[bounds[j] : bounds[j + 1]]].mean(axis=0)
+        changed[:] = False
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         if shift < LLOYD_TOL:
@@ -197,8 +231,13 @@ def _diverse(
     unused sample, cycling in centroid order. The fill ends only for
     K <= len(emb), which acquire checks.
     """
-    weighted = score[:, None] * emb
-    sq_norms = (weighted**2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        weighted = score[:, None] * emb
+        sq_norms = (weighted**2).sum(axis=1)
+        # No k-means sum exceeds 4 n max(sq_norms): n squared distances to means.
+        bounded = np.isfinite(4.0 * len(emb) * sq_norms.max())
+    if not bounded:
+        raise AcquisitionError("score-weighted embeddings need finite squared distances")
     centers = _lloyd(weighted, sq_norms, _kmeanspp_seed(weighted, sq_norms, k, rng))
     return _nearest_picks(_dsq_to_centers(weighted, sq_norms, centers), k)
 
@@ -282,7 +321,8 @@ def acquire(req: AcquisitionRequest) -> tuple[np.ndarray, np.ndarray | None]:
     every sample has an event: zero events means training never visited
     the sample, so its score would be meaningless. The others run one
     forward pass over the pool (coreset one more over the labeled pool).
-    A non-finite score, probability or embedding raises AcquisitionError.
+    A non-finite score, probability or embedding raises AcquisitionError,
+    and so does a ucb-product-div pool too large to cluster without overflow.
     """
     if req.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {req.strategy!r}")

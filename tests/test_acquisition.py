@@ -95,6 +95,37 @@ def pruning_cases(draw):
     return rows[:n], rows[n:], draw(st.integers(1, n))
 
 
+@st.composite
+def wide_coreset_cases(draw):
+    """(emb, labeled_emb, k) at the widths of real embeddings (64 and 256),
+    which probe the labeled pass's Gram-trick screen: ReLU-like rows, zero
+    rows, duplicated labeled rows, pool rows on a labeled row, and pairs of
+    labeled rows equidistant from a pool row to within a few ulps (one at
+    x + e, the other at 2 x - (x + e), with |e| small). One scale per case,
+    from 1e-170 to 1e153; entries stay within 2 / sqrt(d) times it, so no
+    squared distance overflows."""
+    d = draw(st.sampled_from([64, 256]))
+    n, m = draw(st.integers(1, 30)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.maximum(rng.uniform(-1.0, 1.0, size=(n + m, d)), 0.0) / math.sqrt(d)
+    emb, labeled = rows[:n], rows[n:]
+    emb[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    if m:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                  max_size=3)):
+            labeled[i] = labeled[j]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                                  max_size=2)):
+            emb[i] = labeled[j]
+    if m >= 2:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+            labeled[a] = emb[i] + rng.uniform(-0.01, 0.01, size=d) / math.sqrt(d)
+            labeled[b] = 2.0 * emb[i] - labeled[a]
+    scale = draw(st.sampled_from([1e-170, 1e-155, 1e-140, 1.0, 1e150, 1e153]))
+    return emb * scale, labeled * scale, draw(st.one_of(st.just(n), st.integers(1, n)))
+
+
 def broadcast_coreset(emb, labeled_emb, k):
     """Greedy k-center over one (n, m, d) difference tensor, ties to the lower position."""
     if len(labeled_emb):
@@ -368,6 +399,9 @@ class TestCoreset:
     # Covers whose bound overflows, and labeled rows too far apart to square.
     @example((np.array([[1.3e154], [1.2e154], [0.0]]), np.zeros((1, 1)), 3), 256)
     @example((np.array([[0.6e154], [0.0]]), np.array([[-0.7e154], [0.65e154]]), 2), 256)
+    # |x|^2 + |c|^2 overflows, so the screen's bound is NaN: it keeps every
+    # center for row 0, the nearest of which is the first.
+    @example((np.array([[1.0e154], [0.0]]), np.array([[1.2e154], [0.0]]), 2), 256)
     # c is twice as far from o as x is, to rounding, and x is a few ulps
     # nearer to c than to o: a slack of exactly 4 would skip x.
     @example((np.array([[-2.0248926056955083, 2.306840593612768]]),
@@ -388,10 +422,25 @@ class TestCoreset:
         np.testing.assert_array_equal(got, ref)
         assert dists.tobytes() == ref_dists.tobytes()
 
+    @settings(deadline=None, max_examples=200)
+    @given(wide_coreset_cases(), st.sampled_from([1, 7, 256]))
+    def test_screen_matches_unscreened_form_at_real_widths(self, case, block_rows):
+        # The labeled pass's screen keeps every center that can be a row's
+        # nearest, so the picks and distances are those of the form that
+        # folds every labeled row into every pool row, bit for bit.
+        emb, labeled, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_BLOCK_ROWS", block_rows)
+            got, dists = _coreset(emb, labeled, k)
+        ref, ref_dists = oracles.coreset(emb, labeled, k, block_rows)
+        np.testing.assert_array_equal(got, ref)
+        assert dists.tobytes() == ref_dists.tobytes()
+
     def test_pruned_fold_skips_most_rows_of_a_low_dimensional_pool(self, monkeypatch):
         # Embeddings of 2-d blobs under a random ReLU layer, as the pool's
-        # are: most rows are ruled out, and the picks are still the
-        # unpruned form's.
+        # are: the labeled pass computes about one distance per row instead
+        # of m, each pick's fold rules out most rows, and the picks are
+        # still the unpruned form's.
         rng = np.random.default_rng(31)
         n, m, k = 1500, 20, 20
         blobs = rng.normal(size=(6, 2)) * 4.0
@@ -411,13 +460,22 @@ class TestCoreset:
         np.testing.assert_array_equal(got, ref)
         assert dists.tobytes() == ref_dists.tobytes()
         assert len(folded) == m + k - 1  # one fold per center but the last pick
-        assert sum(folded) < n * (m + k - 1) / 2
+        assert sum(folded[:m]) <= 1.1 * n  # the labeled pass, against n * m unscreened
+        assert sum(folded[m:]) < n * (k - 1) / 2  # the k - 1 pick folds
 
     def test_peak_memory_below_two_megabytes(self, peak_bytes):
         # A pool-sized difference array alone would be 8 MB.
         rng = np.random.default_rng(20)
         emb = rng.normal(size=(4000, 256))
         labeled = rng.normal(size=(40, 256))
+        assert peak_bytes(_coreset, emb, labeled, 10) < 2_000_000
+
+    def test_peak_memory_below_two_megabytes_when_every_center_is_a_candidate(self, peak_bytes):
+        # 40 identical labeled rows tie for every pool row, so the screen
+        # keeps all 40 for each, and the labeled pass computes n * 40 distances.
+        rng = np.random.default_rng(20)
+        emb = rng.normal(size=(4000, 256))
+        labeled = np.repeat(rng.normal(size=(1, 256)), 40, axis=0)
         assert peak_bytes(_coreset, emb, labeled, 10) < 2_000_000
 
 
@@ -513,6 +571,13 @@ class TestDiverse:
     @example((np.ones(6), np.ones((6, 2)), 4), 1)  # every point the same
     @example((np.linspace(0.5, 1.0, 5), np.arange(10.0).reshape(5, 2), 5), 2)  # k = n
     @example((np.zeros(7), np.arange(14.0).reshape(7, 2), 3), 3)  # all-zero scores
+    # Cluster 3 has two members after the first iteration and none after
+    # the second, when the other means have moved.
+    @example((np.ones(10), np.array([[3.0, -2.0], [-1.0, 1.0], [4.0, -3.0], [1.0, 1.0],
+                                     [0.0, -2.0], [4.0, 4.0], [3.0, 2.0], [1.0, -4.0],
+                                     [-4.0, 4.0], [-1.0, -3.0]]), 5), 0)
+    # The seeds are the two places, each its cluster's mean: a fixed point.
+    @example((np.ones(6), np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3), 2), 0)
     def test_matches_kmeans_oracle(self, case, seed):
         # Centres and picks equal, bit for bit, those of the k-means that
         # recomputes norms per call and masks each cluster.
@@ -646,6 +711,24 @@ class TestDispatcher:
         monkeypatch.setattr(nn, "forward_batch", damaged)
         with pytest.raises(AcquisitionError, match="finite"):
             acquire(self.request(strategy))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e154])
+    def test_diverse_rejects_overflowing_weighted_distances(self, monkeypatch, scale):
+        # Finite embeddings at +-scale on one axis: at 1e155 the squared
+        # norms overflow, at 1e154 (scores below 1) only the squared
+        # distances between the two sides do. Without the check, k-means
+        # would cluster NaN and infinite distances.
+        real = nn.forward_batch
+
+        def huge(params, x):
+            out = real(params, x)
+            out.embedding[:] = 0.0
+            out.embedding[:, 0] = np.where(np.arange(len(x)) % 2, scale, -scale)
+            return out
+
+        monkeypatch.setattr(nn, "forward_batch", huge)
+        with pytest.raises(AcquisitionError, match="finite"):
+            acquire(self.request("ucb-product-div"))
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
