@@ -259,8 +259,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                 if history not in memo:
                     if tracker is None or not carry:
                         tracker = TrackerStore(pools.sorted_unlabeled(), **cfg.tracker.to_dict())
-                    chunks: list = []  # (step, ids, probs_weak, probs_strong) per chunk
-                    sink = (lambda *chunk: chunks.append(chunk)) if cfg.log_events else None
+                    made: list = []  # (step, ids, probs_weak, probs_strong), equal rows per step
+                    sink = (lambda *event: made.append(event)) if cfg.log_events else None
                     try:
                         outcome = train_round(
                             init_params if rand_init else trained, pools, dataset,
@@ -270,10 +270,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int, progress) -> ExperimentResult:
                     except TrainingError as e:
                         outcome = e
                     memo[history] = outcome, tracker
-                    if chunks:
-                        steps, ids, pw, ps = zip(*chunks)
+                    if made:
+                        steps, ids, pw, ps = zip(*made)
                         result.events[(seed, strategy, round_index)] = [
-                            np.repeat(steps, [len(c) for c in ids]), np.concatenate(ids),
+                            np.repeat(steps, len(ids[0])), np.concatenate(ids),
                             *np.concatenate(pw).T, *np.concatenate(ps).T]
                 outcome, tracker = memo[history]
                 if isinstance(outcome, TrainingError):
@@ -525,15 +525,16 @@ def load_manifest(in_dir: str) -> dict:
 
 def _final_accuracies(rounds_path: str, rounds: int) -> dict[tuple[str, int], float]:
     """(strategy, seed) -> accuracy from the final-round rows of rounds.csv;
-    InputError for a row whose round is outside [0, rounds)."""
+    InputError for a row whose round is outside [0, rounds) or a repeated
+    (seed, strategy, round)."""
     seed, strategy, round_index, accuracy, *_ = read_table(rounds_path, ROUNDS_COLUMNS)
     if not np.all((0 <= round_index) & (round_index < rounds)):
         raise InputError(f"{rounds_path}: a round outside [0, {rounds})")
-    return {
-        (s, sd): acc
-        for sd, s, r, acc in zip(seed.tolist(), strategy, round_index.tolist(), accuracy.tolist())
-        if r == rounds - 1
-    }
+    keys = list(zip(seed.tolist(), strategy, round_index.tolist()))
+    if len(set(keys)) < len(keys):
+        sd, s, r = next(k for k in keys if keys.count(k) > 1)
+        raise InputError(f"{rounds_path}: seed {sd}, strategy {s!r}, round {r} twice")
+    return {(s, sd): acc for (sd, s, r), acc in zip(keys, accuracy.tolist()) if r == rounds - 1}
 
 
 def analyze_dir(in_dir: str) -> None:

@@ -54,9 +54,6 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.weights[-1].shape[0]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     def add_scaled(self, other: "ModelParams", scale: float) -> "ModelParams":
         """self + scale * other, layer by layer, as new arrays."""
         return ModelParams(

@@ -1,11 +1,13 @@
 """Consistency-based semi-supervised training for one acquisition round.
 
-Each step draws a labeled batch and an epoch-shuffled unlabeled batch,
-weakly augments both, pseudo-labels confident weak-view predictions, and
-penalizes strong-view disagreement with those pseudo-labels. Every
-unlabeled appearance yields one weak/strong prediction pair, made before
-that step's parameter update; the tracker folds in each epoch's pairs at
-once when the epoch ends, and the rest when the round ends. Periodic
+Each step draws a labeled batch and the next unlabeled batch of an
+epoch-shuffled stream over the pool, weakly augments both, pseudo-labels
+confident weak-view predictions, and penalizes strong-view disagreement
+with those pseudo-labels. Every unlabeled appearance yields one
+weak/strong prediction pair, made before that step's parameter update;
+the tracker folds in each epoch's pairs at once when the epoch ends (a
+step may finish one epoch and start the next), and the rest when the
+round ends. Periodic
 snapshots of the whole unlabeled pool are collected for post-hoc analysis;
 the harness asks for them in round 0 only, the one round whose series it
 emits.
@@ -82,36 +84,6 @@ def pseudo_label_batch(probs_weak: np.ndarray, tau: float) -> tuple[np.ndarray, 
     return labels, mask
 
 
-class _UnlabeledIterator:
-    """Epoch-shuffled stream over positions 0..n-1 of the unlabeled pool.
-
-    Yields each step's positions as one or two chunks: a step that crosses
-    an epoch boundary finishes the old permutation first, then continues
-    in a fresh one. Each chunk lies within a single permutation and is
-    therefore free of duplicate positions.
-    """
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = n
-        self.rng = rng
-        self._perm = rng.permutation(n)
-        self._cursor = 0
-
-    def next_chunks(self, m: int) -> list[np.ndarray]:
-        chunks = []
-        while m > 0:
-            remaining = len(self._perm) - self._cursor
-            if remaining == 0:
-                self._perm = self.rng.permutation(self.n)
-                self._cursor = 0
-                remaining = len(self._perm)
-            take = min(m, remaining)
-            chunks.append(self._perm[self._cursor : self._cursor + take])
-            self._cursor += take
-            m -= take
-        return chunks
-
-
 def evaluate_accuracy(params: nn.ModelParams, dataset: Dataset, ids: np.ndarray,
                       step: int) -> float:
     """Accuracy on ids of the model after step; ties go to the lowest class.
@@ -146,10 +118,10 @@ def _backprop_rows(mask: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _ingest_epoch(tracker: TrackerStore, chunks: list[tuple]) -> None:
+def _ingest_epoch(tracker: TrackerStore, parts: list[tuple]) -> None:
     """One ingest_batch call for the (positions, probs_weak, probs_strong)
-    chunks of one epoch."""
-    tracker.ingest_batch(*(np.concatenate(parts) for parts in zip(*chunks)))
+    parts of one epoch."""
+    tracker.ingest_batch(*(np.concatenate(rows) for rows in zip(*parts)))
 
 
 def train_round(
@@ -166,12 +138,13 @@ def train_round(
 
     The first draw on rng seeds a separate generator for snapshot views,
     so the training stream's consumption is independent of the snapshot
-    cadence. Per step, in fixed rng order: labeled ids, unlabeled
-    position chunks, weak augmentation of the labeled batch, weak then
-    strong augmentation of the unlabeled batch. The supervised and
-    unsupervised gradients come from separate backward passes so that
-    lambda_u = 0 reproduces a purely supervised run bit for bit on the
-    same rng stream.
+    cadence. The second is the first permutation of the unlabeled
+    positions. Per step, in fixed rng order: labeled ids, a fresh
+    permutation if the step runs past the end of the current one, weak
+    augmentation of the labeled batch, weak then strong augmentation of
+    the unlabeled batch. The supervised and unsupervised gradients come
+    from separate backward passes so that lambda_u = 0 reproduces a purely
+    supervised run bit for bit on the same rng stream.
 
     The strong batch's loss and probabilities cover every row, but only
     its pseudo-labeled rows are backpropagated: the others have weight
@@ -186,50 +159,55 @@ def train_round(
     of view pseudo-labels are read from.
 
     The tracker ingests the prediction pairs by position in the pool, one
-    call per epoch of the unlabeled stream: each epoch's chunks are kept
-    and folded in together once its permutation is used up, and a partial
-    last epoch when the round ends. Nothing reads the tracker during a
-    round, and a position appears once per epoch, so every sample gets the
-    same EMA updates in the same order as with one call per step. A
-    non-finite statistic raises TrackerError when its epoch is folded in,
-    not at its step.
+    call per epoch of the unlabeled stream. A step that runs past the end
+    of a permutation takes its last positions, then the first ones of the
+    fresh permutation: its leading rows finish the old epoch. Each epoch's
+    rows are kept and folded in together at the step that uses up its
+    permutation, and a partial last epoch when the round ends. Nothing
+    reads the tracker during a round, and a position appears once per
+    epoch, so every sample gets the same EMA updates in the same order as
+    with one call per step. A non-finite statistic raises TrackerError
+    when its epoch is folded in, not at its step.
 
     event_sink, when given, receives (step, ids, probs_weak, probs_strong)
-    for every chunk, as the step makes it. The arrays are new every step
-    and never written afterwards, so a sink may keep them without copying.
+    once per step, as the step makes them: mu * batch_size rows, which
+    repeat an id only in a step that crosses an epoch end. The arrays are
+    new every step and never written afterwards, so a sink may keep them
+    without copying.
     """
     cfg.validate()
     labeled_ids = pools.sorted_labeled()
     unlabeled_ids = pools.sorted_unlabeled()
     if not labeled_ids.size or not unlabeled_ids.size:
         raise ConfigError("labeled and unlabeled pools must both be nonempty")
-    mu_b = cfg.mu * cfg.batch_size
-    if len(unlabeled_ids) < mu_b:
-        raise ConfigError(
-            f"unlabeled pool size {len(unlabeled_ids)} below unlabeled batch {mu_b}"
-        )
+    n, mu_b = len(unlabeled_ids), cfg.mu * cfg.batch_size
+    if n < mu_b:
+        raise ConfigError(f"unlabeled pool size {n} below unlabeled batch {mu_b}")
     if not np.array_equal(tracker.ids, unlabeled_ids):
         raise ConfigError("tracker ids must match the unlabeled pool")
     if augmenter is None:
         augmenter = Augmenter.for_data(dataset.x)
     x_unlabeled_pool = dataset.x[unlabeled_ids]
     snap_rng = np.random.default_rng(int(rng.integers(2**63)))
-    iterator = _UnlabeledIterator(len(unlabeled_ids), rng)
+    perm, taken = rng.permutation(n), 0  # this epoch's positions; how many are drawn
 
     sup_losses = np.empty(cfg.steps_per_round)
     unsup_losses = np.empty(cfg.steps_per_round)
     masked_count = 0
     snap_steps, snap_labels, snap_u, snap_mp = [], [], [], []
     optimizer = nn.SgdOptimizer(cfg.lr, cfg.momentum)
-    epoch: list[tuple] = []  # (positions, probs_weak, probs_strong) per chunk
-    epoch_rows = 0
+    epoch: list[tuple] = []  # (positions, probs_weak, probs_strong) of this epoch's steps
 
     for step in range(1, cfg.steps_per_round + 1):
         # Same values and generator state as rng.choice(labeled_ids, ...,
         # replace=True), without its argument handling.
         batch_lab = labeled_ids[rng.integers(0, len(labeled_ids), size=cfg.batch_size)]
-        chunks = iterator.next_chunks(mu_b)
-        x_unl = x_unlabeled_pool[chunks[0] if len(chunks) == 1 else np.concatenate(chunks)]
+        pos = perm[taken:taken + mu_b]
+        cut, taken = len(pos), taken + mu_b  # cut: the rows from the old permutation
+        if taken > n:  # continue in a fresh one
+            perm, taken = rng.permutation(n), taken - n
+            pos = np.concatenate((pos, perm[:taken]))
+        x_unl = x_unlabeled_pool[pos]
 
         x_lab = augmenter.weak_batch(dataset.x[batch_lab], rng)
         x_unl_weak = augmenter.weak_batch(x_unl, rng)
@@ -256,17 +234,17 @@ def train_round(
         if not math.isfinite(total):
             raise TrainingError(f"non-finite loss {total} at step {step}", step=step)
 
-        offset = 0
-        for chunk in chunks:
-            sel = slice(offset, offset + len(chunk))
-            epoch.append((chunk, probs_weak[sel], probs_strong[sel]))
-            if event_sink is not None:
-                event_sink(step, unlabeled_ids[chunk], probs_weak[sel], probs_strong[sel])
-            offset += len(chunk)
-            epoch_rows += len(chunk)
-            if epoch_rows == len(unlabeled_ids):
-                _ingest_epoch(tracker, epoch)
-                epoch, epoch_rows = [], 0
+        if event_sink is not None:
+            event_sink(step, unlabeled_ids[pos], probs_weak, probs_strong)
+        if 0 < cut < mu_b:  # the first cut rows finish the old epoch
+            epoch.append((pos[:cut], probs_weak[:cut], probs_strong[:cut]))
+            _ingest_epoch(tracker, epoch)
+            epoch = [(pos[cut:], probs_weak[cut:], probs_strong[cut:])]
+        else:  # cut is 0 only right after an exact end, already folded in
+            epoch.append((pos, probs_weak, probs_strong))
+        if taken == n:  # an exact end
+            _ingest_epoch(tracker, epoch)
+            epoch = []
         masked_count += np.count_nonzero(mask)
         sup_losses[step - 1] = sup_loss
         unsup_losses[step - 1] = unsup_loss

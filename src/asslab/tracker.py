@@ -181,6 +181,9 @@ class TrackerStore:
         if not np.all(known):
             raise TrackerError(f"unknown sample id {int(ids[~known][0])}")
         keep = ~np.isin(self.ids, ids)
+        if keep.size - np.count_nonzero(keep) < ids.size:  # an id given twice
+            s = np.sort(ids)
+            raise TrackerError(f"sample id {int(s[1:][s[1:] == s[:-1]][0])} twice in one remove")
         self.ids = self.ids[keep]
         self._mean = self._mean[keep]
         self._var = self._var[keep]

@@ -25,7 +25,9 @@ ti_uncertainty_profile groups samples with np.unique, the form the
 analysis module gave up so that it never imports numpy.ma. SetPools and split_pools are the sample pools as
 three frozensets of ids, the form that one array of pool codes replaced,
 and lexsort_split the stratified split by two whole-pool sorts, which
-split_pools must match byte for byte.
+split_pools must match byte for byte. unlabeled_chunks is the training
+step's epoch-shuffled unlabeled stream as first written, each step's
+positions in chunks that each lie within one permutation.
 None of them imports anything from asslab, so a mistake in the production
 code cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
@@ -118,6 +120,22 @@ def pseudo_label(probs_weak, tau: float) -> tuple[int, int]:
     p = [float(v) for v in probs_weak]
     label = _argmax(p)
     return label, int(p[label] > tau)
+
+
+def unlabeled_chunks(n: int, m: int, rng):
+    """Each step's m positions of an epoch-shuffled stream over 0..n-1, as
+    chunks that each lie within one permutation: a step finishes the
+    current permutation before it draws the next, and may span several."""
+    perm, cursor = rng.permutation(n), 0
+    while True:
+        chunks, left = [], m
+        while left:
+            if cursor == n:
+                perm, cursor = rng.permutation(n), 0
+            take = min(left, n - cursor)
+            chunks.append(perm[cursor:cursor + take])
+            cursor, left = cursor + take, left - take
+        yield chunks
 
 
 def temporal_instability(labels) -> int:

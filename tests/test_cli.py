@@ -178,6 +178,14 @@ def _round_past_the_config(run):
     path.write_bytes(text + b",".join(row[:2] + [b"1"] + row[3:]) + b"\r\n")
 
 
+def _repeated_rounds_row(run):
+    # A copy of the last row with another accuracy.
+    path = run / "rounds.csv"
+    text = path.read_bytes()
+    row = text.split(b"\r\n")[-2].split(b",")
+    path.write_bytes(text + b",".join(row[:3] + [b"0.123"] + row[4:]) + b"\r\n")
+
+
 def _duplicated_series_row(run):
     path = run / "seed_0" / "snapshots_round0.csv"
     text = path.read_bytes()
@@ -239,6 +247,7 @@ DAMAGES = {
     "manifest-more-rounds": _manifest_more_rounds,
     "truncated-scores": _truncated_scores,
     "short-rounds-row": _short_rounds_row,
+    "repeated-rounds-row": _repeated_rounds_row,
     "duplicated-series-row": _duplicated_series_row,
     "scores-is-a-directory": _scores_directory,
     "scores-of-other-samples": _scores_of_other_samples,

@@ -61,9 +61,10 @@ class TestGenerate:
     @settings(deadline=None)
     @given(st.data())
     def test_stratified_state_matches_lexsort_oracle(self, data):
-        # Skewed classes, one of them possibly all in the test pool, so
-        # the prefix that holds every quota may be any length up to the
-        # whole rest of the permutation.
+        # Skewed classes, one of them possibly all in the test pool, so a
+        # class can run out of rest rows before the first n_init rows by
+        # (rank, class) are taken, and those must skip it; label dtypes
+        # other than int64 must rank the same.
         k = data.draw(st.integers(2, 6))
         weights = data.draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
         n = data.draw(st.integers(k + 1, 400))

@@ -1008,7 +1008,7 @@ class TestStreamedEmit:
         lanes = {s: [streamed[labeled] for labeled in trained_on[s]] for s in cfg.strategies}
         assert [shared_prefix(lanes["entropy"], lanes[s]) for s in cfg.strategies] \
             == [3, 3, 2, 1, 1]
-        assert len(lanes["coreset"][2]) == 7  # event chunks; a step may give two
+        assert len(lanes["coreset"][2]) == 7  # one event per step
         assert [(e["strategy"], e["round"]) for e in result.errors] == [("coreset", 2)]
         distinct = {id(events): sum(len(ids) for _, ids, _, _ in events)
                     for lane in lanes.values() for events in lane}
@@ -1201,6 +1201,21 @@ class TestAnalyzeDir:
         os.remove(path)
         analyze_dir(str(out))
         assert path.read_bytes() == original
+
+    def test_repeated_rounds_row_is_refused(self, tmp_path):
+        # A second copy of random's final row with another accuracy would
+        # otherwise replace the first in the rebuilt pairwise matrix.
+        out = tmp_path / "run"
+        run_and_emit(small_cfg(strategies=["random", "ucb-product"]), out_dir=str(out))
+        rounds = out / "rounds.csv"
+        text = rounds.read_bytes()
+        row = next(r for r in text.split(b"\r\n") if r.startswith(b"0,random,1,")).split(b",")
+        rounds.write_bytes(text + b",".join(row[:3] + [b"0.123"] + row[4:]) + b"\r\n")
+        matrix = out / "analysis" / "pairwise_matrix.csv"
+        original = matrix.read_bytes()
+        with pytest.raises(InputError, match="seed 0, strategy 'random', round 1 twice"):
+            analyze_dir(str(out))
+        assert matrix.read_bytes() == original
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,7 +106,7 @@ class TestForward:
         params = init_params(dims + [int(rng.integers(2, 5))], rng)
         params.biases = [rng.normal(size=b.shape) for b in params.biases]
         x = rng.normal(scale=3.0, size=(n, dims[0]))
-        x_before, params_before = x.copy(), params.copy()
+        x_before, params_before = x.copy(), copy.deepcopy(params)
         res = forward_batch(params, x)
         assert bits(x) == bits(x_before)
         for got, want in zip(params.weights + params.biases,

@@ -13,7 +13,6 @@ from asslab.data import Augmenter, GeneratorSpec, generate, split_pools, standar
 from asslab.errors import ConfigError, TrainingError
 from asslab.ssl import (
     SslConfig,
-    _UnlabeledIterator,
     pseudo_label_batch,
     train_round,
 )
@@ -72,20 +71,62 @@ class TestPseudoLabel:
             assert (labels[j], mask[j]) == oracles.pseudo_label(P[j], 0.5)
 
 
-class TestUnlabeledIterator:
-    def test_epoch_coverage(self):
-        it = _UnlabeledIterator(40, np.random.default_rng(1))
-        seen = []
-        for _ in range(10):
-            chunks = it.next_chunks(8)
-            assert sum(len(c) for c in chunks) == 8
-            for c in chunks:
-                assert len(np.unique(c)) == len(c)
-            seen.extend(np.concatenate(chunks).tolist())
-        # 80 draws over 40 positions = exactly two shuffled epochs.
-        assert min(seen) >= 0
-        counts = np.bincount(np.asarray(seen), minlength=40)
-        assert np.all(counts == 2)
+class RecordingRng(np.random.Generator):
+    """default_rng(seed)'s stream, keeping every permutation it draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.perms = []
+
+    def permutation(self, x):
+        self.perms.append(super().permutation(x))
+        return self.perms[-1]
+
+
+class TestUnlabeledStream:
+    """train_round's unlabeled batches, seen through event_sink."""
+
+    # 120 - 8 - 20 = 92 unlabeled samples, drawn 8 per step: step 12
+    # crosses the first epoch's end at its 4th row, step 23 ends the
+    # second exactly.
+    def stream(self, steps, rng):
+        ds, pools = make_problem(size=120, n_init=8, n_test=20)
+        cfg = SslConfig(steps_per_round=steps, batch_size=4, mu=2,
+                        snapshot_interval=10, hidden_dims=[8])
+        tracker, events = TrackerStore(pools.sorted_unlabeled()), []
+        train_round(fresh_params(cfg, ds), pools, ds, cfg, tracker, rng,
+                    event_sink=lambda *e: events.append(e))
+        return tracker.ids, events, tracker
+
+    def test_every_position_once_per_epoch(self):
+        ids, events, _ = self.stream(23, np.random.default_rng(3))
+        stream = np.concatenate([e[1] for e in events])
+        assert len(stream) == 2 * len(ids)
+        for epoch in (stream[:len(ids)], stream[len(ids):]):
+            np.testing.assert_array_equal(np.sort(epoch), ids)
+
+    def test_crossing_step_continues_in_the_next_permutation(self):
+        rng = RecordingRng(3)
+        ids, events, _ = self.stream(24, rng)
+        first, second, third = rng.perms  # step 24 starts a fresh one
+        np.testing.assert_array_equal(events[11][1], ids[np.concatenate((first[88:], second[:4]))])
+        np.testing.assert_array_equal(events[22][1], ids[second[84:]])
+        np.testing.assert_array_equal(events[23][1], ids[third[:8]])
+
+    def test_sink_called_once_per_step_with_every_row(self):
+        _, events, _ = self.stream(30, np.random.default_rng(3))
+        assert [e[0] for e in events] == list(range(1, 31))
+        for _, ids, pw, ps in events:
+            assert len(ids) == 8 and pw.shape == ps.shape == (8, 2)
+
+    def test_crossing_step_may_repeat_an_id(self):
+        # At seed 2, step 12's two permutations share a sample; the
+        # tracker counts both of its appearances.
+        ids, events, tracker = self.stream(12, np.random.default_rng(2))
+        assert len(np.unique(events[11][1])) < 8
+        pos = np.searchsorted(ids, np.concatenate([e[1] for e in events]))
+        np.testing.assert_array_equal(tracker.snapshot().counts,
+                                      np.bincount(pos, minlength=len(ids)))
 
     @given(ids=st.lists(st.integers(-2**40, 2**40), unique=True, max_size=60),
            seed=st.integers(0, 2**32 - 1))
@@ -97,12 +138,6 @@ class TestUnlabeledIterator:
         by_pos, by_id = np.random.default_rng(seed), np.random.default_rng(seed)
         np.testing.assert_array_equal(ids[by_pos.permutation(len(ids))], by_id.permutation(ids))
         assert by_pos.bit_generator.state == by_id.bit_generator.state
-
-    def test_boundary_split(self):
-        it = _UnlabeledIterator(10, np.random.default_rng(2))
-        it.next_chunks(7)
-        chunks = it.next_chunks(7)  # crosses the epoch boundary at 10
-        assert [len(c) for c in chunks] == [3, 4]
 
 
 class TestLabeledDraw:
@@ -120,8 +155,9 @@ class TestLabeledDraw:
 
 class TestEpochFold:
     """train_round folds each epoch of the unlabeled stream into the
-    tracker in one call. Replaying its event stream chunk by chunk into
-    another store must give the same state bit for bit."""
+    tracker in one call. Replaying its event stream epoch by epoch (runs
+    of pool-size rows) into another store must give the same state bit
+    for bit."""
 
     # 120 - 8 - 20 = 92 unlabeled samples, drawn 8 per step: step 12 crosses
     # the first epoch's end, step 23 ends the second exactly. The case ids
@@ -157,8 +193,10 @@ class TestEpochFold:
         assert len(calls) == math.ceil(steps * 8 / len(ids))  # epochs touched
         assert all(store is tracker for store in calls)
 
-        for _, chunk_ids, pw, ps in events:
-            replay.ingest_batch(np.searchsorted(ids, chunk_ids), pw, ps)
+        pos = np.searchsorted(ids, np.concatenate([e[1] for e in events]))
+        pw, ps = (np.concatenate([e[k] for e in events]) for k in (2, 3))
+        for lo in range(0, len(pos), len(ids)):
+            replay.ingest_batch(*(a[lo:lo + len(ids)] for a in (pos, pw, ps)))
         for name in ("_mean", "_var", "_count"):
             assert getattr(tracker, name).tobytes() == getattr(replay, name).tobytes()
 
@@ -446,7 +484,7 @@ class TestTrainRound:
         cfg = SslConfig(steps_per_round=5, batch_size=4, mu=2,
                         snapshot_interval=5, hidden_dims=[8])
         params = fresh_params(cfg, ds)
-        ref = params.copy()
+        ref = copy.deepcopy(params)
         tracker = TrackerStore(pools.sorted_unlabeled())
         train_round(params, pools, ds, cfg, tracker, np.random.default_rng(5))
         for a, b in zip(params.weights + params.biases, ref.weights + ref.biases):

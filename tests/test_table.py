@@ -26,6 +26,7 @@ from asslab.analysis import (
     write_ti_profile,
 )
 from asslab.data import Dataset, export_dataset
+from asslab.errors import InputError
 from asslab.table import format_rows, write_table
 from asslab.tracker import TrackerSnapshot, load_snapshot_csv
 
@@ -77,7 +78,7 @@ def write_acquisitions(path):
 def write_events(path):
     # One trained round's columns: step, sample_id, then the weak and the
     # strong probability of each class. The step-2 rows wrap an epoch of
-    # the unlabeled iterator: ids 5, 0.
+    # the unlabeled stream: ids 5, 0.
     harness._write_events_csv(path, [
         np.array([1, 1, 2, 2]), np.array([3, 4, 5, 0]),
         np.array([0.1, 1.0, 0.25, -0.0]), np.array([0.9, 0.0, 0.75, 1.0]),
@@ -296,6 +297,11 @@ class TestRoundTrip:
         rounds, reports = log
         path = tmp_path_factory.mktemp("rounds") / "rounds.csv"
         harness._write_rounds_csv(path, reports)
+        keys = [(r.seed, r.strategy, r.round_index) for r in reports]
+        if len(set(keys)) < len(keys):  # no emitted log repeats a round
+            with pytest.raises(InputError, match="twice"):
+                harness._final_accuracies(path, rounds)
+            return
         expected = {(r.strategy, r.seed): r.test_accuracy
                     for r in reports if r.round_index == rounds - 1}
         back = harness._final_accuracies(path, rounds)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from asslab.errors import ConfigError, TrackerError
-from asslab.ssl import _UnlabeledIterator
 from asslab.tracker import (
     EPS_PROB,
     TrackerStore,
@@ -376,15 +375,15 @@ class TestTrackerStore:
            m=st.integers(1, 15), steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     @example(ids={3, 10, 11, 40, 41}, m=3, steps=4, seed=0)
     def test_iterator_chunks_match_offline_replay(self, ids, m, steps, seed):
-        # The training stream's chunks, ingested by position, against a
+        # An epoch-shuffled stream's chunks, ingested by position, against a
         # per-id replay of the same log through the scalar references. A
         # step splits into two chunks exactly when it crosses an epoch end.
         rng = np.random.default_rng(seed)
         store = TrackerStore(list(ids))
-        iterator = _UnlabeledIterator(len(ids), rng)
+        source = oracles.unlabeled_chunks(len(ids), m, rng)
         log, split = [], False
         for _ in range(steps):
-            chunks = iterator.next_chunks(m)
+            chunks = next(source)
             split |= len(chunks) > 1
             for chunk in chunks:
                 pw, ps = rng.dirichlet(np.ones(3), size=(2, len(chunk)))
@@ -513,6 +512,13 @@ class TestTrackerStore:
         stream(store, 1, [([0.6, 0.4], [0.3, 0.7])])  # id 2
         assert state(store, 1) == before
         np.testing.assert_array_equal(store.snapshot().counts, [0, 1, 0])
+
+    def test_remove_rejects_a_repeated_id(self):
+        # As ingest_batch and SamplePools.updated do; the store is unchanged.
+        store = TrackerStore([1, 5, 9])
+        with pytest.raises(TrackerError, match="sample id 5 twice"):
+            store.remove([9, 5, 5])
+        np.testing.assert_array_equal(store.ids, [1, 5, 9])
 
     def test_rejects_non_integer_ids(self):
         with pytest.raises(TrackerError):
