@@ -545,6 +545,7 @@ def analyze_dir(in_dir: str) -> None:
     as emit, so the files match the originals byte for byte: every log
     stores floats via repr, an exact round trip. A lane that the
     manifest's errors do not list must have its final round in rounds.csv.
+    A seed may lack its round-0 series only if round 0 takes no snapshot.
     """
     manifest = load_manifest(in_dir)
     cfg = ExperimentConfig.from_dict(manifest["config"])
@@ -553,8 +554,11 @@ def analyze_dir(in_dir: str) -> None:
         seed_dir = _seed_dir(in_dir, seed)
         series_path = os.path.join(seed_dir, "snapshots_round0.csv")
         scores_path = os.path.join(seed_dir, "scores", "round0.csv")
-        if os.path.exists(series_path) and os.path.exists(scores_path):
+        has_series, has_scores = os.path.exists(series_path), os.path.exists(scores_path)
+        if has_series and has_scores:
             round0[seed] = (load_series(series_path), load_snapshot_csv(scores_path))
+        elif has_series or (has_scores and cfg.ssl.snapshot_interval <= cfg.ssl.steps_per_round):
+            raise InputError(f"{seed_dir} has only one of its two round-0 files")
     rounds_path = os.path.join(in_dir, "rounds.csv")
     finals = _final_accuracies(rounds_path, cfg.rounds)
     errors = manifest.get("errors")

@@ -10,7 +10,10 @@ arrays) with one "%r,...,%r\r\n" template instead of the csv module: %r
 of a Python int is its str and of a float its repr, which are the cells
 csv.writer prints for them, and numbers never need quoting. Any other
 column, bool arrays included, keeps csv.writer, its quoting and its empty
-cells for None.
+cells for None. read_table makes the same split: a table of int and float
+columns only goes to np.loadtxt's C reader, with no quote or comment
+character, since no number is ever quoted; so it refuses a quoted number,
+a digit separator or a non-ASCII digit, which int() and float() would take.
 
 No table is ever built as one string: write_table formats and writes its
 columns BLOCK_ROWS rows at a time, so the text in memory is bounded
@@ -26,6 +29,7 @@ import contextlib
 import csv
 import io
 import os
+import warnings
 
 import numpy as np
 
@@ -86,16 +90,21 @@ def read_table(path, header) -> list:
     whose header row differs raises InputError. Int and float columns come
     back as int64 and float64 arrays, str columns as lists.
     """
+    numeric = str not in header.values()
     try:
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+        # Universal newlines: np.loadtxt reads a lone "\r" as an embedded newline.
+        with open(path, newline=None if numeric else "") as f:
+            reader = csv.reader(f)
+            names = next(reader, None)
+            rows = f.read() if numeric else list(reader)  # the text after the header, or its rows
     except (OSError, csv.Error, UnicodeDecodeError) as e:
         raise InputError(f"{path}: not a readable CSV table: {e}") from None
-    if not rows:
+    if names is None:
         raise InputError(f"{path}: empty file")
-    names, *rows = rows
     if names != list(header):
         raise InputError(f"{path}: unexpected header {names!r}")
+    if numeric:
+        return _parse_numeric(path, header, rows)
     for i, row in enumerate(rows, start=1):
         if len(row) != len(names):
             raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(names)}")
@@ -106,3 +115,20 @@ def read_table(path, header) -> list:
         except (ValueError, OverflowError) as e:
             raise InputError(f"{path}: bad {name!r} cell: {e}") from None
     return columns
+
+
+def _parse_numeric(path, header, text) -> list:
+    """The int64 and float64 columns of the rows after the header, by np.loadtxt."""
+    if text.startswith("\n") or "\n\n" in text:  # loadtxt would skip a blank line
+        raise InputError(f"{path}: blank line")
+    dtype = np.dtype(list(header.items()))
+    if not text:
+        return [np.empty(0, dtype[name]) for name in header]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x warns of an int parsed via float
+            rows = np.loadtxt(io.StringIO(text), dtype, delimiter=",", comments=None,
+                              quotechar=None, ndmin=1)
+    except (ValueError, Warning) as e:  # the first line only: 1.x's warning runs on
+        raise InputError(f"{path}: {e}".partition("\n")[0]) from None
+    return [np.ascontiguousarray(rows[name]) for name in header]

@@ -28,6 +28,10 @@ and lexsort_split the stratified split by two whole-pool sorts, which
 split_pools must match byte for byte. unlabeled_chunks is the training
 step's epoch-shuffled unlabeled stream as first written, each step's
 positions in chunks that each lie within one permutation.
+read_table_csv is the table reader as first written, the csv module and
+int() or float() for every table; asslab's reader parses the tables of
+int and float columns with np.loadtxt, and must return its arrays bit for
+bit or refuse what it refuses.
 None of them imports anything from asslab, so a mistake in the production
 code cannot also hide in its reference. import_dataset, the reader of dataset.csv that
 only tests need, is the one exception: it builds an asslab Dataset.
@@ -507,6 +511,36 @@ def gradient_cases(n_instances: int, seed: int):
         y = rng.integers(0, k, size=n)
         w = rng.uniform(0.2, 2.0, size=n)
         yield weights, biases, x, y, w
+
+
+def read_table_csv(path, header) -> list:
+    """read_table as first written: every table through the csv module.
+
+    header maps each column name, in order, to int, float or str. Each
+    row is split by csv.reader, its length checked, and each int or float
+    column parsed by map(int) or map(float) into np.fromiter. A bad file
+    raises ValueError, where read_table raises InputError.
+    """
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, csv.Error, UnicodeDecodeError) as e:
+        raise ValueError(f"{path}: not a readable CSV table: {e}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    names, *rows = rows
+    if names != list(header):
+        raise ValueError(f"{path}: unexpected header {names!r}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(names)}")
+    columns = []
+    for (name, kind), cells in zip(header.items(), zip(*rows) if rows else [()] * len(names)):
+        try:
+            columns.append(list(cells) if kind is str else np.fromiter(map(kind, cells), kind))
+        except (ValueError, OverflowError) as e:
+            raise ValueError(f"{path}: bad {name!r} cell: {e}") from None
+    return columns
 
 
 def import_dataset(path):

@@ -308,6 +308,14 @@ class TestOrderingAndCost:
             if r.round_index == cfg.rounds - 1:
                 final[r.strategy][f"seed{r.seed}"] = r.test_accuracy
         mean_acc = {s: float(np.mean(list(v.values()))) for s, v in final.items()}
+        for rival in ("random", "entropy", "margin", "snapshot-el2n", "coreset"):
+            diffs = [acc - final[rival][seed]
+                     for seed, acc in final["ucb-product"].items() if seed in final[rival]]
+            wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+            print(f"ucb-product minus {rival} per seed: "
+                  + " ".join(f"{d:+.4f}" for d in diffs)
+                  + f"; wins/losses/ties {wins}/{losses}/{len(diffs) - wins - losses}",
+                  flush=True)
         pw = pairwise_matrix(final)
         col = dict(zip(pw.strategies, pw.column_means))
 

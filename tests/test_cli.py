@@ -251,6 +251,8 @@ DAMAGES = {
     "duplicated-series-row": _duplicated_series_row,
     "scores-is-a-directory": _scores_directory,
     "scores-of-other-samples": _scores_of_other_samples,
+    "series-without-scores": lambda run: os.remove(run / "seed_0" / "scores" / "round0.csv"),
+    "scores-without-series": lambda run: os.remove(run / "seed_0" / "snapshots_round0.csv"),
     "manifest-not-json": _manifest(b"{not json"),
     "manifest-not-utf8": _manifest(b"\xff\xfe"),
     "manifest-empty-object": _manifest(b"{}"),
@@ -291,6 +293,22 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_scores_without_series_when_round0_takes_no_snapshot(self, tmp_path, capsys):
+        # An interval past round 0's last step: emit writes the scores alone.
+        config = write_config(tmp_path / "cfg.json", ssl={
+            "steps_per_round": 10, "snapshot_interval": 11, "hidden_dims": [8, 8]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "seed_0" / "scores" / "round0.csv").exists()
+        assert not (out / "seed_0" / "snapshots_round0.csv").exists()
+        pairwise = out / "analysis" / "pairwise_matrix.csv"
+        original = pairwise.read_bytes()
+        os.remove(pairwise)
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out)]) == 0
+        assert "rebuilt" in capsys.readouterr().out
+        assert pairwise.read_bytes() == original
 
     def test_run_dir_with_a_retired_key_exits_2(self, tiny_run, tmp_path, capsys):
         run = tmp_path / "run"
@@ -466,15 +484,34 @@ class TestFuzz:
     @given(st.data())
     def test_damaged_run_tree_exits_cleanly(self, tiny_run, data):
         files = sorted(str(p.relative_to(tiny_run)) for p in tiny_run.rglob("*") if p.is_file())
-        name = data.draw(st.sampled_from(files))
-        with tempfile.TemporaryDirectory() as tmp:
-            run = os.path.join(tmp, "run")
-            shutil.copytree(tiny_run, run)
-            path = os.path.join(run, name)
-            with open(path, "rb") as f:
-                text = f.read()
-            lo = data.draw(st.integers(0, len(text)))
-            hi = data.draw(st.integers(lo, min(len(text), lo + 64)))
-            with open(path, "wb") as f:
-                f.write(text[:lo] + data.draw(st.binary(max_size=8)) + text[hi:])
-            _assert_clean_exit(*_main_outcome(["analyze", "--in", run]))
+        _assert_clean_exit(*_analyze_mutated(tiny_run, data.draw(st.sampled_from(files)), data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_damaged_analyzed_table_exits_cleanly(self, tiny_run, data):
+        # Only the tables that analyze reads; most files of the tree are never read.
+        files = sorted(str(p.relative_to(tiny_run)) for p in [
+            tiny_run / "rounds.csv", *tiny_run.glob("seed_*/snapshots_round0.csv"),
+            *tiny_run.glob("seed_*/scores/round0.csv")])
+        assert len(files) == 3
+        code, err = _analyze_mutated(tiny_run, data.draw(st.sampled_from(files)), data)
+        _assert_clean_exit(code, err)
+        # pyproject turns warnings into errors, which _main_outcome would
+        # raise; where warnings are printed instead, stderr must show none.
+        assert "Warning" not in err
+
+
+def _analyze_mutated(tiny_run, name, data):
+    """_main_outcome of analyze on a copy of tiny_run whose file name has up
+    to 64 bytes replaced by up to 8 drawn bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = os.path.join(tmp, "run")
+        shutil.copytree(tiny_run, run)
+        path = os.path.join(run, name)
+        with open(path, "rb") as f:
+            text = f.read()
+        lo = data.draw(st.integers(0, len(text)))
+        hi = data.draw(st.integers(lo, min(len(text), lo + 64)))
+        with open(path, "wb") as f:
+            f.write(text[:lo] + data.draw(st.binary(max_size=8)) + text[hi:])
+        return _main_outcome(["analyze", "--in", run])

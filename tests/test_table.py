@@ -6,6 +6,7 @@ import io
 import math
 import pathlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from asslab.analysis import (
 )
 from asslab.data import Dataset, export_dataset
 from asslab.errors import InputError
-from asslab.table import format_rows, write_table
+from asslab.table import BLOCK_ROWS, format_rows, read_table, write_table
 from asslab.tracker import TrackerSnapshot, load_snapshot_csv
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "asslab"
@@ -359,6 +360,175 @@ class TestFormatRows:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
             format_rows([np.array([1, 2]), np.array([0.5])])
+
+
+def numeric_header(columns):
+    return {f"c{j}": int if c.dtype.kind in "iu" else float for j, c in enumerate(columns)}
+
+
+def read_outcome(reader, path, header, error):
+    """The columns that reader returns from path, or None where it raises error."""
+    try:
+        return reader(path, header)
+    except error:
+        return None
+
+
+def assert_columns_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert_bits_equal(a, b)
+        assert a.flags.c_contiguous
+
+
+@st.composite
+def numeric_tables(draw):
+    """numeric_columns() of 0, 1 or BLOCK_ROWS + 1 rows, each column's cells
+    picked from a few drawn values: a draw per cell of 2,049 rows would
+    overrun Hypothesis's buffer."""
+    n = draw(st.sampled_from([0, 1, BLOCK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for dtype in draw(st.lists(st.sampled_from(sorted(NUMERIC_DTYPES)), min_size=1, max_size=4)):
+        values = draw(st.lists(NUMERIC_DTYPES[dtype], min_size=1, max_size=6))
+        columns.append(np.array(values, dtype=dtype)[rng.integers(len(values), size=n)])
+    return columns
+
+
+# int64's extremes and floats whose repr takes every form, subnormals
+# included; the ints are padded to the floats' count, one pair per row.
+EDGE_INTS = [-(2**63), 2**63 - 1, 0, -1, 2**53 + 1, -(2**53) - 1, 10, 7, 1, 12, 99]
+EDGE_VALUES = EDGE_FLOATS + [SUBNORMAL, 2.2250738585072009e-308]
+# Bytes a mutation splices in: random ones, or runs of number syntax,
+# separators, quotes, whitespace and non-ASCII digits and spaces.
+MUTATIONS = st.binary(max_size=8) | st.lists(st.sampled_from([
+    b"0", b"1", b"9", b".", b",", b"-", b"+", b"e", b"_", b'"', b" ", b"\t", b"\r", b"\n",
+    b"\r\n", b"nan", b"inf", b"\x0c", b"\x00", "\uff11".encode(), "\u0661".encode(),
+    "\xa0".encode(), "\u3000".encode(),
+]), max_size=6).map(b"".join)
+
+
+def new_rejection(text: str) -> bool:
+    """Whether text holds what int() or float() takes but np.loadtxt refuses
+    in a number: a quote, a digit separator or a non-ASCII digit."""
+    return '"' in text or "_" in text or any(c.isdecimal() and not c.isascii() for c in text)
+
+
+class TestNumericReader:
+    """read_table's np.loadtxt path against the csv module's reader."""
+
+    @settings(deadline=None)
+    @given(numeric_columns() | numeric_tables())
+    def test_written_tables_match_the_csv_oracle(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("numeric") / "t.csv"
+        header = numeric_header(columns)
+        write_table(path, list(header), columns)
+        expected = read_outcome(oracles.read_table_csv, path, header, ValueError)
+        got = read_outcome(read_table, path, header, InputError)
+        if expected is None:  # a uint64 past int64
+            assert got is None
+        else:
+            assert_columns_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 1])
+    def test_edge_values_match_the_csv_oracle(self, tmp_path, n):
+        header = {"i": int, "f": float}
+        for start in range(len(EDGE_INTS)) if n == 1 else [0]:
+            columns = [np.resize(np.roll(np.array(values), -start), n)
+                       for values in (EDGE_INTS, EDGE_VALUES)]
+            write_table(tmp_path / "t.csv", list(header), columns)
+            got = read_table(tmp_path / "t.csv", header)
+            assert_columns_equal(got, oracles.read_table_csv(tmp_path / "t.csv", header))
+            assert_columns_equal(got, columns)
+            assert [c.dtype for c in got] == [np.int64, np.float64]
+
+    @settings(deadline=None, max_examples=300)
+    @given(numeric_columns(), st.data())
+    def test_mutated_file_is_refused_where_the_oracle_refuses(
+            self, tmp_path_factory, columns, data):
+        # Otherwise it gives the oracle's arrays, unless the text holds one
+        # of the new rejections.
+        path = tmp_path_factory.mktemp("mutated") / "t.csv"
+        header = numeric_header(columns)
+        write_table(path, list(header), columns)
+        text = path.read_bytes()
+        lo = data.draw(st.integers(0, len(text)))
+        hi = data.draw(st.integers(lo, min(len(text), lo + 16)))
+        mutated = text[:lo] + data.draw(MUTATIONS) + text[hi:]
+        path.write_bytes(mutated)
+        expected = read_outcome(oracles.read_table_csv, path, header, ValueError)
+        got = read_outcome(read_table, path, header, InputError)
+        if expected is None:
+            assert got is None
+        elif got is None:
+            assert new_rejection(mutated.decode())
+        else:
+            assert_columns_equal(got, expected)
+
+    @pytest.mark.parametrize("row", ['"1",0.5', "1_0,0.5", "1,2_5", "\uff11,0.5", "1,\u0661"])
+    def test_new_rejections(self, tmp_path, row):
+        # int() and float() take these cells; write_table never writes them.
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"i,f\r\n{row}\r\n".encode())
+        header = {"i": int, "f": float}
+        assert oracles.read_table_csv(path, header) is not None
+        with pytest.raises(InputError, match="could not convert"):
+            read_table(path, header)
+
+    @pytest.mark.parametrize("body", [
+        "\r\n1,0.5\r\n", "1,0.5\r\n\r\n2,0.5\r\n", "1,0.5\r\n\r\n", "1,0.5\r\r\n",
+        "1\r\n", "1,0.5,2\r\n", "1,x\r\n", "1,\r\n", "1.0,0.5\r\n", "1e3,0.5\r\n",
+        "9223372036854775808,0.5\r\n", "-9223372036854775809,0.5\r\n", " \r\n",
+    ])
+    def test_bad_rows_raise_one_line_naming_the_path(self, tmp_path, body):
+        # Blank lines (np.loadtxt would skip them), a wrong cell count, a
+        # non-numeric cell, a float in an int column, an int past int64.
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"i,f\r\n{body}".encode())
+        header = {"i": int, "f": float}
+        with pytest.raises(ValueError):
+            oracles.read_table_csv(path, header)
+        with pytest.raises(InputError) as e:
+            read_table(path, header)
+        assert str(e.value).startswith(f"{path}: ") and "\n" not in str(e.value)
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for text in ("i,f\r\n", "i,f"):
+            path.write_bytes(text.encode())
+            got = read_table(path, {"i": int, "f": float})
+            assert_columns_equal(got, [np.empty(0, np.int64), np.empty(0, np.float64)])
+
+    def test_unexpected_header_and_empty_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"i,g\r\n1,0.5\r\n")
+        with pytest.raises(InputError, match="unexpected header"):
+            read_table(path, {"i": int, "f": float})
+        path.write_bytes(b"")
+        with pytest.raises(InputError, match="empty file"):
+            read_table(path, {"i": int, "f": float})
+
+    def test_a_numpy_warning_is_an_input_error(self, tmp_path, monkeypatch):
+        # As numpy 1.x's deprecated parse of an int via a float warns, in
+        # a message of several lines: the error keeps the first.
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("int via float\nis deprecated", DeprecationWarning, stacklevel=2)
+            return np.zeros(1, args[1])
+
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"i,f\r\n1,0.5\r\n")
+        monkeypatch.setattr(table.np, "loadtxt", warning_loadtxt)
+        with pytest.raises(InputError) as e:
+            read_table(path, {"i": int, "f": float})
+        assert str(e.value) == f"{path}: int via float"
+
+    def test_tables_with_a_str_column_keep_the_csv_module(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(table.np, "loadtxt", None)  # any call would raise
+        path = tmp_path / "t.csv"
+        write_table(path, ["s", "i"], [['"1"', "a,b"], [10, 2]])
+        got = read_table(path, {"s": str, "i": int})
+        assert got[0] == ['"1"', "a,b"]
+        assert_bits_equal(got[1], np.array([10, 2]))
 
 
 class Unprintable:
