@@ -8,12 +8,13 @@ by the ids it acquired in earlier rounds, and each distinct history is
 trained once per seed. Acquisition draws live in a stream keyed by
 strategy position, so one strategy's consumption never perturbs another's.
 
-Every emitted CSV is written, and read back, by the table module, which
-owns the format: CRLF rows, repr floats, empty cells for None. The CSVs
-contain no timestamps; wall clocks and creation times live only in
-manifest.json, beside the asslab, Python and numpy versions. Every file,
-the manifest included, is written through table.atomic_open, so an
-interrupted emit leaves no half-written file.
+Every emitted table is written, and read back, by the table module, which
+owns the formats: CSV with CRLF rows, repr floats and empty cells for None,
+and for the event logs .npy. The tables contain no timestamps; wall
+clocks and creation times live only in manifest.json, beside the asslab,
+Python and numpy versions. Every file, the manifest included, is written
+through table.atomic_open, so an interrupted emit leaves no half-written
+file.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .data import (
 )
 from .errors import ConfigError, InputError, TrainingError
 from .ssl import SslConfig, train_round
-from .table import atomic_open, read_table, write_table
+from .table import atomic_open, read_table, write_npy, write_table
 from .tracker import TrackerSnapshot, TrackerStore, load_snapshot_csv
 
 # Named rng streams; each is an independent child of the experiment seed.
@@ -182,8 +183,9 @@ class ExperimentResult:
     datasets: dict[int, Dataset]
     # (seed, strategy, round) -> the event columns of that trained round:
     # step, sample_id, then the weak and the strong probability of each
-    # class. strategy is the first lane, in config order, that reached the
-    # round; a round with no events has no entry.
+    # class, as emit writes them to events/round<r>_<strategy>.npy.
+    # strategy is the first lane, in config order, that reached the round;
+    # a round with no events has no entry.
     events: dict[tuple[int, str, int], list[np.ndarray]]
 
 
@@ -343,10 +345,16 @@ def _write_acquisitions_csv(path, reports: list[RoundReport]) -> None:
 
 
 def _write_events_csv(path, columns) -> None:
-    """Write one trained round's event columns (see ExperimentResult.events)."""
+    """Write one trained round's event columns (see ExperimentResult.events)
+    as a .npy table: one structured array whose fields are step and
+    sample_id (<i8), then p_w0.. and p_s0.. (<f8).
+
+    The name is the CSV writer's it replaced: bench/layers.py traces the
+    call under it, and it is renamed with that trace (ROADMAP item 1).
+    """
     k = (len(columns) - 2) // 2
-    write_table(path, ["step", "sample_id"] + [f"p_{v}{j}" for v in "ws" for j in range(k)],
-                columns)
+    write_npy(path, np.dtype([("step", "<i8"), ("sample_id", "<i8")]
+                             + [(f"p_{v}{j}", "<f8") for v in "ws" for j in range(k)]), columns)
 
 
 def _write_seed_analysis(
@@ -411,12 +419,15 @@ def _recorded_config(cfg: ExperimentConfig) -> dict:
 
 def _check_out_dir(cfg: ExperimentConfig, out_dir: str) -> None:
     """InputError for an out_dir whose old files the new run would leave
-    beside its own: another config's run, or the one-file-per-lane event
-    logs (seed_<s>/events_<strategy>.csv) of the layout before events/."""
+    beside its own: another config's run, or the event logs of an older
+    layout, one file per lane (seed_<s>/events_<strategy>.csv) or one CSV
+    per trained round (seed_<s>/events/round<r>_<strategy>.csv)."""
     if (os.path.exists(os.path.join(out_dir, "manifest.json"))
             and load_manifest(out_dir)["config"] != _recorded_config(cfg)):
         raise InputError(f"{out_dir} holds the run of a different config")
-    old_events = glob.glob(os.path.join(glob.escape(out_dir), "seed_*", "events_*.csv"))
+    seeds = os.path.join(glob.escape(out_dir), "seed_*")
+    old_events = (glob.glob(os.path.join(seeds, "events_*.csv"))
+                  + glob.glob(os.path.join(seeds, "events", "round*_*.csv")))
     if old_events:
         raise InputError(f"{out_dir} holds event logs of an older layout, "
                          f"such as {min(old_events)}")
@@ -428,16 +439,17 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     rounds.csv, per-seed datasets and acquisition logs, the round-0
     snapshot series and per-round score snapshots of the reports that
     carry them (the first strategy's, see _run_seed), the event log of
-    each trained round (events/round<r>_<strategy>.csv, keyed as
-    ExperimentResult.events), derived analysis CSVs, and manifest.json.
+    each trained round (events/round<r>_<strategy>.npy, keyed as
+    ExperimentResult.events, see _write_events_csv), derived analysis
+    CSVs, and manifest.json.
     Every file is a pure function of the config and the code, so reruns
     are byte-identical, except the manifest's Python and numpy versions
     and its "nondeterministic" key. The manifest records the code's own
     asslab.__version__, whether or not the package is installed, and no
     path, so the same run has the same bytes in any out_dir. An out_dir
-    whose manifest records a different config, or that holds the
-    seed_<s>/events_<strategy>.csv logs of the layout before events/,
-    raises InputError, since those files would stay beside the new ones.
+    whose manifest records a different config, or that holds event logs
+    of an older layout (see _check_out_dir), raises InputError, since
+    those files would stay beside the new ones.
     """
     _check_out_dir(cfg, out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -471,7 +483,7 @@ def emit(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     for (seed, strategy, round_index), columns in result.events.items():
         events_dir = os.path.join(_seed_dir(out_dir, seed), "events")
         os.makedirs(events_dir, exist_ok=True)
-        _write_events_csv(os.path.join(events_dir, f"round{round_index}_{strategy}.csv"),
+        _write_events_csv(os.path.join(events_dir, f"round{round_index}_{strategy}.npy"),
                           columns)
 
     _write_analysis(out_dir, cfg, round0, {

@@ -1,4 +1,4 @@
-"""The CSV format of every emitted log and analysis table.
+"""The file formats of every emitted log and analysis table.
 
 Rows end in CRLF, the csv module's default. Floats are written with repr,
 so every value reads back bit for bit; ints stay ints and None is an
@@ -21,6 +21,16 @@ whatever the row count. Every file goes to path + ".tmp" and is moved
 onto path with os.replace (atomic_open), so a failed write leaves the
 old bytes, or no file, never half a file; a killed process can leave
 only the temp file, which the next write of path replaces.
+
+write_npy writes a table as one structured array in .npy format 1.0, the
+bytes np.save writes, for np.load to read back bit for bit: the header
+from np.lib.format, then the rows, BLOCK_ROWS at a time through
+atomic_open, so it too holds one block in memory and never half a file.
+
+read_table names a bad data row by its file line, the header being line
+1: a blank line, a wrong cell count or a bad cell. The line is found only
+after the parse has failed (the numeric path bisects np.loadtxt's
+max_rows), so a good table costs nothing extra.
 """
 
 from __future__ import annotations
@@ -29,13 +39,17 @@ import contextlib
 import csv
 import io
 import os
+import re
 import warnings
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 BLOCK_ROWS = 2048  # rows formatted per write; bounds the text held in memory
+# Where np.loadtxt's message puts a bad row: a cell's row counts from 0 and
+# its column from 1, a wrong cell count's row from 1.
+_LOADTXT_AT = re.compile(r" at row \d+(?:, column (\d+))?\.?")
 
 
 def format_rows(columns) -> str:
@@ -83,6 +97,20 @@ def write_table(path, header, columns) -> None:
             f.write(format_rows([c[lo:lo + BLOCK_ROWS] for c in columns]))
 
 
+def write_npy(path, dtype, columns) -> None:
+    """Write columns, one per field of the structured dtype, as one .npy
+    array of that dtype, one block of rows at a time."""
+    n = len(columns[0])
+    with atomic_open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(f, {
+            "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n,)})
+        for lo in range(0, n, BLOCK_ROWS):
+            block = np.empty(min(BLOCK_ROWS, n - lo), dtype)
+            for name, column in zip(dtype.names, columns, strict=True):
+                block[name] = column[lo:lo + BLOCK_ROWS]
+            f.write(block.tobytes())
+
+
 def read_table(path, header) -> list:
     """The columns of a table written by write_table.
 
@@ -105,30 +133,79 @@ def read_table(path, header) -> list:
         raise InputError(f"{path}: unexpected header {names!r}")
     if numeric:
         return _parse_numeric(path, header, rows)
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(rows):
         if len(row) != len(names):
-            raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(names)}")
-    columns = []
-    for (name, kind), cells in zip(header.items(), zip(*rows) if rows else [()] * len(names)):
-        try:
-            columns.append(list(cells) if kind is str else np.fromiter(map(kind, cells), kind))
-        except (ValueError, OverflowError) as e:
-            raise InputError(f"{path}: bad {name!r} cell: {e}") from None
-    return columns
+            raise InputError(f"{path}: line {_csv_line(path, i)} has {len(row)} cells, "
+                             f"expected {len(names)}")
+    try:
+        return [list(cells) if kind is str else np.fromiter(map(kind, cells), kind)
+                for kind, cells in zip(header.values(), zip(*rows) if rows else [()] * len(names))]
+    except (ValueError, OverflowError):
+        pass  # name the first bad cell in file order
+    for i, row in enumerate(rows):
+        for (name, kind), cell in zip(header.items(), row):
+            try:
+                if kind is not str:
+                    np.fromiter([kind(cell)], kind)
+            except (ValueError, OverflowError) as e:
+                raise InputError(f"{path}: line {_csv_line(path, i)}: bad {name!r} cell: {e}") \
+                    from None
+    raise InternalError(f"{path}: a column failed to convert, but none of its cells")
+
+
+def _csv_line(path, row) -> int:
+    """The file line on which data row `row` (from 0) starts; a quoted cell
+    can span lines."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        for _ in zip(range(row + 1), reader):  # the header and the rows before
+            pass
+        return reader.line_num + 1
+
+
+def _loadtxt(text, dtype, max_rows=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 1.x warns of an int parsed via float
+        return np.loadtxt(io.StringIO(text), dtype, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1, max_rows=max_rows)
 
 
 def _parse_numeric(path, header, text) -> list:
     """The int64 and float64 columns of the rows after the header, by np.loadtxt."""
     if text.startswith("\n") or "\n\n" in text:  # loadtxt would skip a blank line
-        raise InputError(f"{path}: blank line")
+        line = 2 if text.startswith("\n") else text.count("\n", 0, text.index("\n\n") + 1) + 2
+        raise InputError(f"{path}: line {line} is blank")
     dtype = np.dtype(list(header.items()))
     if not text:
         return [np.empty(0, dtype[name]) for name in header]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.x warns of an int parsed via float
-            rows = np.loadtxt(io.StringIO(text), dtype, delimiter=",", comments=None,
-                              quotechar=None, ndmin=1)
-    except (ValueError, Warning) as e:  # the first line only: 1.x's warning runs on
-        raise InputError(f"{path}: {e}".partition("\n")[0]) from None
+        rows = _loadtxt(text, dtype)
+    except (ValueError, Warning) as e:
+        raise _numeric_row_error(path, dtype, text, e) from None
     return [np.ascontiguousarray(rows[name]) for name in header]
+
+
+def _numeric_row_error(path, dtype, text, error) -> InputError:
+    """The InputError for the first data row that _loadtxt refuses, given
+    its error on the whole text. Each line is one row (no blank line, quote
+    or comment), so the shortest failing prefix of max_rows rows ends at
+    file line max_rows + 1."""
+    good, bad = 0, text.count("\n") + (not text.endswith("\n"))
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _loadtxt(text, dtype, mid)
+            good = mid
+        except (ValueError, Warning) as e:
+            bad, error = mid, e
+    line, cells = bad + 1, text.split("\n", bad)[bad - 1].split(",")
+    if len(cells) != len(dtype.names):
+        return InputError(f"{path}: line {line} has {len(cells)} cells, "
+                          f"expected {len(dtype.names)}")
+    message = str(error).partition("\n")[0]  # the first line only: 1.x's warning runs on
+    at = _LOADTXT_AT.search(message)
+    if at:
+        message = message[:at.start()] + message[at.end():]
+        if at[1]:
+            message = f"bad {dtype.names[int(at[1]) - 1]!r} cell: {message}"
+    return InputError(f"{path}: line {line}: {message}")

@@ -19,8 +19,10 @@ acquisition module must match them bit for bit. nearest_picks is
 diversity acquisition's fill as first written, one full stable argsort
 per centroid, and coreset the blocked greedy k-center with a distance
 pass after every pick, the k-th included. events_csv is a lane's event
-log as one string, built by the csv module, and lane_events_csv the same
-file rebuilt from the per-round event files an emit writes.
+log as one CSV string, built by the csv module, in the form emit wrote
+before the event files became .npy tables; round_events_csv formats one
+emitted round file, read by np.load, in that form, and lane_events_csv
+rebuilds a lane's file from the per-round event files an emit writes.
 ti_uncertainty_profile groups samples with np.unique, the form the
 analysis module gave up so that it never imports numpy.ma. SetPools and split_pools are the sample pools as
 three frozensets of ids, the form that one array of pool codes replaced,
@@ -298,9 +300,25 @@ def events_csv(lane_rounds, round_column=True) -> bytes:
     return text.getvalue().encode()
 
 
+def round_events_rows(path) -> tuple[list, list]:
+    """The header and the rows of one round's events file, read by np.load
+    and formatted as events_csv formats them: ints as ints, floats by repr."""
+    table = np.load(path)
+    return list(table.dtype.names), [list(row) for row in table.tolist()]
+
+
+def round_events_csv(path) -> bytes:
+    """One round's events file as the CSV that events_csv builds without
+    its round column."""
+    header, rows = round_events_rows(path)
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([header] + rows)
+    return text.getvalue().encode()
+
+
 def lane_events_csv(seed_dir, strategies, strategy, rounds) -> bytes | None:
     """A lane's events file in events_csv's form, rebuilt from the files
-    seed_dir/events/round<r>_<owner>.csv and seed_dir/acquisitions.csv.
+    seed_dir/events/round<r>_<owner>.npy and seed_dir/acquisitions.csv.
 
     The lane reached round r if it acquired in every round before it. Its
     round r is in the file of the first of strategies, in config order,
@@ -320,12 +338,11 @@ def lane_events_csv(seed_dir, strategies, strategy, rounds) -> bytes | None:
     header, rows = None, []
     for r in range(min(len(picks.get(strategy, {})) + 1, rounds)):
         owner = next(s for s in strategies if history(s, r) == history(strategy, r))
-        path = os.path.join(seed_dir, "events", f"round{r}_{owner}.csv")
+        path = os.path.join(seed_dir, "events", f"round{r}_{owner}.npy")
         if os.path.exists(path):
-            with open(path, newline="") as f:
-                names, *body = csv.reader(f)
+            names, body = round_events_rows(path)
             header = ["round"] + names
-            rows += [[str(r)] + row for row in body]
+            rows += [[r] + row for row in body]
     if header is None:
         return None
     text = io.StringIO(newline="")

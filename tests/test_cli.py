@@ -107,16 +107,18 @@ class TestRunCommand:
         assert not (out / "seed_1").exists()
 
     def test_out_with_old_layout_event_logs_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
         config = write_config(tmp_path / "cfg.json")
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        (out / "seed_0" / "events_random.csv").write_text("")
-        capsys.readouterr()
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "older layout" in captured.err
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        assert "round 0" not in captured.out  # refused before any training
+        for i, old in enumerate(["events_random.csv", "events/round0_random.csv"]):
+            out = tmp_path / f"out{i}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            (out / "seed_0" / old).parent.mkdir(exist_ok=True)
+            (out / "seed_0" / old).write_text("")
+            capsys.readouterr()
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "older layout" in captured.err
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+            assert "round 0" not in captured.out  # refused before any training
 
     def test_unwritable_seed_dir_exits_2_without_traceback(self, tmp_path, capsys):
         out = tmp_path / "out"

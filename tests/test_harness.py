@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -753,19 +754,22 @@ class TestEmit:
 
     def test_dir_with_old_layout_event_logs_refused(self, tmp_path):
         # A tree emitted before events/ kept one events_<strategy>.csv per
-        # lane; a new emit would leave it beside events/.
-        out = tmp_path / "run"
+        # lane, and one before the .npy tables one events/round<r>_<strategy>.csv
+        # per trained round; a new emit would leave either beside its own.
         cfg = small_cfg()
-        result = run_and_emit(cfg, out_dir=str(out))
-        (out / "seed_0" / "events_random.csv").write_text("round,step,sample_id\r\n")
-        before = tree_bytes(out)
-        trained = []
-        with pytest.raises(InputError, match="older layout"):
-            run_and_emit(cfg, out_dir=str(out), progress=trained.append)
-        assert trained == []  # refused before any training
-        with pytest.raises(InputError, match="events_random.csv"):
-            emit(result, cfg, str(out))
-        assert tree_bytes(out) == before
+        for i, old in enumerate(["events_random.csv", "events/round0_random.csv"]):
+            out = tmp_path / f"run{i}"
+            result = run_and_emit(cfg, out_dir=str(out))
+            (out / "seed_0" / old).parent.mkdir(exist_ok=True)
+            (out / "seed_0" / old).write_text("step,sample_id\r\n")
+            before = tree_bytes(out)
+            trained = []
+            with pytest.raises(InputError, match="older layout"):
+                run_and_emit(cfg, out_dir=str(out), progress=trained.append)
+            assert trained == []  # refused before any training
+            with pytest.raises(InputError, match=re.escape(os.path.basename(old))):
+                emit(result, cfg, str(out))
+            assert tree_bytes(out) == before
 
     def test_out_dir_below_a_file_fails_before_training(self, tmp_path, monkeypatch):
         (tmp_path / "file").write_bytes(b"")
@@ -834,11 +838,13 @@ class TestEmit:
                           hidden_dims=[8, 8], batch_size=4, mu=2),
         )
         run_and_emit(cfg, out_dir=str(out))
-        lines = (out / "seed_0" / "events" / "round0_random.csv").read_text().splitlines()
-        assert lines[0] == "step,sample_id,p_w0,p_w1,p_s0,p_s1"
-        assert len(lines) == 1 + 5 * 8  # steps * mu * batch_size
-        probs = [sum(float(v) for v in line.split(",")[2:4]) for line in lines[1:]]
-        np.testing.assert_allclose(probs, 1.0, rtol=1e-9)
+        events = np.load(out / "seed_0" / "events" / "round0_random.npy")
+        assert events.dtype == np.dtype([("step", "<i8"), ("sample_id", "<i8"), ("p_w0", "<f8"),
+                                         ("p_w1", "<f8"), ("p_s0", "<f8"), ("p_s1", "<f8")])
+        assert events.shape == (5 * 8,)  # steps * mu * batch_size
+        np.testing.assert_array_equal(events["step"], np.repeat(np.arange(1, 6), 8))
+        np.testing.assert_allclose(events["p_w0"] + events["p_w1"], 1.0, rtol=1e-9)
+        np.testing.assert_allclose(events["p_s0"] + events["p_s1"], 1.0, rtol=1e-9)
 
     def test_shared_rounds_formatted_once_per_emit(self, tmp_path, event_blocks):
         cfg = small_cfg(strategies=["ucb-product", "entropy", "random"], log_events=True,
@@ -920,28 +926,57 @@ def shared_prefix(a, b) -> int:
     return next((j for j, (x, y) in enumerate(zip(a, b)) if x is not y), min(len(a), len(b)))
 
 
+class EventBlocks(list):
+    """The row count of each block of rows written to an event file, in
+    call order. With fail_at set, the write of the fail_at-th block (from
+    1) raises OSError instead."""
+    fail_at = None
+
+
 @pytest.fixture
 def event_blocks(monkeypatch):
-    """The row count of each block that table.format_rows formats for an
-    event file, in call order; header rows are left out."""
-    blocks, writing = [], []
-    format_rows, write_events = table.format_rows, harness._write_events_csv
+    """An EventBlocks filled by every event file written while it lives.
+    An event file's first write is its .npy header; every later one is a
+    block of whole rows of 8 bytes a column."""
+    blocks, row_bytes = EventBlocks(), []
+    atomic_open, write_events = table.atomic_open, harness._write_events_csv
 
-    def counting(columns):
-        if writing and isinstance(columns[0], np.ndarray):
-            blocks.append(len(columns[0]))
-        return format_rows(columns)
+    class Recording:
+        def __init__(self, f):
+            self.f, self.header = f, None
+
+        def write(self, data):
+            if self.header is None:
+                assert data.startswith(b"\x93NUMPY") and data.endswith(b"\n")
+                self.header = data
+            else:
+                assert len(data) % row_bytes[-1] == 0
+                blocks.append(len(data) // row_bytes[-1])
+                if len(blocks) == blocks.fail_at:
+                    raise OSError("disk full")
+            return self.f.write(data)
+
+    @contextlib.contextmanager
+    def opening(path, mode, **kwargs):
+        with atomic_open(path, mode, **kwargs) as f:
+            yield Recording(f) if row_bytes else f
 
     def events_writer(path, columns):
-        writing.append(path)
+        row_bytes.append(8 * len(columns))
         try:
             write_events(path, columns)
         finally:
-            writing.pop()
+            row_bytes.pop()
 
-    monkeypatch.setattr(table, "format_rows", counting)
+    monkeypatch.setattr(table, "atomic_open", opening)
     monkeypatch.setattr(harness, "_write_events_csv", events_writer)
     return blocks
+
+
+def event_fields(k: int) -> list:
+    """The fields of an event file of k classes, as the README lists them."""
+    return [("step", "<i8"), ("sample_id", "<i8")] + [
+        (f"p_{v}{j}", "<f8") for v in "ws" for j in range(k)]
 
 
 class TestStreamedEmit:
@@ -956,8 +991,25 @@ class TestStreamedEmit:
         cfg = small_cfg(strategies=["random", "entropy"])
         assert peak_bytes(emit, result, cfg, str(tmp_path / "run")) < 3_000_000
         for (_, strategy, r), events in rounds.items():
-            assert (tmp_path / "run" / "seed_0" / "events" / f"round{r}_{strategy}.csv") \
-                .read_bytes() == oracles.events_csv([events], round_column=False)
+            assert oracles.round_events_csv(
+                tmp_path / "run" / "seed_0" / "events" / f"round{r}_{strategy}.npy") \
+                == oracles.events_csv([events], round_column=False)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, table.BLOCK_ROWS, table.BLOCK_ROWS + 1])
+    def test_event_file_is_np_save_of_one_structured_array(self, tmp_path, k, n):
+        rng = np.random.default_rng(10 * n + k)
+        columns = [np.arange(n) // 64 + 1, rng.integers(0, 2**40, size=n),
+                   *rng.dirichlet(np.ones(k), size=n).T, *rng.dirichlet(np.ones(k), size=n).T]
+        columns[2][0] = -0.0  # a sign bit that value comparisons would miss
+        harness._write_events_csv(tmp_path / "written.npy", columns)
+        np.save(tmp_path / "saved.npy",
+                np.array(list(zip(*(c.tolist() for c in columns))), dtype=event_fields(k)))
+        assert (tmp_path / "written.npy").read_bytes() == (tmp_path / "saved.npy").read_bytes()
+        loaded = np.load(tmp_path / "written.npy")
+        assert loaded.dtype == np.dtype(event_fields(k)) and loaded.shape == (n,)
+        for (name, _), column in zip(event_fields(k), columns):
+            assert loaded[name].tobytes() == column.tobytes()
 
     @pytest.mark.parametrize("block_rows", [5, table.BLOCK_ROWS])
     def test_shared_prefixes_match_whole_string_form(self, tmp_path, monkeypatch, event_blocks,
@@ -1024,7 +1076,7 @@ class TestStreamedEmit:
         assert sum(event_blocks) == sum(distinct.values())  # each distinct round formatted once
         assert max(event_blocks) <= block_rows
 
-    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_the_old_file(self, tmp_path, event_blocks):
         rng = np.random.default_rng(4)
         result = ExperimentResult([], [], {}, {
             (0, "random", 0): event_columns(synthetic_round(rng, 40))})
@@ -1032,22 +1084,14 @@ class TestStreamedEmit:
         out = tmp_path / "run"
         emit(result, cfg, str(out))
         before = tree_bytes(out)
-        calls = []
-        format_rows = table.format_rows
-
-        def failing(columns):
-            if isinstance(columns[0], np.ndarray):  # with no reports, only event rows
-                calls.append(len(columns[0]))
-                if len(calls) == 2:
-                    raise OSError("disk full")
-            return format_rows(columns)
-
-        monkeypatch.setattr(table, "format_rows", failing)
+        event_blocks.clear()
+        event_blocks.fail_at = 2
         with pytest.raises(OSError, match="disk full"):
             emit(result, cfg, str(out))
-        assert calls == [table.BLOCK_ROWS, 40 * 64 - table.BLOCK_ROWS]
+        assert event_blocks == [table.BLOCK_ROWS, 40 * 64 - table.BLOCK_ROWS]
         assert tree_bytes(out) == before  # the old events bytes and manifest
-        monkeypatch.setattr(table, "format_rows", format_rows)
+        assert not list(out.glob("seed_0/events/*.tmp"))
+        event_blocks.fail_at = None
         emit(result, cfg, str(out))
         after = tree_bytes(out)
         del before["manifest.json"], after["manifest.json"]  # hold the run's timings
@@ -1098,8 +1142,10 @@ def tree_sha256(root) -> dict[str, str]:
 # files events_<strategy>.csv became one file per trained round: round 0
 # once, then each lane's round 1, with no round column. Prepending each
 # row's round and joining a lane's round files in order gives the old
-# lane file byte for byte. Floating-point bytes depend on the numpy and
-# BLAS build; the pin holds for the one the tier-1 suite runs on.
+# lane file byte for byte. They moved again when each round file became
+# a .npy table; GOLDEN_EVENTS_CSV_SHA256 keeps the round CSVs pinned before.
+# Floating-point bytes depend on the numpy and BLAS build; the pin holds
+# for the one the tier-1 suite runs on.
 GOLDEN_SHA256 = {
     "analysis/pairwise_matrix.csv":
         "569353813130d4714e30ab9e24d7daba8003a6f79ed01754ae1aec7aa3bad22d",
@@ -1117,12 +1163,12 @@ GOLDEN_SHA256 = {
         "3fa84ab5dbcebe52c90b8ef879d08770f4b93c2727383ed3abfe49993fa4e574",
     "seed_0/dataset.csv":
         "cec684ffca6d5561db6c814dcda5d56f3568c20c67922f8cd96752ab546e5775",
-    "seed_0/events/round0_ucb-product.csv":
-        "94d294ac7c3d7d88c1608d49c651879724ab1860eaaf852f8a3ae282e7d0b051",
-    "seed_0/events/round1_coreset.csv":
-        "bde32351fa60745ed660781ace9dba81c5f031c9b299168f39f7120ee90fb64d",
-    "seed_0/events/round1_ucb-product.csv":
-        "c431017d0eb9c0612cafe8516dcaeae718418ccefa8408dc866ef40faa3cbd6b",
+    "seed_0/events/round0_ucb-product.npy":
+        "535d6cc2dafcfb3c3fc396ade7ac542b32f5f02d926b310737857efebc1a3d42",
+    "seed_0/events/round1_coreset.npy":
+        "c9196d7a120197c94f93a18471bbdc43dbab987426ab2e82c3c9ea555bc2c98e",
+    "seed_0/events/round1_ucb-product.npy":
+        "8e739df063627732b6935815490f4c37b368ae0bc51f5da547918a86b26b1a09",
     "seed_0/scores/round0.csv":
         "89895d7c0ac283ebfb6e4520f89ab56a1ec480fee43a17b08d41ac9eb2395119",
     "seed_0/scores/round1.csv":
@@ -1132,10 +1178,22 @@ GOLDEN_SHA256 = {
 }
 
 
+# The event files' pins when they were CSV tables; each .npy table, read
+# by np.load and formatted as CSV, gives the same bytes.
+GOLDEN_EVENTS_CSV_SHA256 = {
+    "round0_ucb-product": "94d294ac7c3d7d88c1608d49c651879724ab1860eaaf852f8a3ae282e7d0b051",
+    "round1_coreset": "bde32351fa60745ed660781ace9dba81c5f031c9b299168f39f7120ee90fb64d",
+    "round1_ucb-product": "c431017d0eb9c0612cafe8516dcaeae718418ccefa8408dc866ef40faa3cbd6b",
+}
+
+
 class TestGoldenDigest:
     def test_tiny_sweep_bytes_pinned(self, tmp_path):
         run_and_emit(golden_cfg(), out_dir=str(tmp_path / "run"))
         assert tree_sha256(tmp_path / "run") == GOLDEN_SHA256
+        events = tmp_path / "run" / "seed_0" / "events"
+        assert {path.stem: hashlib.sha256(oracles.round_events_csv(path)).hexdigest()
+                for path in events.iterdir()} == GOLDEN_EVENTS_CSV_SHA256
 
 
 class TestEventReplay:
@@ -1150,11 +1208,12 @@ class TestEventReplay:
         out = tmp_path / "run"
         run_and_emit(cfg, out_dir=str(out))
         k = cfg.dataset.n_classes
-        _, ids, *probs = table.read_table(
-            out / "seed_0" / "events" / f"round0_{cfg.strategies[0]}.csv",
-            {"step": int, "sample_id": int} | {f"p_{v}{j}": float for v in "ws" for j in range(k)})
+        events = np.load(out / "seed_0" / "events" / f"round0_{cfg.strategies[0]}.npy")
+        assert events.dtype == np.dtype(event_fields(k))
+        ids = events["sample_id"]
         pool = np.unique(ids)  # round 0 draws every sample at least once (ucb-* validation)
-        pos, pw, ps = np.searchsorted(pool, ids), np.array(probs[:k]).T, np.array(probs[k:]).T
+        pos = np.searchsorted(pool, ids)
+        pw, ps = (np.array([events[f"p_{v}{j}"] for j in range(k)]).T for v in "ws")
         assert len(pos) > 2 * len(pool)  # so more than one epoch is folded
         store = TrackerStore(pool, **harness.load_manifest(str(out))["config"]["tracker"])
         for lo in range(0, len(pos), len(pool)):

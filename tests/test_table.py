@@ -79,12 +79,16 @@ def write_acquisitions(path):
 def write_events(path):
     # One trained round's columns: step, sample_id, then the weak and the
     # strong probability of each class. The step-2 rows wrap an epoch of
-    # the unlabeled stream: ids 5, 0.
-    harness._write_events_csv(path, [
+    # the unlabeled stream: ids 5, 0. The event table is a .npy file;
+    # path gets its rows as the oracle formats them after np.load.
+    npy = f"{path}.npy"
+    harness._write_events_csv(npy, [
         np.array([1, 1, 2, 2]), np.array([3, 4, 5, 0]),
         np.array([0.1, 1.0, 0.25, -0.0]), np.array([0.9, 0.0, 0.75, 1.0]),
         np.array([0.5, SUBNORMAL, 0.3, 0.2]), np.array([0.5, 1.0, 0.7, 0.8]),
     ])
+    with open(path, "wb") as f:
+        f.write(oracles.round_events_csv(npy))
 
 
 def write_series(path):
@@ -492,6 +496,29 @@ class TestNumericReader:
             read_table(path, header)
         assert str(e.value).startswith(f"{path}: ") and "\n" not in str(e.value)
 
+    @pytest.mark.parametrize("row, line, message", [
+        ("", 2, "line 2 is blank"),
+        ("1", 2, "line 2 has 1 cells, expected 2"),
+        ("1,x", 2, "line 2: bad 'f' cell: could not convert string 'x' to float64"),
+        ("1.0,0.5", 2, "line 2: bad 'i' cell: could not convert string '1.0' to int64"),
+        ("", 1502, "line 1502 is blank"),
+        ("1,0.5,", 1502, "line 1502 has 3 cells, expected 2"),
+        ("x,0.5", 1502, "line 1502: bad 'i' cell: could not convert string 'x' to int64"),
+        ("9223372036854775808,0.5", 3001,
+         "line 3001: bad 'i' cell: could not convert string '9223372036854775808' to int64"),
+        ("1,", 3001, "line 3001: bad 'f' cell: could not convert string '' to float64"),
+    ])
+    def test_bad_row_is_named_by_its_file_line(self, tmp_path, row, line, message):
+        # The header is line 1; 3,000 data rows, one of them bad and the
+        # ones after it bad too, so only the first is named.
+        rows = ["1,0.5"] * 3000
+        rows[line - 2:] = [row] * (3002 - line)
+        path = tmp_path / "t.csv"
+        path.write_bytes("\r\n".join(["i,f", *rows, ""]).encode())
+        with pytest.raises(InputError) as e:
+            read_table(path, {"i": int, "f": float})
+        assert str(e.value) == f"{path}: {message}"
+
     def test_header_only_gives_empty_columns(self, tmp_path):
         path = tmp_path / "t.csv"
         for text in ("i,f\r\n", "i,f"):
@@ -520,7 +547,7 @@ class TestNumericReader:
         monkeypatch.setattr(table.np, "loadtxt", warning_loadtxt)
         with pytest.raises(InputError) as e:
             read_table(path, {"i": int, "f": float})
-        assert str(e.value) == f"{path}: int via float"
+        assert str(e.value) == f"{path}: line 2: int via float"
 
     def test_tables_with_a_str_column_keep_the_csv_module(self, tmp_path, monkeypatch):
         monkeypatch.setattr(table.np, "loadtxt", None)  # any call would raise
@@ -529,6 +556,26 @@ class TestNumericReader:
         got = read_table(path, {"s": str, "i": int})
         assert got[0] == ['"1"', "a,b"]
         assert_bits_equal(got[1], np.array([10, 2]))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("a\r\n", "line 2 has 1 cells, expected 3"),
+    ('"a\r\nb",1,1\r\nc,2,2\r\nd\r\n', "line 5 has 1 cells, expected 3"),
+    ("a,x,1\r\n", "line 2: bad 'i' cell: invalid literal for int() with base 10: 'x'"),
+    # Column by column, the 'i' cell of line 4 would fail first.
+    ('"a\r\nb",1,1\r\nc,1,x\r\nd,x,1\r\n',
+     "line 4: bad 'j' cell: invalid literal for int() with base 10: 'x'"),
+    ("a,1,1\r\nb,1,9223372036854775808\r\n",
+     "line 3: bad 'j' cell: Python int too large to convert to C long"),
+])
+def test_str_table_names_a_bad_row_by_its_file_line(tmp_path, body, message):
+    # The csv module's path: a quoted cell may span lines, so a row's line
+    # is where it starts, the header being line 1.
+    path = tmp_path / "t.csv"
+    path.write_bytes(f"s,i,j\r\n{body}".encode())
+    with pytest.raises(InputError) as e:
+        read_table(path, {"s": str, "i": int, "j": int})
+    assert str(e.value) == f"{path}: {message}"
 
 
 class Unprintable:
